@@ -7,10 +7,8 @@ from .channel import (
     LinkBudget,
     antenna_gain_db,
     default_profiles,
-    mean_rx_power_dbm,
     path_loss_db,
     shadowing_db,
-    small_scale_power_gain,
 )
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .geometry import (
@@ -36,7 +34,6 @@ from .handover import (
 )
 from .ici import (
     IciParams,
-    SignalQuality,
     doppler_spread_hz,
     ici_power_lower,
     ici_power_upper,
@@ -44,7 +41,7 @@ from .ici import (
     snr_linear_from_dbm,
     throughput_bps,
 )
-from .measurement import L1Config, L3Config, MeasurementSeries, l1_filter, l3_filter
+from .measurement import L1Config, L3Config, l1_filter, l3_filter
 from .simulate import (
     RunResult,
     RunTrace,
@@ -52,7 +49,6 @@ from .simulate import (
     aggregate_records,
     monte_carlo,
     simulate_run,
-    speed_comparison,
 )
 
 __version__ = "0.1.0"

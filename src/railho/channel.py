@@ -1,21 +1,24 @@
 """Propagation model for the trackside downlink and uplink.
 
-Mean received power is assembled in the dB domain:
+Received power is assembled in the dB domain:
 
     rx = tx + antenna_gain - path_loss - penetration_loss + shadowing + 10*log10(|h|^2)
 
 with log-distance path loss, a parabolic along-track antenna main lobe
 mirrored for the bidirectional beam, spatially correlated lognormal
 shadowing, and unit-mean Rician or Rayleigh fast fading depending on the
-line-of-sight state of the environment. Uplink and downlink share all
-propagation terms (reciprocity) and differ only in transmit power.
+line-of-sight state of the link. Uplink and downlink share all propagation
+terms (reciprocity) and differ only in transmit power.
 
-In the link-series path used by the simulation harness, shadowing mixes a
-UE-local component common to all sites with a per-link component
-(``shadow_site_correlation``; the per-link marginal stays N(0, sigma^2)),
-and the LOS state of mixed environments persists along the track through a
-correlated latent process while keeping the distance-dependent LOS
-probability exact.
+The deterministic terms (antenna gain, path loss, LOS probability) accept
+scalars or numpy arrays. The random terms are drawn per link along the
+snapshot grid by ``shadowing_series_db`` and ``small_scale_series``;
+``shadowing_db`` is the one-step scalar form of the shadowing recursion and
+serves as its reference. Shadowing mixes a UE-local component common to all
+sites with a per-link component (``shadow_site_correlation``; the per-link
+marginal stays N(0, sigma^2)), and the LOS state of mixed environments
+persists along the track through a correlated latent process while keeping
+the distance-dependent LOS probability exact.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .constants import SPEED_OF_LIGHT_MPS
-from .geometry import Environment, RrhSite, link_geometry
+from .geometry import Environment, RrhSite
 
 LosMode = Literal["always", "never", "range"]
-Link = Literal["downlink", "uplink"]
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -79,13 +81,12 @@ class EnvironmentProfile:
         if self.los_mode not in ("always", "never", "range"):
             raise ValueError(f"unknown los_mode {self.los_mode!r}")
 
-    def los_probability(self, distance_m: float) -> float:
-        """Probability that a link of the given length is line-of-sight."""
-        if self.los_mode == "always":
-            return 1.0
-        if self.los_mode == "never":
-            return 0.0
-        return math.exp(-distance_m / self.los_decay_m)
+    def los_probability(self, distance_m):
+        """Probability that a link of the given length (scalar or array) is line-of-sight."""
+        d = np.asarray(distance_m, dtype=float)
+        if self.los_mode == "range":
+            return np.exp(-d / self.los_decay_m)
+        return np.full(d.shape, 1.0 if self.los_mode == "always" else 0.0)[()]
 
     def rician_k_linear(self) -> float:
         if self.rician_k_db is None:
@@ -152,13 +153,6 @@ class LinkBudget:
             return self.noise_power_dbm
         return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db
 
-    def tx_power_dbm(self, link: Link) -> float:
-        if link == "downlink":
-            return self.rrh_tx_power_dbm
-        if link == "uplink":
-            return self.ue_tx_power_dbm
-        raise ValueError(f"unknown link {link!r}")
-
 
 @dataclass
 class FadingState:
@@ -169,25 +163,28 @@ class FadingState:
     last_value_db: float | None = None
 
 
-def path_loss_db(profile: EnvironmentProfile, distance_m: float, *, los: bool = False) -> float:
-    """Log-distance path loss intercept + 10 n log10(d).
+def path_loss_db(profile: EnvironmentProfile, distance_m, *, los: bool = False):
+    """Log-distance path loss intercept + 10 n log10(d), for a scalar or array distance.
 
     The model is undefined below the 1 m reference distance. Passing
     ``los=True`` selects the profile's LOS exponent when it defines one.
     """
-    if distance_m < 1.0:
-        raise ValueError(f"distance {distance_m} m below the 1 m model reference")
+    if np.any(np.asarray(distance_m) < 1.0):
+        raise ValueError(f"distance {np.min(distance_m)} m below the 1 m model reference")
     exponent = profile.pathloss_exponent
     if los and profile.pathloss_exponent_los is not None:
         exponent = profile.pathloss_exponent_los
-    return profile.pathloss_intercept_db + 10.0 * exponent * math.log10(distance_m)
+    return profile.pathloss_intercept_db + 10.0 * exponent * np.log10(distance_m)
 
 
-def antenna_gain_db(site: RrhSite, bearing_rad: float) -> float:
-    """Parabolic main lobe with a side floor, mirrored for the backward beam."""
-    b = min(max(bearing_rad, 0.0), math.pi)
-    theta = min(b, math.pi - b)
-    attenuation = min(
+def antenna_gain_db(site: RrhSite, bearing_rad):
+    """Parabolic main lobe with a side floor, mirrored for the backward beam.
+
+    Accepts a scalar or array bearing.
+    """
+    b = np.clip(bearing_rad, 0.0, math.pi)
+    theta = np.minimum(b, math.pi - b)
+    attenuation = np.minimum(
         12.0 * (theta / site.beamwidth_3db_rad) ** 2,
         site.pattern_floor_db,
     )
@@ -214,62 +211,6 @@ def shadowing_db(state: FadingState, profile: EnvironmentProfile, position_m: fl
     state.last_position_m = position_m
     state.last_value_db = value
     return value
-
-
-def small_scale_power_gain(
-    profile: EnvironmentProfile,
-    distance_m: float,
-    rng: np.random.Generator,
-    *,
-    los: bool | None = None,
-) -> float:
-    """Unit-mean fast-fading power gain |h|^2.
-
-    LOS links fade Rician with the profile's K factor, everything else
-    Rayleigh. When ``los`` is None the LOS state is drawn from the profile's
-    distance-dependent probability. Draw counts per call are fixed so that
-    streams stay aligned across profiles.
-    """
-    if distance_m < 1.0:
-        raise ValueError(f"distance {distance_m} m below the 1 m model reference")
-    u = rng.random()
-    n1, n2 = rng.standard_normal(2)
-    if los is None:
-        los = u < profile.los_probability(distance_m)
-    k = profile.rician_k_linear() if los else 0.0
-    if math.isinf(k):
-        return 1.0
-    scale = math.sqrt(1.0 / (2.0 * (k + 1.0)))
-    re = math.sqrt(k / (k + 1.0)) + n1 * scale
-    im = n2 * scale
-    return re * re + im * im
-
-
-def mean_rx_power_dbm(
-    budget: LinkBudget,
-    site: RrhSite,
-    profile: EnvironmentProfile,
-    position_m: float,
-    state: FadingState,
-    rng: np.random.Generator,
-    link: Link = "downlink",
-) -> float:
-    """One draw of the mean received power of a link, in dBm.
-
-    The LOS state is drawn once and applied consistently to the path-loss
-    exponent and the fading distribution.
-    """
-    distance, bearing = link_geometry(site, position_m)
-    los = rng.random() < profile.los_probability(distance)
-    h2 = small_scale_power_gain(profile, distance, rng, los=los)
-    return (
-        budget.tx_power_dbm(link)
-        + antenna_gain_db(site, bearing)
-        - path_loss_db(profile, distance, los=los)
-        - budget.penetration_loss_db
-        + shadowing_db(state, profile, position_m)
-        + 10.0 * math.log10(h2)
-    )
 
 
 def shadowing_series_db(

@@ -22,6 +22,7 @@ from .geometry import (
     Environment,
     TrainKinematics,
     default_layout,
+    span_segments,
 )
 from .handover import HandoverConfig
 from .ici import IciParams
@@ -55,6 +56,8 @@ class RunConfig:
             raise ConfigError("runs must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
+        if any(math.hypot(s.lateral_offset, s.height) < 1.0 for s in self.layout.rrhs):
+            raise ConfigError("RRHs must sit at least the 1 m path-loss reference from the track")
         for _, _, env in self.layout.segments:
             if env not in self.profiles:
                 raise ConfigError(f"no profile for environment {env.value!r}")
@@ -201,10 +204,7 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     """Load a JSON run configuration, applying defaults for missing keys."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        raise
+    text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -233,15 +233,8 @@ def apply_overrides(
     if environment is not None:
         layout = cfg.layout
         try:
-            kwargs["layout"] = default_layout(
-                environment=environment,
-                spans=len(layout.segments),
-                rrh_spacing_m=layout.rrh_spacing_m,
-                lateral_offset_m=layout.rrhs[0].lateral_offset,
-                rrh_height_m=layout.rrhs[0].height,
-                max_gain_db=layout.rrhs[0].max_gain_db,
-                beamwidth_3db_rad=layout.rrhs[0].beamwidth_3db_rad,
-                pattern_floor_db=layout.rrhs[0].pattern_floor_db,
+            kwargs["layout"] = dataclasses.replace(
+                layout, segments=span_segments(layout.rrhs, layout.track_length_m, environment)
             )
         except ValueError as exc:
             raise ConfigError(f"bad environment: {exc}") from exc

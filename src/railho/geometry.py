@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 DEFAULT_RRH_SPACING_M = 1732.0
 DEFAULT_LATERAL_OFFSET_M = 100.0
 DEFAULT_RRH_HEIGHT_M = 30.0
@@ -154,19 +156,31 @@ def default_layout(
         )
         for i in range(spans + 1)
     )
-    if environment == "mixed":
-        span_envs = [MIXED_ENVIRONMENT_ORDER[i % 3] for i in range(spans)]
-    else:
-        span_envs = [Environment(environment)] * spans
-    segments = tuple(
-        (i * rrh_spacing_m, (i + 1) * rrh_spacing_m, env) for i, env in enumerate(span_envs)
-    )
     return DeploymentLayout(
         rrhs=rrhs,
         rrh_spacing_m=rrh_spacing_m,
         track_length_m=track_length,
-        segments=segments,
+        segments=span_segments(rrhs, track_length, environment),
     )
+
+
+def span_segments(
+    rrhs: tuple[RrhSite, ...], track_length_m: float, environment: str | Environment
+) -> tuple[Segment, ...]:
+    """Tile [0, track_length_m] with one segment per RRH span.
+
+    Segment boundaries sit at the RRH positions inside the track.
+    ``environment`` is either a single environment name applied to every
+    segment or "mixed", which cycles viaduct/cutting/urban along the track.
+    """
+    inner = [s.position_along_track for s in rrhs if 0.0 < s.position_along_track < track_length_m]
+    bounds = [0.0, *inner, track_length_m]
+    n = len(bounds) - 1
+    if environment == "mixed":
+        envs = [MIXED_ENVIRONMENT_ORDER[i % 3] for i in range(n)]
+    else:
+        envs = [Environment(environment)] * n
+    return tuple(zip(bounds[:-1], bounds[1:], envs))
 
 
 def position_at_time(
@@ -181,34 +195,36 @@ def position_at_time(
     return pos
 
 
-def link_geometry(site: RrhSite, train_position_m: float) -> tuple[float, float]:
+def link_geometry(site: RrhSite, train_position_m):
     """3D site-to-train distance and horizontal bearing off the beam axis.
 
-    The bearing is folded into [0, pi]; the antenna pattern handles the
-    bidirectional beam symmetry.
+    Accepts a scalar position or a numpy array of positions and returns
+    matching scalars or arrays. The bearing is folded into [0, pi]; the
+    antenna pattern handles the bidirectional beam symmetry.
     """
-    d_along = train_position_m - site.position_along_track
-    distance = math.sqrt(d_along * d_along + site.lateral_offset**2 + site.height**2)
-    angle = math.atan2(site.lateral_offset, d_along)  # in (0, pi)
-    raw = (angle - site.beam_azimuth_rad) % (2.0 * math.pi)
-    bearing = min(raw, 2.0 * math.pi - raw)
+    d_along = np.asarray(train_position_m, dtype=float) - site.position_along_track
+    distance = np.sqrt(d_along * d_along + site.lateral_offset**2 + site.height**2)
+    angle = np.arctan2(site.lateral_offset, d_along)  # in (0, pi)
+    raw = np.mod(angle - site.beam_azimuth_rad, 2.0 * math.pi)
+    bearing = np.minimum(raw, 2.0 * math.pi - raw)
     return distance, bearing
 
 
-def environment_at(layout: DeploymentLayout, position_m: float) -> Environment:
+def environment_at(layout: DeploymentLayout, position_m):
     """Environment of the segment containing ``position_m``.
 
     A boundary position belongs to the segment starting at it; the track end
-    belongs to the last segment.
+    belongs to the last segment. An array of positions gives an object array
+    of environments.
     """
-    if position_m < 0.0 or position_m > layout.track_length_m:
+    pos = np.asarray(position_m, dtype=float)
+    if np.any((pos < 0.0) | (pos > layout.track_length_m)):
         raise ValueError(
             f"position {position_m} outside track [0, {layout.track_length_m}]"
         )
-    for start, end, env in layout.segments:
-        if start <= position_m < end:
-            return env
-    return layout.segments[-1][2]
+    starts = [start for start, _, _ in layout.segments]
+    envs = np.array([env for _, _, env in layout.segments], dtype=object)
+    return envs[np.maximum(np.searchsorted(starts, pos, side="right") - 1, 0)]
 
 
 def sample_stride(

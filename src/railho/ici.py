@@ -41,16 +41,6 @@ class IciParams:
             raise ValueError("carrier_frequency_hz must be positive")
 
 
-@dataclass(frozen=True)
-class SignalQuality:
-    """Per-sample link quality: normalised power, ICI, effective SINR, throughput."""
-
-    pr_linear: float
-    p_ici: float
-    effective_snr_db: float
-    throughput_bps: float
-
-
 def doppler_spread_hz(speed_mps: float, carrier_frequency_hz: float) -> float:
     """Maximum Doppler shift v * fc / c."""
     if speed_mps < 0.0:
@@ -92,8 +82,8 @@ def rss_with_ici(pr_linear, p_ici):
     return float(out) if out.ndim == 0 else out
 
 
-def snr_linear_from_dbm(rx_dbm: float, noise_dbm: float) -> float:
-    """Received power normalised to the noise floor, as a linear ratio."""
+def snr_linear_from_dbm(rx_dbm, noise_dbm: float):
+    """Received power (scalar or array) normalised to the noise floor, as a linear ratio."""
     return 10.0 ** ((rx_dbm - noise_dbm) / 10.0)
 
 
@@ -105,22 +95,3 @@ def throughput_bps(effective_snr_db, bandwidth_hz: float):
     out = bandwidth_hz * np.log2(1.0 + snr)
     return float(out) if out.ndim == 0 else out
 
-
-def signal_quality(
-    pr_linear: float,
-    p_ici: float,
-    bandwidth_hz: float,
-    interrupted: bool = False,
-) -> SignalQuality:
-    """Bundle the effective SINR and throughput of one sample.
-
-    Throughput is zero while the connection is interrupted by a hard handover.
-    """
-    eff = rss_with_ici(pr_linear, p_ici)
-    tput = 0.0 if interrupted else throughput_bps(eff, bandwidth_hz)
-    return SignalQuality(
-        pr_linear=float(pr_linear),
-        p_ici=float(p_ici),
-        effective_snr_db=eff,
-        throughput_bps=tput,
-    )

@@ -49,19 +49,6 @@ class L3Config:
             raise ValueError("filter_coefficient_a must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class MeasurementSeries:
-    """Filtered measurement streams of one cell on the sample-period grid."""
-
-    cell_id: int
-    l1_db: np.ndarray
-    l3_db: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.l1_db) != len(self.l3_db):
-            raise ValueError("l1 and l3 series must have equal length")
-
-
 def l1_filter(
     raw_linear: np.ndarray,
     cfg: L1Config,
@@ -112,13 +99,11 @@ def l3_filter(l1_db: np.ndarray, cfg: L3Config) -> np.ndarray:
 
 
 def measure_cell(
-    cell_id: int,
     raw_linear: np.ndarray,
     l1_cfg: L1Config,
     l3_cfg: L3Config,
     stride: int,
     rng: np.random.Generator | None = None,
-) -> MeasurementSeries:
-    """Run the full L1 + L3 pipeline for one cell."""
-    l1 = l1_filter(raw_linear, l1_cfg, stride, rng)
-    return MeasurementSeries(cell_id=cell_id, l1_db=l1, l3_db=l3_filter(l1, l3_cfg))
+) -> np.ndarray:
+    """Layer-3 series in dB of one cell: the full L1 + L3 pipeline."""
+    return l3_filter(l1_filter(raw_linear, l1_cfg, stride, rng), l3_cfg)

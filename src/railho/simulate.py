@@ -1,6 +1,6 @@
 """End-to-end run orchestration and Monte Carlo aggregation.
 
-One run walks the train over the 1 m snapshot grid, draws the per-cell
+One run walks the train over the configured snapshot grid, draws the per-cell
 downlink power (path loss + antenna pattern + correlated shadowing + fast
 fading), degrades it with the worst-case ICI power for the configured speed,
 feeds the L1/L3 measurement pipeline on the 40 ms tick grid, and steps the
@@ -22,9 +22,8 @@ from scipy.special import ndtri
 
 from . import channel, ici
 from .config import RunConfig
-from .geometry import environment_at, sample_stride
+from .geometry import environment_at, link_geometry, sample_stride
 from .handover import HandoverFsm, HandoverRecord, Outcome, interruption_window
-from .ici import SignalQuality
 from .measurement import measure_cell
 
 _STREAM_SHADOW = 0
@@ -71,16 +70,6 @@ class RunTrace:
     throughput_bps: np.ndarray     # (n_ticks,)
     bandwidth_hz: float
 
-    def quality(self, tick: int, cell: int) -> SignalQuality:
-        return SignalQuality(
-            pr_linear=float(self.pr_linear[tick, cell]),
-            p_ici=self.p_ici,
-            effective_snr_db=float(self.effective_snr_db[tick, cell]),
-            throughput_bps=float(self.throughput_bps[tick])
-            if cell == self.serving_cell[tick]
-            else 0.0,
-        )
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -115,43 +104,38 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
     n_snap = math.floor((layout.track_length_m - kin.start_position_m) / kin.snapshot_interval_m) + 1
     positions = kin.start_position_m + np.arange(n_snap) * kin.snapshot_interval_m
 
-    env_per_snap = [environment_at(layout, float(p)) for p in positions]
-    profiles = [cfg.profiles[env] for env in env_per_snap]
-    sigma = np.array([p.shadow_sigma_db for p in profiles])
-    decorr = np.array([p.shadow_decorrelation_m for p in profiles])
-    site_corr = np.array([p.shadow_site_correlation for p in profiles])
-    los_decorr = np.array([p.los_decorrelation_m for p in profiles])
-    k_los = np.array([p.rician_k_linear() for p in profiles])
+    env_per_snap = environment_at(layout, positions)
+    envs = dict.fromkeys(env for _, _, env in layout.segments)
+    # A 0-d object array keeps numpy from casting the str-valued enum to text.
+    masks = {env: env_per_snap == np.array(env, dtype=object) for env in envs}
 
-    exp_nlos = np.array([p.pathloss_exponent for p in profiles])
-    exp_los = np.array(
-        [
-            p.pathloss_exponent_los if p.pathloss_exponent_los is not None else p.pathloss_exponent
-            for p in profiles
-        ]
-    )
-    intercept = np.array([p.pathloss_intercept_db for p in profiles])
+    def per_snapshot(value_of) -> np.ndarray:
+        out = np.empty(n_snap)
+        for env, mask in masks.items():
+            out[mask] = value_of(cfg.profiles[env])
+        return out
+
+    sigma = per_snapshot(lambda p: p.shadow_sigma_db)
+    decorr = per_snapshot(lambda p: p.shadow_decorrelation_m)
+    site_corr = per_snapshot(lambda p: p.shadow_site_correlation)
+    los_decorr = per_snapshot(lambda p: p.los_decorrelation_m)
+    k_los = per_snapshot(lambda p: p.rician_k_linear())
 
     n_cells = len(layout.rrhs)
+    penetration = cfg.budget.penetration_loss_db
     base_nlos = np.empty((n_cells, n_snap))
     base_los = np.empty((n_cells, n_snap))
     los_threshold = np.empty((n_cells, n_snap))
     for c, site in enumerate(layout.rrhs):
-        d_along = positions - site.position_along_track
-        dist = np.sqrt(d_along**2 + site.lateral_offset**2 + site.height**2)
-        angle = np.arctan2(site.lateral_offset, d_along)
-        raw = np.mod(angle - site.beam_azimuth_rad, 2.0 * math.pi)
-        bearing = np.minimum(raw, 2.0 * math.pi - raw)
-        theta = np.minimum(bearing, math.pi - bearing)
-        gain = site.max_gain_db - np.minimum(
-            12.0 * (theta / site.beamwidth_3db_rad) ** 2, site.pattern_floor_db
-        )
-        log_d = np.log10(dist)
-        base_nlos[c] = gain - (intercept + 10.0 * exp_nlos * log_d) - cfg.budget.penetration_loss_db
-        base_los[c] = gain - (intercept + 10.0 * exp_los * log_d) - cfg.budget.penetration_loss_db
-        p_los = np.array([p.los_probability(float(d)) for p, d in zip(profiles, dist)])
-        with np.errstate(divide="ignore"):
-            los_threshold[c] = ndtri(p_los)
+        dist, bearing = link_geometry(site, positions)
+        gain = channel.antenna_gain_db(site, bearing)
+        for env, mask in masks.items():
+            profile = cfg.profiles[env]
+            d = dist[mask]
+            base_nlos[c, mask] = gain[mask] - channel.path_loss_db(profile, d) - penetration
+            base_los[c, mask] = gain[mask] - channel.path_loss_db(profile, d, los=True) - penetration
+            with np.errstate(divide="ignore"):
+                los_threshold[c, mask] = ndtri(profile.los_probability(d))
 
     stride = sample_stride(kin, cfg.l1.sample_period_s)
     tick_snapshots = np.arange(0, n_snap, stride)
@@ -221,7 +205,7 @@ def _downlink_pr_series(
 
     base = np.where(los, tables.base_db_los[cell], tables.base_db_nlos[cell])
     rx_dbm = cfg.budget.rrh_tx_power_dbm + base + shadow + 10.0 * np.log10(h2)
-    return 10.0 ** ((rx_dbm - tables.noise_dbm) / 10.0)
+    return ici.snr_linear_from_dbm(rx_dbm, tables.noise_dbm)
 
 
 def simulate_run(
@@ -248,13 +232,12 @@ def simulate_run(
     l3 = np.empty((n_cells, n_ticks))
     for cell in range(n_cells):
         meas_rng = _link_streams(cfg.master_seed, run_index, cell, _STREAM_MEASUREMENT)
-        series = measure_cell(cell, eff_lin_dl[cell], cfg.l1, cfg.l3, tables.stride, meas_rng)
-        l3[cell] = series.l3_db
+        l3[cell] = measure_cell(eff_lin_dl[cell], cfg.l1, cfg.l3, tables.stride, meas_rng)
 
     pr_dl_ticks = pr_dl[:, tables.tick_snapshots]
     pr_ul_ticks = pr_dl_ticks * ul_shift
-    dl_snr = 10.0 * np.log10(pr_dl_ticks / (pr_dl_ticks * p + 1.0))
-    ul_snr = 10.0 * np.log10(pr_ul_ticks / (pr_ul_ticks * p + 1.0))
+    dl_snr = ici.rss_with_ici(pr_dl_ticks, p)
+    ul_snr = ici.rss_with_ici(pr_ul_ticks, p)
 
     fsm = HandoverFsm(
         cfg.handover,
@@ -387,18 +370,3 @@ def monte_carlo(cfg: RunConfig, *, workers: int = 1) -> SweepStatistics:
     for res in sorted(results, key=lambda r: r.run_id):
         records.extend(res.records)
     return aggregate_records(records, cfg)
-
-
-def speed_comparison(
-    cfg: RunConfig, speeds_kmh: Sequence[float], *, workers: int = 1
-) -> list[tuple[float, SweepStatistics]]:
-    """Monte Carlo per speed with a common master seed, for side-by-side stats."""
-    if not speeds_kmh:
-        raise ValueError("speeds_kmh must be non-empty")
-    from .config import apply_overrides
-
-    out = []
-    for speed in speeds_kmh:
-        variant = apply_overrides(cfg, speed_kmh=speed)
-        out.append((speed, monte_carlo(variant, workers=workers)))
-    return out

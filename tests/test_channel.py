@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,14 +13,21 @@ from railho.channel import (
     antenna_gain_db,
     default_profiles,
     free_space_intercept_db,
-    mean_rx_power_dbm,
     path_loss_db,
     shadowing_db,
     shadowing_series_db,
-    small_scale_power_gain,
     small_scale_series,
 )
-from railho.geometry import Environment, RrhSite, link_geometry
+from railho.config import RunConfig
+from railho.geometry import Environment, RrhSite, default_layout, environment_at, link_geometry
+from railho.handover import HandoverFsm
+from railho.ici import IciParams
+from railho.simulate import (
+    _common_shadow_series,
+    _downlink_pr_series,
+    precompute_tables,
+    simulate_run,
+)
 
 
 def profile(**overrides) -> EnvironmentProfile:
@@ -52,6 +60,13 @@ class TestPathLoss:
     def test_below_reference_rejected(self):
         with pytest.raises(ValueError):
             path_loss_db(profile(), 0.5)
+
+    def test_array_below_reference_rejected(self):
+        with pytest.raises(ValueError):
+            path_loss_db(profile(), np.array([5.0, 0.5, 100.0]))
+        np.testing.assert_allclose(
+            path_loss_db(profile(), np.array([1.0, 100.0])), [43.3, 87.3], rtol=0.0, atol=1e-9
+        )
 
     def test_los_exponent_selected(self):
         p = profile(pathloss_exponent=2.8, pathloss_exponent_los=2.3)
@@ -150,21 +165,21 @@ class TestShadowing:
 
 class TestSmallScaleFading:
     def test_pure_los_limit(self):
-        p = profile(rician_k_db=math.inf)
-        assert small_scale_power_gain(p, 100.0, rng(7)) == 1.0
+        k = profile(rician_k_db=math.inf).rician_k_linear()
+        h2 = small_scale_series(rng(7).standard_normal((1000, 2)), k)
+        assert np.all(h2 == 1.0)
 
     def test_rayleigh_unit_mean(self):
-        p = profile(rician_k_db=None, los_mode="never")
-        g = rng(8)
-        draws = [small_scale_power_gain(p, 100.0, g) for _ in range(50_000)]
+        k = profile(rician_k_db=None, los_mode="never").rician_k_linear()
+        draws = small_scale_series(rng(8).standard_normal((50_000, 2)), k)
         assert np.mean(draws) == pytest.approx(1.0, abs=0.02)
 
     def test_rician_power_variance(self):
         k_db = 10.0
         k = 10.0 ** (k_db / 10.0)
-        p = profile(rician_k_db=k_db)
-        g = rng(9)
-        draws = np.array([small_scale_power_gain(p, 100.0, g) for _ in range(100_000)])
+        draws = small_scale_series(
+            rng(9).standard_normal((100_000, 2)), profile(rician_k_db=k_db).rician_k_linear()
+        )
         expected_var = (1.0 + 2.0 * k) / (1.0 + k) ** 2
         assert np.mean(draws) == pytest.approx(1.0, abs=0.01)
         assert np.var(draws) == pytest.approx(expected_var, rel=0.03)
@@ -176,57 +191,66 @@ class TestSmallScaleFading:
             h2 = small_scale_series(normals, np.full(200_000, k_lin))
             assert np.mean(h2) == pytest.approx(1.0, abs=0.01)
 
-    def test_below_reference_rejected(self):
-        with pytest.raises(ValueError):
-            small_scale_power_gain(profile(), 0.2, rng(11))
-
 
 class TestMeanRxPower:
-    def budget(self):
-        return LinkBudget()
-
-    def frozen_profile(self):
-        # no shadowing, deterministic |h|^2 = 1
-        return profile(shadow_sigma_db=0.0, rician_k_db=math.inf)
+    """The received-power terms as the simulator assembles them."""
 
     def test_db_domain_sum(self):
-        site = RrhSite(0.0)
-        pos = 500.0
-        dist, bearing = link_geometry(site, pos)
-        p = self.frozen_profile()
-        state = FadingState(rng=rng(12))
-        rx = mean_rx_power_dbm(self.budget(), site, p, pos, state, rng(13))
-        expected = (
-            30.0
-            + antenna_gain_db(site, bearing)
-            - path_loss_db(p, dist, los=True)
-            - 20.0
-        )
-        assert rx == pytest.approx(expected, abs=1e-9)
+        cfg = RunConfig()
+        tables = precompute_tables(cfg)
+        for c, site in enumerate(cfg.layout.rrhs):
+            for i in (0, 866, 1732, 2600, 5196):
+                pos = float(tables.positions[i])
+                dist, bearing = link_geometry(site, pos)
+                p = cfg.profiles[environment_at(cfg.layout, pos)]
+                gain = antenna_gain_db(site, bearing)
+                assert tables.base_db_los[c, i] == pytest.approx(
+                    gain - path_loss_db(p, dist, los=True) - 20.0, abs=1e-9
+                )
+                assert tables.base_db_nlos[c, i] == pytest.approx(
+                    gain - path_loss_db(p, dist) - 20.0, abs=1e-9
+                )
 
-    def test_uplink_downlink_differ_by_tx_power(self):
-        site = RrhSite(0.0)
-        p = profile()
-        down = mean_rx_power_dbm(
-            self.budget(), site, p, 432.0, FadingState(rng=rng(14)), rng(15), link="downlink"
-        )
-        up = mean_rx_power_dbm(
-            self.budget(), site, p, 432.0, FadingState(rng=rng(14)), rng(15), link="uplink"
-        )
-        assert down - up == pytest.approx(7.0, abs=1e-9)
+    def test_uplink_downlink_differ_by_tx_power(self, tiny_cfg, monkeypatch):
+        cfg = dataclasses.replace(tiny_cfg, ici=IciParams(alpha1=0.0, alpha2=0.0))
+        seen = []
+        step = HandoverFsm.step
+
+        def spy(fsm, tick, l3_db, ul_snr_db, dl_snr_db):
+            seen.append((ul_snr_db, dl_snr_db))
+            return step(fsm, tick, l3_db, ul_snr_db, dl_snr_db)
+
+        monkeypatch.setattr(HandoverFsm, "step", spy)
+        simulate_run(cfg, 0)
+        ul, dl = (np.array(rows) for rows in zip(*seen))
+        np.testing.assert_allclose(dl - ul, 7.0, rtol=0.0, atol=1e-9)
 
     def test_identity_link_returns_tx_power(self):
-        site = RrhSite(0.0, max_gain_db=0.0)
-        p = profile(
-            pathloss_intercept_db=0.0,
-            pathloss_exponent=1e-12,
-            shadow_sigma_db=0.0,
-            rician_k_db=math.inf,
+        # no gain, path loss, penetration, shadowing or fading: rx equals tx power
+        profiles = {
+            env: dataclasses.replace(
+                p,
+                pathloss_intercept_db=0.0,
+                pathloss_exponent=1e-12,
+                pathloss_exponent_los=None,
+                los_mode="always",
+                shadow_sigma_db=0.0,
+                rician_k_db=math.inf,
+            )
+            for env, p in default_profiles().items()
+        }
+        cfg = RunConfig(
+            layout=default_layout(
+                environment="cutting", spans=1, rrh_spacing_m=400.0,
+                max_gain_db=0.0, pattern_floor_db=0.0,
+            ),
+            profiles=profiles,
+            budget=LinkBudget(penetration_loss_db=0.0),
         )
-        budget = LinkBudget(penetration_loss_db=0.0)
-        rx = mean_rx_power_dbm(budget, site, p, 1e6, FadingState(rng=rng(16)), rng(17))
-        # only the residual floor-limited antenna attenuation remains at ~0 bearing
-        assert rx == pytest.approx(30.0, abs=1e-3)
+        tables = precompute_tables(cfg)
+        pr = _downlink_pr_series(cfg, tables, 0, 0, _common_shadow_series(cfg, tables, 0))
+        rx_dbm = tables.noise_dbm + 10.0 * np.log10(pr)
+        np.testing.assert_allclose(rx_dbm, 30.0, rtol=0.0, atol=1e-9)
 
 
 class TestDefaultProfiles:

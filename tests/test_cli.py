@@ -113,6 +113,13 @@ class TestSweepCommand:
         rows = csvio.read_records_csv(out / "sweep_records.csv")
         assert {r.environment for r in rows} == {"viaduct", "urban"}
 
+    def test_empty_speed_list_exits_2(self, tiny_config_path, tmp_path):
+        out = tmp_path / "sweep"
+        code = main(
+            ["sweep", "--config", str(tiny_config_path), "--speeds", "", "--out", str(out)]
+        )
+        assert code == 2
+
     def test_worker_count_is_byte_identical(self, tiny_config_path, tmp_path):
         outs = []
         for workers in ("1", "3"):

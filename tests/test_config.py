@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from railho.config import ConfigError, RunConfig, apply_overrides, config_from_dict, load_config
-from railho.geometry import Environment
+from railho.geometry import DeploymentLayout, Environment, default_layout
 
 
 class TestDefaults:
@@ -24,6 +25,11 @@ class TestDefaults:
             RunConfig(master_seed=-1)
         with pytest.raises(ConfigError):
             RunConfig(master_seed=2**64)
+
+    def test_sites_within_path_loss_reference_rejected(self):
+        close = default_layout(spans=1, lateral_offset_m=0.5, rrh_height_m=0.5)
+        with pytest.raises(ConfigError, match="1 m"):
+            RunConfig(layout=close)
 
     def test_ttt_must_sit_on_sample_grid(self):
         from railho.handover import HandoverConfig
@@ -129,6 +135,34 @@ class TestOverrides:
         assert cfg.layout.rrh_spacing_m == 800.0
         assert len(cfg.layout.segments) == 2
         assert cfg.environment_label == "urban"
+
+    def test_environment_override_keeps_sites_and_track(self):
+        # four RRHs under one viaduct segment, beams turned 0.2 rad off the track
+        base = default_layout(spans=3)
+        rrhs = tuple(dataclasses.replace(s, beam_azimuth_rad=0.2) for s in base.rrhs)
+        layout = DeploymentLayout(
+            rrhs=rrhs,
+            rrh_spacing_m=base.rrh_spacing_m,
+            track_length_m=base.track_length_m,
+            segments=((0.0, base.track_length_m, Environment.VIADUCT),),
+        )
+        cfg = apply_overrides(RunConfig(layout=layout), environment="urban")
+        assert cfg.layout.rrhs == rrhs
+        assert cfg.layout.track_length_m == 5196.0
+        assert cfg.layout.segments == (
+            (0.0, 1732.0, Environment.URBAN),
+            (1732.0, 3464.0, Environment.URBAN),
+            (3464.0, 5196.0, Environment.URBAN),
+        )
+        mixed = apply_overrides(RunConfig(layout=layout), environment="mixed")
+        assert [env for _, _, env in mixed.layout.segments] == [
+            Environment.VIADUCT, Environment.CUTTING, Environment.URBAN,
+        ]
+        assert mixed.layout.rrhs == rrhs
+
+    def test_environment_override_of_default_layout_equals_fresh_layout(self):
+        for env in ("viaduct", "cutting", "urban", "mixed"):
+            assert apply_overrides(RunConfig(), environment=env).layout == default_layout(env)
 
     def test_no_overrides_returns_same_config(self):
         cfg = RunConfig()

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,6 +105,24 @@ class TestEnvironmentAt:
             environment_at(self.layout(), -1.0)
         with pytest.raises(ValueError):
             environment_at(self.layout(), 5196.1)
+
+    def test_array_matches_scalar_and_linear_scan(self):
+        layout = self.layout()
+        starts = [start for start, _, _ in layout.segments]
+        below = [math.nextafter(start, -math.inf) for start in starts[1:]]
+        probes = [*starts, *below, 900.0, layout.track_length_m]
+
+        def scan(x):
+            for start, end, env in layout.segments:
+                if start <= x < end:
+                    return env
+            return layout.segments[-1][2]
+
+        got = environment_at(layout, np.array(probes))
+        assert list(got) == [environment_at(layout, x) for x in probes]
+        assert list(got) == [scan(x) for x in probes]
+        with pytest.raises(ValueError):
+            environment_at(layout, np.array([0.0, layout.track_length_m + 1.0]))
 
     @given(
         spans=st.integers(min_value=1, max_value=6),

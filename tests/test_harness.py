@@ -1,12 +1,15 @@
 import dataclasses
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from railho import csvio
-from railho.config import apply_overrides
+from railho.config import RunConfig, apply_overrides
+from railho.constants import kmh_to_mps
+from railho.geometry import TrainKinematics, default_layout
 from railho.handover import Outcome
 from railho.ici import IciParams
 from railho.simulate import (
@@ -21,7 +24,6 @@ from railho.simulate import (
     monte_carlo,
     precompute_tables,
     simulate_run,
-    speed_comparison,
 )
 
 
@@ -127,6 +129,96 @@ class TestChannelSeriesOracle:
             assert hits[idx] / n_runs == pytest.approx(p_expected[idx], abs=0.08)
 
 
+def _literal_tables(cfg: RunConfig):
+    """Per-snapshot link tables from scalar math and a linear segment scan."""
+    kin, layout, pen = cfg.kinematics, cfg.layout, cfg.budget.penetration_loss_db
+    n = math.floor((layout.track_length_m - kin.start_position_m) / kin.snapshot_interval_m) + 1
+    positions = [kin.start_position_m + i * kin.snapshot_interval_m for i in range(n)]
+    envs = []
+    for x in positions:
+        env = layout.segments[-1][2]
+        for start, end, seg_env in layout.segments:
+            if start <= x < end:
+                env = seg_env
+                break
+        envs.append(env)
+    base_nlos, base_los, threshold = [], [], []
+    for site in layout.rrhs:
+        rows = ([], [], [])
+        for x, env in zip(positions, envs):
+            p = cfg.profiles[env]
+            d_along = x - site.position_along_track
+            dist = math.sqrt(d_along * d_along + site.lateral_offset**2 + site.height**2)
+            raw = (math.atan2(site.lateral_offset, d_along) - site.beam_azimuth_rad) % (2 * math.pi)
+            bearing = min(raw, 2 * math.pi - raw)
+            theta = min(bearing, math.pi - bearing)
+            gain = site.max_gain_db - min(
+                12.0 * (theta / site.beamwidth_3db_rad) ** 2, site.pattern_floor_db
+            )
+            n_los = p.pathloss_exponent if p.pathloss_exponent_los is None else p.pathloss_exponent_los
+            for row, exponent in ((rows[0], p.pathloss_exponent), (rows[1], n_los)):
+                row.append(gain - (p.pathloss_intercept_db + 10 * exponent * math.log10(dist)) - pen)
+            if p.los_mode == "always":
+                rows[2].append(math.inf)
+            elif p.los_mode == "never":
+                rows[2].append(-math.inf)
+            else:
+                rows[2].append(NormalDist().inv_cdf(math.exp(-dist / p.los_decay_m)))
+        for table, row in zip((base_nlos, base_los, threshold), rows):
+            table.append(row)
+    profiles = [cfg.profiles[env] for env in envs]
+    return {
+        "positions": np.array(positions),
+        "base_db_nlos": np.array(base_nlos),
+        "base_db_los": np.array(base_los),
+        "los_threshold": np.array(threshold),
+        "sigma_db": np.array([p.shadow_sigma_db for p in profiles]),
+        "decorrelation_m": np.array([p.shadow_decorrelation_m for p in profiles]),
+        "site_corr_sqrt": np.array([math.sqrt(p.shadow_site_correlation) for p in profiles]),
+        "los_decorrelation_m": np.array([p.los_decorrelation_m for p in profiles]),
+        "k_los_linear": np.array([p.rician_k_linear() for p in profiles]),
+    }
+
+
+def _azimuth_cfg() -> RunConfig:
+    layout = default_layout(spans=3)
+    rrhs = tuple(dataclasses.replace(s, beam_azimuth_rad=0.2) for s in layout.rrhs)
+    return RunConfig(layout=dataclasses.replace(layout, rrhs=rrhs))
+
+
+class TestPrecomputeOracle:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            RunConfig(),
+            RunConfig(
+                kinematics=TrainKinematics(speed_mps=kmh_to_mps(500.0), snapshot_interval_m=0.25)
+            ),
+            RunConfig(
+                kinematics=TrainKinematics(
+                    speed_mps=kmh_to_mps(300.0), snapshot_interval_m=0.5, start_position_m=123.4
+                )
+            ),
+            _azimuth_cfg(),
+        ],
+        ids=["mixed_1m", "grid_0.25m", "start_123.4m", "azimuth_0.2"],
+    )
+    def test_tables_match_literal_per_snapshot_loop(self, cfg):
+        tables = precompute_tables(cfg)
+        ref = _literal_tables(cfg)
+        np.testing.assert_array_equal(tables.positions, ref["positions"])
+        exact = ("sigma_db", "decorrelation_m", "site_corr_sqrt", "los_decorrelation_m", "k_los_linear")
+        for name in exact:
+            np.testing.assert_array_equal(getattr(tables, name), ref[name], err_msg=name)
+        for name in ("base_db_nlos", "base_db_los"):
+            np.testing.assert_allclose(getattr(tables, name), ref[name], rtol=0.0, atol=1e-12)
+        got, want = tables.los_threshold, ref["los_threshold"]
+        finite = np.isfinite(want)
+        assert finite.any() and not finite.all()
+        np.testing.assert_array_equal(got[~finite], want[~finite])
+        np.testing.assert_allclose(got[finite], want[finite], rtol=0.0, atol=1e-9)
+
+
 class TestIciEffects:
     def test_effective_sinr_never_exceeds_plain_snr(self, tiny_cfg):
         trace = simulate_run(tiny_cfg, 0, want_trace=True).trace
@@ -168,15 +260,6 @@ class TestTraceAndThroughput:
         expected |= result.trace.serving_cell < 0
         np.testing.assert_array_equal(result.trace.interrupted, expected)
 
-    def test_quality_accessor(self, tiny_cfg):
-        trace = simulate_run(tiny_cfg, 0, want_trace=True).trace
-        t = int(np.flatnonzero(~trace.interrupted)[0])
-        cell = int(trace.serving_cell[t])
-        q = trace.quality(t, cell)
-        assert q.p_ici == trace.p_ici
-        assert q.effective_snr_db == trace.effective_snr_db[t, cell]
-        assert q.throughput_bps == trace.throughput_bps[t]
-
 
 class TestAggregation:
     def test_refold_is_pure(self, tiny_cfg):
@@ -202,13 +285,6 @@ class TestAggregation:
         assert 0.0 <= stats.success_rate <= 1.0
         assert stats.delay_in_samples == 3
         assert stats.mean_delay_s == pytest.approx(0.120, abs=1e-12)
-
-    def test_speed_comparison_single_speed(self, tiny_cfg):
-        out = speed_comparison(tiny_cfg, [300.0])
-        assert len(out) == 1
-        assert out[0][0] == 300.0
-        with pytest.raises(ValueError):
-            speed_comparison(tiny_cfg, [])
 
 
 def _q(x: float) -> float:

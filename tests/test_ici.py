@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from railho.constants import kmh_to_mps
 from railho.ici import (
     IciParams,
-    SignalQuality,
     doppler_spread_hz,
     ici_power_lower,
     ici_power_upper,
     rss_with_ici,
-    signal_quality,
     snr_linear_from_dbm,
     throughput_bps,
 )
@@ -146,13 +144,3 @@ class TestSnrAndThroughput:
     def test_throughput_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError):
             throughput_bps(10.0, 0.0)
-
-    def test_signal_quality_interrupted_is_zero(self):
-        q = signal_quality(10.0, 0.1, 100e6, interrupted=True)
-        assert q.throughput_bps == 0.0
-        assert isinstance(q, SignalQuality)
-
-    @given(pr=st.floats(min_value=1e-3, max_value=1e3), p=st.floats(min_value=0.0, max_value=10.0))
-    def test_quality_invariant_eff_below_plain_snr(self, pr, p):
-        q = signal_quality(pr, p, 1e6)
-        assert q.effective_snr_db <= 10.0 * math.log10(pr) + 1e-12

@@ -149,15 +149,15 @@ class TestL3Filter:
 class TestPipeline:
     def test_reduces_to_windowed_average_without_noise_and_smoothing(self):
         raw = np.abs(np.random.default_rng(1).normal(10.0, 3.0, size=200)) + 0.1
-        series = measure_cell(
-            0, raw, L1Config(noise_sigma_db=0.0), L3Config(filter_coefficient_a=1.0), stride=2
+        l3 = measure_cell(
+            raw, L1Config(noise_sigma_db=0.0), L3Config(filter_coefficient_a=1.0), stride=2
         )
         expected = l1_reference(raw, window=5, stride=2)
-        np.testing.assert_allclose(series.l1_db, expected, atol=1e-12)
-        np.testing.assert_allclose(series.l3_db, expected, atol=1e-12)
+        np.testing.assert_allclose(l3, expected, atol=1e-12)
 
     def test_series_lengths_agree(self):
         raw = np.ones(100)
-        series = measure_cell(3, raw, L1Config(noise_sigma_db=0.0), L3Config(), stride=3)
-        assert series.cell_id == 3
-        assert len(series.l1_db) == len(series.l3_db) == 34
+        l3 = measure_cell(raw, L1Config(), L3Config(), stride=3, rng=np.random.default_rng(2))
+        l1 = l1_filter(raw, L1Config(), 3, np.random.default_rng(2))
+        assert len(l3) == len(l1) == 34
+        np.testing.assert_array_equal(l3, l3_filter(l1, L3Config()))
