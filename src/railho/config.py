@@ -18,6 +18,7 @@ from typing import Any, Mapping
 from .channel import EnvironmentProfile, LinkBudget, default_profiles
 from .constants import kmh_to_mps, mps_to_kmh
 from .geometry import (
+    DEFAULT_RRH_SPACING_M,
     DeploymentLayout,
     Environment,
     TrainKinematics,
@@ -127,7 +128,19 @@ def _build_layout(data: Mapping[str, Any]) -> DeploymentLayout:
         kwargs["beamwidth_3db_rad"] = math.radians(data["beamwidth_3db_deg"])
     try:
         if "segments" in data:
-            base = default_layout(spans=len(data["segments"]), **kwargs)
+            if not data["segments"]:
+                raise ConfigError("segments must not be empty")
+            spans = data.get("spans")
+            if spans is None:
+                # One segment may cover several RRH spans: size the track by its end.
+                spacing = kwargs.get("rrh_spacing_m", DEFAULT_RRH_SPACING_M)
+                end = float(data["segments"][-1][1])
+                spans = round(end / spacing)
+                if not math.isclose(end, spans * spacing, rel_tol=1e-9, abs_tol=1e-6):
+                    raise ConfigError(
+                        f"segments end at {end}, not a whole number of {spacing} m RRH spans"
+                    )
+            base = default_layout(spans=spans, **kwargs)
             segments = tuple(
                 (float(s[0]), float(s[1]), Environment(s[2])) for s in data["segments"]
             )

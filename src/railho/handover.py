@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 
 class Outcome(str, Enum):
     SUCCESS = "Success"
@@ -145,13 +147,19 @@ def _delay_ticks(delay_s: float, sample_period_s: float) -> int:
 
 
 class HandoverFsm:
-    """Handover state machine of a single UE, stepped once per measurement tick.
+    """Handover state machine of a single UE on the measurement tick grid.
 
-    ``step`` consumes per-cell L3 measurements and per-cell instantaneous
-    uplink/downlink effective SNRs (the SNR gates apply to the serving cell
-    for the report and command, to the target cell for the RACH check) and
-    returns the records of any attempt that terminated this tick. State
-    transitions are logged in ``events`` as (name, tick) pairs.
+    ``step`` consumes one tick of per-cell L3 measurements and per-cell
+    instantaneous uplink/downlink effective SNRs (the SNR gates apply to the
+    serving cell for the report and command, to the target cell for the RACH
+    check) and returns the records of any attempt that terminated this tick.
+    State transitions are logged in ``events`` as (name, tick) pairs.
+
+    ``run`` drives a whole trace event by event: in Monitoring a tick changes
+    nothing unless the A3 entering condition holds, so it jumps from one
+    entering tick to the next and calls ``step`` only there and on every tick
+    of the window that follows (TTT, preparation, RACH, re-establishment),
+    until the machine is back in Monitoring.
     """
 
     def __init__(
@@ -229,6 +237,69 @@ class HandoverFsm:
             report_tick=self._report_tick,
             **fields,
         )
+
+    def _skip_idle_ticks(self, tick: int) -> None:
+        """Advance to ``tick`` over ticks on which ``step`` would change nothing.
+
+        Only valid in Monitoring, where the caller has checked that the A3
+        entering condition fails on every skipped tick.
+        """
+        if self.phase is not Phase.MONITORING:
+            raise ValueError(f"cannot skip ticks in phase {self.phase.value}")
+        if tick < self._next_tick:
+            raise ValueError(f"cannot skip back to tick {tick} (next is {self._next_tick})")
+        self._next_tick = tick
+
+    def _entering_ticks(self, l3_db: np.ndarray, serving: int) -> np.ndarray:
+        """Ticks on which max_{c != serving} L3[c] - L3[serving] >= hysteresis."""
+        if self.n_cells == 1:
+            return np.empty(0, dtype=np.intp)
+        margin = np.delete(l3_db, serving, axis=0).max(axis=0) - l3_db[serving]
+        return np.flatnonzero(margin >= self.cfg.hysteresis_db)
+
+    def run(
+        self,
+        l3_db: np.ndarray,
+        ul_snr_db: np.ndarray,
+        dl_snr_db: np.ndarray,
+    ) -> tuple[list[HandoverRecord], np.ndarray]:
+        """Drive a fresh machine over ``(n_cells, n_ticks)`` arrays.
+
+        Returns the records of every terminated attempt, in tick order, and
+        the serving cell after each tick (-1 while re-establishing). The
+        result equals calling ``step`` on every tick.
+        """
+        l3 = np.asarray(l3_db, dtype=float)
+        ul = np.asarray(ul_snr_db, dtype=float)
+        dl = np.asarray(dl_snr_db, dtype=float)
+        if l3.ndim != 2 or l3.shape[0] != self.n_cells or ul.shape != l3.shape or dl.shape != l3.shape:
+            raise ValueError(f"expected three ({self.n_cells}, n_ticks) arrays")
+        if np.isnan(l3).any():
+            raise ValueError("l3_db contains NaN")
+        if self._next_tick != 0:
+            raise ValueError("run needs a machine that has not been stepped yet")
+        n_ticks = l3.shape[1]
+        serving = np.empty(n_ticks, dtype=int)
+        records: list[HandoverRecord] = []
+        entering: dict[int, np.ndarray] = {}
+        t = 0
+        while t < n_ticks:
+            if self.phase is Phase.MONITORING:
+                s = self.serving_cell
+                ticks = entering.get(s)
+                if ticks is None:
+                    ticks = entering[s] = self._entering_ticks(l3, s)
+                i = np.searchsorted(ticks, t)
+                nxt = int(ticks[i]) if i < ticks.size else n_ticks
+                serving[t:nxt] = s
+                self._skip_idle_ticks(nxt)
+                t = nxt
+                if t == n_ticks:
+                    break
+            records.extend(self.step(t, l3[:, t].tolist(), ul[:, t].tolist(), dl[:, t].tolist()))
+            serving[t] = -1 if self.serving_cell is None else self.serving_cell
+            t += 1
+        return records, serving
 
     def step(
         self,

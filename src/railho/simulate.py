@@ -3,10 +3,12 @@
 One run walks the train over the configured snapshot grid, draws the per-cell
 downlink power (path loss + antenna pattern + correlated shadowing + fast
 fading), degrades it with the worst-case ICI power for the configured speed,
-feeds the L1/L3 measurement pipeline on the 40 ms tick grid, and steps the
-handover state machine tick by tick. Runs are reproducible: every random
-stream is derived from (master_seed, run_index, cell, purpose), so results
-are independent of execution order and worker count.
+feeds the L1/L3 measurement pipeline on the 40 ms tick grid, and drives the
+handover state machine event by event (``HandoverFsm.run``). The shadowing
+and LOS recursions and the fading draws run over every snapshot; everything
+after them is evaluated on the tick snapshots only. Runs are reproducible:
+every random stream is derived from (master_seed, run_index, cell, purpose),
+so results are independent of execution order and worker count.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ class _StaticTables:
     site_ind_sqrt: np.ndarray      # (n_snap,) sqrt of the per-link shadowing share
     los_decorrelation_m: np.ndarray  # (n_snap,)
     tick_snapshots: np.ndarray     # (n_ticks,) snapshot index of each tick
-    stride: int
     p_ici: float
     noise_dbm: float
     initial_serving: int
@@ -137,8 +138,7 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
             with np.errstate(divide="ignore"):
                 los_threshold[c, mask] = ndtri(profile.los_probability(d))
 
-    stride = sample_stride(kin, cfg.l1.sample_period_s)
-    tick_snapshots = np.arange(0, n_snap, stride)
+    tick_snapshots = np.arange(0, n_snap, sample_stride(kin, cfg.l1.sample_period_s))
     fd = ici.doppler_spread_hz(kin.speed_mps, cfg.ici.carrier_frequency_hz)
     p_ici = ici.ici_power_upper(fd, cfg.ici)
 
@@ -159,7 +159,6 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
         site_ind_sqrt=np.sqrt(1.0 - site_corr),
         los_decorrelation_m=los_decorr,
         tick_snapshots=tick_snapshots,
-        stride=stride,
         p_ici=p_ici,
         noise_dbm=cfg.budget.noise_dbm(),
         initial_serving=initial_serving,
@@ -183,27 +182,32 @@ def _downlink_pr_series(
     cell: int,
     common_shadow: np.ndarray,
 ) -> np.ndarray:
-    """Noise-normalised downlink power of one link along the snapshot grid."""
+    """Noise-normalised downlink power of one link at the tick snapshots.
+
+    The recursions and random streams cover every snapshot, so a value does
+    not depend on the tick stride; the elementwise tail runs on ticks only.
+    """
     n_snap = tables.positions.size
     step = cfg.kinematics.snapshot_interval_m
+    idx = tables.tick_snapshots
 
     eps = _link_streams(cfg.master_seed, run_index, cell, _STREAM_SHADOW).standard_normal(n_snap)
     own = channel.shadowing_series_db(eps, step, tables.sigma_db, tables.decorrelation_m)
-    shadow = tables.site_corr_sqrt * common_shadow + tables.site_ind_sqrt * own
+    shadow = tables.site_corr_sqrt[idx] * common_shadow[idx] + tables.site_ind_sqrt[idx] * own[idx]
 
     # LOS persistence: threshold a unit-variance correlated latent so the
     # marginal LOS probability stays exactly distance-dependent.
     latent_eps = _link_streams(cfg.master_seed, run_index, cell, _STREAM_LOS).standard_normal(n_snap)
     latent = channel.shadowing_series_db(latent_eps, step, 1.0, tables.los_decorrelation_m)
-    los = latent < tables.los_threshold[cell]
+    los = latent[idx] < tables.los_threshold[cell, idx]
 
     normals = _link_streams(cfg.master_seed, run_index, cell, _STREAM_FADING).standard_normal(
         (n_snap, 2)
     )
-    k = np.where(los, tables.k_los_linear, 0.0)
-    h2 = channel.small_scale_series(normals, k)
+    k = np.where(los, tables.k_los_linear[idx], 0.0)
+    h2 = channel.small_scale_series(normals[idx], k)
 
-    base = np.where(los, tables.base_db_los[cell], tables.base_db_nlos[cell])
+    base = np.where(los, tables.base_db_los[cell, idx], tables.base_db_nlos[cell, idx])
     rx_dbm = cfg.budget.rrh_tx_power_dbm + base + shadow + 10.0 * np.log10(h2)
     return ici.snr_linear_from_dbm(rx_dbm, tables.noise_dbm)
 
@@ -224,20 +228,19 @@ def simulate_run(
     ul_shift = 10.0 ** ((cfg.budget.ue_tx_power_dbm - cfg.budget.rrh_tx_power_dbm) / 10.0)
 
     common_shadow = _common_shadow_series(cfg, tables, run_index)
-    pr_dl = np.empty((n_cells, tables.positions.size))
+    pr_dl = np.empty((n_cells, n_ticks))
     for cell in range(n_cells):
         pr_dl[cell] = _downlink_pr_series(cfg, tables, run_index, cell, common_shadow)
 
+    # The power is already on the tick grid, so L1 takes every sample.
     eff_lin_dl = pr_dl / (pr_dl * p + 1.0)
     l3 = np.empty((n_cells, n_ticks))
     for cell in range(n_cells):
         meas_rng = _link_streams(cfg.master_seed, run_index, cell, _STREAM_MEASUREMENT)
-        l3[cell] = measure_cell(eff_lin_dl[cell], cfg.l1, cfg.l3, tables.stride, meas_rng)
+        l3[cell] = measure_cell(eff_lin_dl[cell], cfg.l1, cfg.l3, 1, meas_rng)
 
-    pr_dl_ticks = pr_dl[:, tables.tick_snapshots]
-    pr_ul_ticks = pr_dl_ticks * ul_shift
-    dl_snr = ici.rss_with_ici(pr_dl_ticks, p)
-    ul_snr = ici.rss_with_ici(pr_ul_ticks, p)
+    dl_snr = ici.rss_with_ici(pr_dl, p)
+    ul_snr = ici.rss_with_ici(pr_dl * ul_shift, p)
 
     fsm = HandoverFsm(
         cfg.handover,
@@ -246,15 +249,7 @@ def simulate_run(
         serving_cell=tables.initial_serving,
         run_id=run_index,
     )
-    l3_rows = l3.T.tolist()
-    dl_rows = dl_snr.T.tolist()
-    ul_rows = ul_snr.T.tolist()
-    records: list[HandoverRecord] = []
-    serving_trace = np.empty(n_ticks, dtype=int) if want_trace else None
-    for t in range(n_ticks):
-        records.extend(fsm.step(t, l3_rows[t], ul_rows[t], dl_rows[t]))
-        if want_trace:
-            serving_trace[t] = -1 if fsm.serving_cell is None else fsm.serving_cell
+    records, serving_trace = fsm.run(l3, ul_snr, dl_snr)
 
     for rec in records:
         if rec.command_tick is not None:
@@ -294,8 +289,8 @@ def simulate_run(
             tick_snapshots=tables.tick_snapshots.copy(),
             positions_m=tables.positions[tables.tick_snapshots],
             p_ici=p,
-            pr_linear=pr_dl_ticks.T.copy(),
-            snr_db=(10.0 * np.log10(pr_dl_ticks)).T,
+            pr_linear=pr_dl.T.copy(),
+            snr_db=(10.0 * np.log10(pr_dl)).T,
             effective_snr_db=dl_snr.T.copy(),
             serving_cell=serving_trace,
             interrupted=interrupted,

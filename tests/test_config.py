@@ -100,6 +100,28 @@ class TestJsonLoading:
         assert cfg.environment_label == "viaduct"
         assert len(cfg.layout.rrhs) == 3
 
+    def test_one_segment_over_several_spans(self):
+        cfg = config_from_dict({"layout": {"segments": [[0, 3464, "viaduct"]]}})
+        assert len(cfg.layout.rrhs) == 3
+        assert cfg.layout.track_length_m == 3464.0
+        assert cfg.layout.segments == ((0.0, 3464.0, Environment.VIADUCT),)
+
+    def test_explicit_spans_size_the_segment_layout(self):
+        cfg = config_from_dict(
+            {"layout": {"rrh_spacing_m": 100.0, "spans": 2, "segments": [[0, 200, "urban"]]}}
+        )
+        assert len(cfg.layout.rrhs) == 3
+        with pytest.raises(ConfigError, match="track length"):
+            config_from_dict(
+                {"layout": {"rrh_spacing_m": 100.0, "spans": 3, "segments": [[0, 200, "urban"]]}}
+            )
+
+    def test_segments_off_the_span_grid_rejected(self):
+        with pytest.raises(ConfigError, match="whole number"):
+            config_from_dict({"layout": {"segments": [[0, 3000, "viaduct"]]}})
+        with pytest.raises(ConfigError, match="empty"):
+            config_from_dict({"layout": {"segments": []}})
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
