@@ -19,7 +19,6 @@ from .geometry import (
     default_layout,
     environment_at,
     link_geometry,
-    position_at_time,
     sample_stride,
 )
 from .handover import (

@@ -30,19 +30,11 @@ from typing import Literal
 import numpy as np
 from scipy.signal import lfilter
 
-from .constants import SPEED_OF_LIGHT_MPS
 from .geometry import Environment, RrhSite
 
 LosMode = Literal["always", "never", "range"]
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
-
-
-def free_space_intercept_db(carrier_frequency_hz: float, reference_m: float = 1.0) -> float:
-    """Free-space path loss at the reference distance."""
-    return 20.0 * math.log10(
-        4.0 * math.pi * reference_m * carrier_frequency_hz / SPEED_OF_LIGHT_MPS
-    )
 
 
 @dataclass(frozen=True)
@@ -140,7 +132,6 @@ class LinkBudget:
     penetration_loss_db: float = 20.0
     bandwidth_hz: float = 100e6
     noise_figure_db: float = 7.0
-    noise_power_dbm: float | None = None  # derived from bandwidth + noise figure when None
 
     def __post_init__(self) -> None:
         if self.bandwidth_hz <= 0.0:
@@ -149,8 +140,6 @@ class LinkBudget:
             raise ValueError("penetration_loss_db must be non-negative")
 
     def noise_dbm(self) -> float:
-        if self.noise_power_dbm is not None:
-            return self.noise_power_dbm
         return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db
 
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -16,19 +17,38 @@ from .config import RunConfig
 from .handover import HandoverRecord
 from .simulate import RunTrace, SweepStatistics
 
-RECORD_COLUMNS = [
-    "run_id",
-    "speed_kmh",
-    "environment",
-    "offset_db",
-    "trigger_tick",
-    "report_tick",
-    "command_tick",
-    "completion_tick",
-    "start_position_m",
-    "delay_ms",
-    "outcome",
-]
+
+@dataclass(frozen=True)
+class RecordRow:
+    """One records-CSV row: a handover record stamped with its configuration.
+
+    The fields, in order, are the records-CSV columns.
+    """
+
+    run_id: int
+    speed_kmh: float
+    environment: str
+    offset_db: float
+    trigger_tick: int | None
+    report_tick: int | None
+    command_tick: int | None
+    completion_tick: int | None
+    start_position_m: float | None
+    delay_ms: float | None
+    outcome: str
+
+
+def _field_parser(annotation: str):
+    """Parser of one CSV field for a ``RecordRow`` annotation; empty means None."""
+    base = {"int": int, "float": float, "str": str}[annotation.removesuffix(" | None")]
+    if annotation.endswith(" | None"):
+        return lambda text: base(text) if text else None
+    return base
+
+
+RECORD_COLUMNS = [f.name for f in fields(RecordRow)]
+_record_values = operator.attrgetter(*RECORD_COLUMNS)
+_record_parsers = [_field_parser(f.type) for f in fields(RecordRow)]
 
 STATS_COLUMNS = [
     "speed_kmh",
@@ -47,23 +67,6 @@ STATS_COLUMNS = [
 HISTOGRAM_COLUMNS = ["speed_kmh", "environment", "offset_db", "start_snapshot", "probability"]
 
 
-@dataclass(frozen=True)
-class RecordRow:
-    """One records-CSV row: a handover record stamped with its configuration."""
-
-    run_id: int
-    speed_kmh: float
-    environment: str
-    offset_db: float
-    trigger_tick: int | None
-    report_tick: int | None
-    command_tick: int | None
-    completion_tick: int | None
-    start_position_m: float | None
-    delay_ms: float | None
-    outcome: str
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -72,12 +75,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _parse_int(text: str) -> int | None:
-    return int(text) if text else None
-
-
-def _parse_float(text: str) -> float | None:
-    return float(text) if text else None
+def _write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def record_row(record: HandoverRecord, cfg: RunConfig) -> RecordRow:
@@ -97,31 +99,8 @@ def record_row(record: HandoverRecord, cfg: RunConfig) -> RecordRow:
     )
 
 
-def _open_writer(path: Path):
-    return open(path, "w", encoding="utf-8", newline="")
-
-
 def write_records_csv(rows: Iterable[RecordRow], path: str | Path) -> None:
-    path = Path(path)
-    with _open_writer(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    _fmt(row.run_id),
-                    _fmt(row.speed_kmh),
-                    row.environment,
-                    _fmt(row.offset_db),
-                    _fmt(row.trigger_tick),
-                    _fmt(row.report_tick),
-                    _fmt(row.command_tick),
-                    _fmt(row.completion_tick),
-                    _fmt(row.start_position_m),
-                    _fmt(row.delay_ms),
-                    row.outcome,
-                ]
-            )
+    _write_csv(path, RECORD_COLUMNS, ([_fmt(v) for v in _record_values(row)] for row in rows))
 
 
 def read_records_csv(path: str | Path) -> list[RecordRow]:
@@ -130,24 +109,10 @@ def read_records_csv(path: str | Path) -> list[RecordRow]:
         header = next(reader)
         if header != RECORD_COLUMNS:
             raise ValueError(f"{path}: unexpected records header {header}")
-        rows = []
-        for raw in reader:
-            rows.append(
-                RecordRow(
-                    run_id=int(raw[0]),
-                    speed_kmh=float(raw[1]),
-                    environment=raw[2],
-                    offset_db=float(raw[3]),
-                    trigger_tick=_parse_int(raw[4]),
-                    report_tick=_parse_int(raw[5]),
-                    command_tick=_parse_int(raw[6]),
-                    completion_tick=_parse_int(raw[7]),
-                    start_position_m=_parse_float(raw[8]),
-                    delay_ms=_parse_float(raw[9]),
-                    outcome=raw[10],
-                )
-            )
-        return rows
+        return [
+            RecordRow(*(parse(text) for parse, text in zip(_record_parsers, raw, strict=True)))
+            for raw in reader
+        ]
 
 
 def stats_csv_row(stats: SweepStatistics, cfg: RunConfig) -> list[str]:
@@ -169,10 +134,7 @@ def stats_csv_row(stats: SweepStatistics, cfg: RunConfig) -> list[str]:
 
 
 def write_stats_csv(rows: Sequence[Sequence[str]], path: str | Path) -> None:
-    with _open_writer(Path(path)) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STATS_COLUMNS)
-        writer.writerows(rows)
+    _write_csv(path, STATS_COLUMNS, rows)
 
 
 def histogram_csv_rows(stats: SweepStatistics, cfg: RunConfig) -> list[list[str]]:
@@ -189,10 +151,7 @@ def histogram_csv_rows(stats: SweepStatistics, cfg: RunConfig) -> list[list[str]
 
 
 def write_histogram_csv(rows: Sequence[Sequence[str]], path: str | Path) -> None:
-    with _open_writer(Path(path)) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HISTOGRAM_COLUMNS)
-        writer.writerows(rows)
+    _write_csv(path, HISTOGRAM_COLUMNS, rows)
 
 
 def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
@@ -203,17 +162,15 @@ def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
         + [f"eff_snr_db_cell{c}" for c in range(n_cells)]
         + ["serving_cell", "interrupted", "throughput_bps"]
     )
-    with _open_writer(Path(path)) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for t in range(trace.tick_snapshots.size):
-            writer.writerow(
-                [t, int(trace.tick_snapshots[t]), _fmt(float(trace.positions_m[t]))]
-                + [_fmt(float(trace.snr_db[t, c])) for c in range(n_cells)]
-                + [_fmt(float(trace.effective_snr_db[t, c])) for c in range(n_cells)]
-                + [
-                    int(trace.serving_cell[t]),
-                    int(trace.interrupted[t]),
-                    _fmt(float(trace.throughput_bps[t])),
-                ]
-            )
+    rows = (
+        [t, int(trace.tick_snapshots[t]), _fmt(float(trace.positions_m[t]))]
+        + [_fmt(float(trace.snr_db[t, c])) for c in range(n_cells)]
+        + [_fmt(float(trace.effective_snr_db[t, c])) for c in range(n_cells)]
+        + [
+            int(trace.serving_cell[t]),
+            int(trace.interrupted[t]),
+            _fmt(float(trace.throughput_bps[t])),
+        ]
+        for t in range(trace.tick_snapshots.size)
+    )
+    _write_csv(path, columns, rows)

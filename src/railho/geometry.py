@@ -183,18 +183,6 @@ def span_segments(
     return tuple(zip(bounds[:-1], bounds[1:], envs))
 
 
-def position_at_time(
-    kinematics: TrainKinematics, elapsed_s: float, track_length_m: float | None = None
-) -> float:
-    """Train position after ``elapsed_s`` seconds, clamped to the track if given."""
-    if elapsed_s < 0.0:
-        raise ValueError("elapsed time must be non-negative")
-    pos = kinematics.start_position_m + kinematics.speed_mps * elapsed_s
-    if track_length_m is not None:
-        pos = min(max(pos, 0.0), track_length_m)
-    return pos
-
-
 def link_geometry(site: RrhSite, train_position_m):
     """3D site-to-train distance and horizontal bearing off the beam axis.
 

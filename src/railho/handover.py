@@ -17,7 +17,7 @@ report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -136,7 +136,6 @@ class Phase(Enum):
     MONITORING = "Monitoring"
     TTT_RUNNING = "TttRunning"
     PREPARING = "Preparing"
-    COMMAND_PENDING = "CommandPending"
     RACH_IN_PROGRESS = "RachInProgress"
     REESTABLISHING = "Reestablishing"
 
@@ -154,6 +153,11 @@ class HandoverFsm:
     serving cell for the report and command, to the target cell for the RACH
     check) and returns the records of any attempt that terminated this tick.
     State transitions are logged in ``events`` as (name, tick) pairs.
+
+    The report goes out ``n_ttt - 1`` ticks after the trigger. The protocol
+    timers count from the report tick: the command is due after prep + cmd,
+    the RACH check after prep + cmd + SIB/RACH, each rounded up to whole
+    ticks; re-establishment ends its own delay after a failed RACH check.
 
     ``run`` drives a whole trace event by event: in Monitoring a tick changes
     nothing unless the A3 entering condition holds, so it jumps from one
@@ -183,22 +187,15 @@ class HandoverFsm:
         self.phase = Phase.MONITORING
         self.events: list[tuple[str, int]] = []
         self._n_ttt = cfg.ttt_samples(sample_period_s)
-        self._ttt_count = 0
+        command_s = cfg.preparation_delay_s + cfg.command_delay_s
+        self._command_ticks = _delay_ticks(command_s, sample_period_s)
+        self._completion_ticks = _delay_ticks(command_s + cfg.sib_rach_delay_s, sample_period_s)
+        self._reestablish_ticks = _delay_ticks(cfg.reestablishment_delay_s, sample_period_s)
         self._trigger_tick: int | None = None
         self._report_tick: int | None = None
-        self._prep_ready_tick: int | None = None
-        self._command_due_tick: int | None = None
-        self._completion_due_tick: int | None = None
         self._command_tick: int | None = None
         self._reestablish_until: int | None = None
         self._next_tick = 0
-
-    def state_name(self, tick: int | None = None) -> str:
-        """Externally visible state, resolving the preparation sub-phases."""
-        if self.phase is Phase.PREPARING and tick is not None:
-            if tick >= self._prep_ready_tick:
-                return Phase.COMMAND_PENDING.value
-        return self.phase.value
 
     def _best_non_serving(self, l3_db: Sequence[float]) -> int | None:
         best = None
@@ -219,12 +216,8 @@ class HandoverFsm:
     def _reset_monitoring(self) -> None:
         self.phase = Phase.MONITORING
         self.target_cell = None
-        self._ttt_count = 0
         self._trigger_tick = None
         self._report_tick = None
-        self._prep_ready_tick = None
-        self._command_due_tick = None
-        self._completion_due_tick = None
         self._command_tick = None
 
     def _record(self, outcome: Outcome, **fields) -> HandoverRecord:
@@ -331,37 +324,25 @@ class HandoverFsm:
                 if self.phase is Phase.MONITORING:
                     self.phase = Phase.TTT_RUNNING
                     self._trigger_tick = tick
-                    self._ttt_count = 1
                     self.events.append(("ttt_start", tick))
-                else:
-                    self._ttt_count += 1
                 self.target_cell = target
             elif self.phase is Phase.TTT_RUNNING:
                 self.events.append(("ttt_reset", tick))
                 self._reset_monitoring()
 
-            if self.phase is Phase.TTT_RUNNING and self._ttt_count >= self._n_ttt:
+            # Ticks advance by exactly 1 and TTT resets on the first tick
+            # without entering, so the trigger tick counts the TTT.
+            if self.phase is Phase.TTT_RUNNING and tick - self._trigger_tick + 1 >= self._n_ttt:
+                self._report_tick = tick
                 if ul_snr_db[self.serving_cell] < cfg.snr_gate_db:
-                    self._report_tick = tick
                     out.append(self._record(Outcome.FAIL_UPLINK_REPORT))
                     self.events.append(("report_blocked", tick))
                     self._reset_monitoring()
                 else:
-                    self._report_tick = tick
-                    self._prep_ready_tick = tick + _delay_ticks(
-                        cfg.preparation_delay_s, self.sample_period_s
-                    )
-                    self._command_due_tick = tick + _delay_ticks(
-                        cfg.preparation_delay_s + cfg.command_delay_s, self.sample_period_s
-                    )
-                    self._completion_due_tick = tick + _delay_ticks(
-                        cfg.preparation_delay_s + cfg.command_delay_s + cfg.sib_rach_delay_s,
-                        self.sample_period_s,
-                    )
                     self.phase = Phase.PREPARING
                     self.events.append(("report", tick))
 
-        if self.phase is Phase.PREPARING and tick >= self._command_due_tick:
+        if self.phase is Phase.PREPARING and tick - self._report_tick >= self._command_ticks:
             if dl_snr_db[self.serving_cell] < cfg.snr_gate_db:
                 out.append(self._record(Outcome.FAIL_DOWNLINK_COMMAND, command_tick=tick))
                 self.events.append(("command_blocked", tick))
@@ -371,40 +352,26 @@ class HandoverFsm:
                 self.phase = Phase.RACH_IN_PROGRESS
                 self.events.append(("command", tick))
 
-        if self.phase is Phase.RACH_IN_PROGRESS and tick >= self._completion_due_tick:
+        if self.phase is Phase.RACH_IN_PROGRESS and tick - self._report_tick >= self._completion_ticks:
             target = self.target_cell
-            delay = (tick - self._report_tick) * self.sample_period_s
-            if (
-                ul_snr_db[target] >= cfg.snr_gate_db
-                and dl_snr_db[target] >= cfg.snr_gate_db
-            ):
-                out.append(
-                    self._record(
-                        Outcome.SUCCESS,
-                        command_tick=self._command_tick,
-                        completion_tick=tick,
-                        total_delay_s=delay,
-                    )
+            connected = ul_snr_db[target] >= cfg.snr_gate_db and dl_snr_db[target] >= cfg.snr_gate_db
+            until = None if connected else tick + self._reestablish_ticks
+            out.append(
+                self._record(
+                    Outcome.SUCCESS if connected else Outcome.FAIL_RACH,
+                    command_tick=self._command_tick,
+                    completion_tick=tick,
+                    reestablish_until_tick=until,
+                    total_delay_s=(tick - self._report_tick) * self.sample_period_s,
                 )
+            )
+            if connected:
                 self.serving_cell = target
                 self.events.append(("connected", tick))
                 self._reset_monitoring()
             else:
-                until = tick + _delay_ticks(cfg.reestablishment_delay_s, self.sample_period_s)
-                out.append(
-                    self._record(
-                        Outcome.FAIL_RACH,
-                        command_tick=self._command_tick,
-                        completion_tick=tick,
-                        reestablish_until_tick=until,
-                        total_delay_s=delay,
-                    )
-                )
                 self.events.append(("rach_failed", tick))
                 self._reestablish_until = until
                 self.serving_cell = None
                 self.phase = Phase.REESTABLISHING
-                self._ttt_count = 0
-                self._trigger_tick = None
-                self._report_tick = None
         return out

@@ -92,8 +92,6 @@ def l3_filter(l1_db: np.ndarray, cfg: L3Config) -> np.ndarray:
     if m.size == 0:
         raise ValueError("l1 series is empty")
     a = cfg.filter_coefficient_a
-    if a == 1.0:
-        return m.copy()
     out, _ = lfilter([a], [1.0, -(1.0 - a)], m, zi=np.array([(1.0 - a) * m[0]]))
     return out
 
@@ -102,8 +100,7 @@ def measure_cell(
     raw_linear: np.ndarray,
     l1_cfg: L1Config,
     l3_cfg: L3Config,
-    stride: int,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Layer-3 series in dB of one cell: the full L1 + L3 pipeline."""
-    return l3_filter(l1_filter(raw_linear, l1_cfg, stride, rng), l3_cfg)
+    """Layer-3 series in dB of one cell from its tick-grid linear SINR stream."""
+    return l3_filter(l1_filter(raw_linear, l1_cfg, 1, rng), l3_cfg)

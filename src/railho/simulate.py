@@ -232,12 +232,11 @@ def simulate_run(
     for cell in range(n_cells):
         pr_dl[cell] = _downlink_pr_series(cfg, tables, run_index, cell, common_shadow)
 
-    # The power is already on the tick grid, so L1 takes every sample.
     eff_lin_dl = pr_dl / (pr_dl * p + 1.0)
     l3 = np.empty((n_cells, n_ticks))
     for cell in range(n_cells):
         meas_rng = _link_streams(cfg.master_seed, run_index, cell, _STREAM_MEASUREMENT)
-        l3[cell] = measure_cell(eff_lin_dl[cell], cfg.l1, cfg.l3, 1, meas_rng)
+        l3[cell] = measure_cell(eff_lin_dl[cell], cfg.l1, cfg.l3, meas_rng)
 
     dl_snr = ici.rss_with_ici(pr_dl, p)
     ul_snr = ici.rss_with_ici(pr_dl * ul_shift, p)

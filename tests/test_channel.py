@@ -12,7 +12,6 @@ from railho.channel import (
     LinkBudget,
     antenna_gain_db,
     default_profiles,
-    free_space_intercept_db,
     path_loss_db,
     shadowing_db,
     shadowing_series_db,
@@ -81,12 +80,6 @@ class TestPathLoss:
         lo, hi = sorted((d1, d2))
         if lo < hi:
             assert path_loss_db(profile(), lo) < path_loss_db(profile(), hi)
-
-    def test_free_space_intercept(self):
-        # 20 log10(4 pi f / c) at 1 m, 3.5 GHz
-        expected = 20.0 * math.log10(4.0 * math.pi * 3.5e9 / 3.0e8)
-        assert free_space_intercept_db(3.5e9) == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(43.32, abs=0.01)
 
 
 class TestAntennaGain:

@@ -75,8 +75,9 @@ class TestJsonLoading:
             config_from_dict({"speeed": 100})
 
     def test_unknown_nested_key(self):
-        with pytest.raises(ConfigError, match="unknown l1 keys"):
-            config_from_dict({"l1": {"window_msec": 200}})
+        for section, key, value in (("l1", "window_msec", 200), ("budget", "noise_power_dbm", -90)):
+            with pytest.raises(ConfigError, match=f"unknown {section} keys"):
+                config_from_dict({section: {key: value}})
 
     def test_speed_given_twice(self):
         with pytest.raises(ConfigError):

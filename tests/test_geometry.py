@@ -14,7 +14,6 @@ from railho.geometry import (
     default_layout,
     environment_at,
     link_geometry,
-    position_at_time,
     sample_stride,
 )
 
@@ -23,35 +22,6 @@ def kin(speed_kmh: float, interval: float = 1.0, start: float = 0.0) -> TrainKin
     return TrainKinematics(
         speed_mps=kmh_to_mps(speed_kmh), snapshot_interval_m=interval, start_position_m=start
     )
-
-
-class TestPositionAtTime:
-    def test_zero_time_returns_start(self):
-        assert position_at_time(kin(100.0, start=250.0), 0.0) == 250.0
-
-    def test_direct_arithmetic_100kmh(self):
-        # 27.7778 m/s for 36 s
-        assert position_at_time(kin(100.0), 36.0) == pytest.approx(1000.0, abs=1e-9)
-
-    def test_direct_arithmetic_one_sample_at_500kmh(self):
-        assert position_at_time(kin(500.0), 0.040) == pytest.approx(5.5555555556, abs=1e-9)
-
-    def test_clamped_to_track(self):
-        assert position_at_time(kin(500.0), 1e6, track_length_m=5196.0) == 5196.0
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            position_at_time(kin(100.0), -0.1)
-
-    @given(
-        t1=st.floats(min_value=0.0, max_value=1e4),
-        t2=st.floats(min_value=0.0, max_value=1e4),
-        speed=st.floats(min_value=0.1, max_value=200.0),
-    )
-    def test_monotone_in_time(self, t1, t2, speed):
-        k = TrainKinematics(speed_mps=speed)
-        lo, hi = sorted((t1, t2))
-        assert position_at_time(k, lo) <= position_at_time(k, hi)
 
 
 class TestLinkGeometry:

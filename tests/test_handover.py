@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ class TestFsmScenarios:
         machine = fsm(HandoverConfig(hysteresis_db=3.0, ttt_s=0.080))
         records = drive(machine, cond_rows([True, False] * 8))
         assert records == []
-        assert machine.state_name() == "Monitoring"
+        assert machine.phase is Phase.MONITORING
 
     def test_two_sample_ttt_reports_on_second_tick(self):
         machine = fsm(HandoverConfig(hysteresis_db=3.0, ttt_s=0.080))
@@ -345,6 +346,50 @@ class TestTttReportProperty:
                         tick,
                         cond,
                     )
+
+
+class TestProtocolTimers:
+    def test_fuzzed_delays_count_from_the_report(self):
+        """Protocol offsets against exact rational ceilings.
+
+        Delays are multiples of 10 ms, so many sums are exact multiples of
+        the 40 ms period, which only the quantiser's 1e-9 slack keeps from
+        rounding up a tick in floating point.
+        """
+        def ticks(ms):
+            return math.ceil(Fraction(ms, 40))
+
+        rng = np.random.default_rng(1703)
+        outcomes = set()
+        for _ in range(2000):
+            prep_ms, cmd_ms, sib_ms, reest_ms = (10 * int(v) for v in rng.integers(0, 13, size=4))
+            n_ttt = int(rng.integers(1, 4))
+            cfg = HandoverConfig(
+                hysteresis_db=3.0,
+                ttt_s=n_ttt * PERIOD,
+                preparation_delay_s=prep_ms / 1000.0,
+                command_delay_s=cmd_ms / 1000.0,
+                sib_rach_delay_s=sib_ms / 1000.0,
+                reestablishment_delay_s=reest_ms / 1000.0,
+            )
+            target_ul = HIGH if rng.random() < 0.5 else LOW
+            n = 20
+            machine = HandoverFsm(cfg, PERIOD, 2, 0)
+            records = drive(machine, cond_rows([True] * n), ul_rows=[[HIGH, target_ul]] * n)
+            rec = records[0]
+            outcomes.add(rec.outcome)
+            assert rec.report_tick - rec.trigger_tick == n_ttt - 1
+            assert rec.command_tick - rec.report_tick == ticks(prep_ms + cmd_ms)
+            assert rec.completion_tick - rec.report_tick == ticks(prep_ms + cmd_ms + sib_ms)
+            if target_ul == HIGH:
+                assert rec.outcome is Outcome.SUCCESS
+            else:
+                assert rec.outcome is Outcome.FAIL_RACH
+                assert rec.reestablish_until_tick - rec.completion_tick == ticks(reest_ms)
+                # The machine reconnects on the first tick after the RACH check.
+                reconnect = max(rec.reestablish_until_tick, rec.completion_tick + 1)
+                assert ("reestablished", reconnect) in machine.events
+        assert outcomes == {Outcome.SUCCESS, Outcome.FAIL_RACH}
 
 
 def literal_run(machine, l3_db, ul_snr_db, dl_snr_db):

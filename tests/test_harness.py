@@ -22,6 +22,7 @@ from railho.simulate import (
     _STREAM_SHADOW,
     aggregate_records,
     monte_carlo,
+    SweepStatistics,
     precompute_tables,
     simulate_run,
 )
@@ -356,6 +357,56 @@ class TestCsv:
         hist_lines = (tmp_path / "hist.csv").read_text().splitlines()
         assert hist_lines[0] == ",".join(csvio.HISTOGRAM_COLUMNS)
         assert len(hist_lines) == 1 + len(stats.start_point_histogram)
+
+    def test_bytes_match_literal_text(self, tmp_path):
+        """Pins column order and number format on both the writer and the reader."""
+        rows = [
+            csvio.RecordRow(0, 100.0, "viaduct", 2.0, None, None, None, None, None, None, "NotTriggered"),
+            csvio.RecordRow(3, 300.0, "cutting", 0.1, 1, 2, 4, 5, 1234.5678901, 120.0, "Success"),
+            csvio.RecordRow(12, 500.0, "urban", -1.5, 7, 8, 10, 11, 0.1, -40.0, "FailRach"),
+        ]
+        records_text = (
+            "run_id,speed_kmh,environment,offset_db,trigger_tick,report_tick,command_tick,"
+            "completion_tick,start_position_m,delay_ms,outcome\n"
+            "0,100,viaduct,2,,,,,,,NotTriggered\n"
+            "3,300,cutting,0.1,1,2,4,5,1234.57,120,Success\n"
+            "12,500,urban,-1.5,7,8,10,11,0.1,-40,FailRach\n"
+        )
+        cfg = apply_overrides(RunConfig(), speed_kmh=300.0, environment="urban", offset_db=-1.5)
+        stats = SweepStatistics(
+            runs=5,
+            n_records=7,
+            n_success=3,
+            success_rate=3 / 7,
+            weighted_start_point_m=math.nan,
+            mean_delay_s=0.12,
+            delay_in_samples=3,
+            start_point_histogram={40: 0.25, -12: 0.75},
+            records=(),
+        )
+        stats_text = (
+            "speed_kmh,environment,offset_db,ttt_ms,runs,n_records,n_success,success_rate,"
+            "weighted_start_point_m,mean_delay_ms,delay_in_samples\n"
+            "300,urban,-1.5,40,5,7,3,0.428571,,120,3\n"
+        )
+        hist_text = (
+            "speed_kmh,environment,offset_db,start_snapshot,probability\n"
+            "300,urban,-1.5,-12,0.75\n"
+            "300,urban,-1.5,40,0.25\n"
+        )
+        csvio.write_records_csv(rows, tmp_path / "records.csv")
+        csvio.write_stats_csv([csvio.stats_csv_row(stats, cfg)], tmp_path / "stats.csv")
+        csvio.write_histogram_csv(csvio.histogram_csv_rows(stats, cfg), tmp_path / "hist.csv")
+        for name, text in (("records", records_text), ("stats", stats_text), ("hist", hist_text)):
+            assert (tmp_path / f"{name}.csv").read_bytes() == text.encode("utf-8")
+
+        literal = tmp_path / "literal.csv"
+        literal.write_bytes(records_text.encode("utf-8"))
+        assert csvio.read_records_csv(literal) == [
+            rows[0],
+            dataclasses.replace(rows[1], start_position_m=1234.57),
+            rows[2],
+        ]
 
     def test_trace_csv(self, tiny_cfg, tmp_path):
         res = simulate_run(tiny_cfg, 0, want_trace=True)
