@@ -47,7 +47,6 @@ class EnvironmentProfile:
     Rayleigh.
     """
 
-    environment: Environment
     pathloss_exponent: float
     pathloss_intercept_db: float
     pathloss_exponent_los: float | None = None
@@ -98,14 +97,12 @@ def default_profiles() -> dict[Environment, EnvironmentProfile]:
     """
     return {
         Environment.VIADUCT: EnvironmentProfile(
-            environment=Environment.VIADUCT,
             pathloss_exponent=2.2,
             pathloss_intercept_db=33.7,
             rician_k_db=10.0,
             los_mode="always",
         ),
         Environment.CUTTING: EnvironmentProfile(
-            environment=Environment.CUTTING,
             pathloss_exponent=2.8,
             pathloss_intercept_db=20.1,
             pathloss_exponent_los=2.3,
@@ -114,7 +111,6 @@ def default_profiles() -> dict[Environment, EnvironmentProfile]:
             los_decay_m=200.0,
         ),
         Environment.URBAN: EnvironmentProfile(
-            environment=Environment.URBAN,
             pathloss_exponent=3.5,
             pathloss_intercept_db=3.5,
             rician_k_db=None,

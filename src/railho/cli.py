@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands:
-  simulate   run one configuration and write records + stats CSVs
-  sweep      run a speed x offset (x environment) grid and write a stats CSV
+  simulate   run one configuration and write records, stats and histogram CSVs
+  sweep      run a speed x offset (x environment) grid and write the same CSVs
   trace      dump the per-tick SINR / throughput trace of a single run
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
@@ -87,67 +87,54 @@ def _load(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _ensure_out(args: argparse.Namespace) -> Path:
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _run_configs(args: argparse.Namespace, cfgs: list[RunConfig], names: tuple[str, str, str]) -> int:
+    """Run each config, print its summary line and write the records, stats and histogram CSVs."""
+    args.out.mkdir(parents=True, exist_ok=True)
+    stats_rows, record_rows, hist_rows = [], [], []
+    for cfg in cfgs:
+        stats = monte_carlo(cfg, workers=args.workers)
+        stats_rows.append(csvio.stats_csv_row(stats, cfg))
+        record_rows.extend(csvio.record_row(rec, cfg) for rec in stats.records)
+        hist_rows.extend(csvio.histogram_csv_rows(stats, cfg))
+        print(
+            f"{cfg.speed_kmh:g} km/h {cfg.environment_label} offset {cfg.handover.hysteresis_db:g} dB: "
+            f"{stats.n_success}/{stats.n_records} handovers succeeded, "
+            f"weighted start point {stats.weighted_start_point_m:.1f} m, "
+            f"delay {stats.delay_in_samples} samples"
+        )
+    records_path, stats_path, hist_path = (args.out / name for name in names)
+    csvio.write_records_csv(record_rows, records_path)
+    csvio.write_stats_csv(stats_rows, stats_path)
+    csvio.write_histogram_csv(hist_rows, hist_path)
+    print(f"wrote {records_path}, {stats_path}, {hist_path}")
+    return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    out = _ensure_out(args)
-    stats = monte_carlo(cfg, workers=args.workers)
-    rows = [csvio.record_row(rec, cfg) for rec in stats.records]
-    csvio.write_records_csv(rows, out / "records.csv")
-    csvio.write_stats_csv([csvio.stats_csv_row(stats, cfg)], out / "stats.csv")
-    csvio.write_histogram_csv(csvio.histogram_csv_rows(stats, cfg), out / "start_hist.csv")
-    print(
-        f"{cfg.speed_kmh:g} km/h {cfg.environment_label} offset {cfg.handover.hysteresis_db:g} dB: "
-        f"{stats.n_success}/{stats.n_records} handovers succeeded, "
-        f"weighted start point {stats.weighted_start_point_m:.1f} m, "
-        f"delay {stats.delay_in_samples} samples"
-    )
-    print(f"wrote {out / 'records.csv'}, {out / 'stats.csv'}, {out / 'start_hist.csv'}")
-    return 0
+    return _run_configs(args, [_load(args)], ("records.csv", "stats.csv", "start_hist.csv"))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _load(args)
     if not args.speeds or not args.offsets:
         raise ConfigError("sweep needs at least one speed and one offset")
-    envs = args.envs.split(",") if args.envs else [None]
-    out = _ensure_out(args)
-    stats_rows, record_rows, hist_rows = [], [], []
-    for env in envs:
-        env = env.strip() if env else None
-        if env is not None and env not in _ENV_CHOICES:
-            raise ConfigError(f"unknown environment {env!r}")
-        for speed in args.speeds:
-            for offset in args.offsets:
-                cfg = apply_overrides(base, speed_kmh=speed, environment=env, offset_db=offset)
-                stats = monte_carlo(cfg, workers=args.workers)
-                stats_rows.append(csvio.stats_csv_row(stats, cfg))
-                record_rows.extend(csvio.record_row(rec, cfg) for rec in stats.records)
-                hist_rows.extend(csvio.histogram_csv_rows(stats, cfg))
-                print(
-                    f"{cfg.speed_kmh:g} km/h {cfg.environment_label} offset {offset:g} dB: "
-                    f"start point {stats.weighted_start_point_m:.1f} m, "
-                    f"success rate {stats.success_rate:.3f}"
-                )
-    csvio.write_stats_csv(stats_rows, out / "sweep_stats.csv")
-    csvio.write_records_csv(record_rows, out / "sweep_records.csv")
-    csvio.write_histogram_csv(hist_rows, out / "sweep_hist.csv")
-    print(f"wrote {out / 'sweep_stats.csv'}, {out / 'sweep_records.csv'}, {out / 'sweep_hist.csv'}")
-    return 0
+    envs = [env.strip() for env in (args.envs or "").split(",") if env.strip()] or [None]
+    cfgs = [
+        apply_overrides(base, speed_kmh=speed, environment=env, offset_db=offset)
+        for env in envs
+        for speed in args.speeds
+        for offset in args.offsets
+    ]
+    return _run_configs(args, cfgs, ("sweep_records.csv", "sweep_stats.csv", "sweep_hist.csv"))
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     cfg = _load(args)
     if args.run < 0 or args.run >= cfg.runs:
         raise ConfigError(f"run index {args.run} outside [0, {cfg.runs})")
-    out = _ensure_out(args)
+    args.out.mkdir(parents=True, exist_ok=True)
     result = simulate_run(cfg, args.run, want_trace=True)
-    path = out / f"trace_run{args.run}.csv"
+    path = args.out / f"trace_run{args.run}.csv"
     csvio.write_trace_csv(result.trace, path)
     outcomes = ", ".join(rec.outcome.value for rec in result.records)
     print(f"run {args.run}: {len(result.records)} records ({outcomes})")

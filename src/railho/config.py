@@ -8,12 +8,15 @@ the built-in deployment defaults. Unknown keys are rejected.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .channel import EnvironmentProfile, LinkBudget, default_profiles
 from .constants import kmh_to_mps, mps_to_kmh
@@ -37,6 +40,10 @@ class ConfigError(ValueError):
     """Invalid run configuration (bad file, bad value, inconsistent fields)."""
 
 
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     layout: DeploymentLayout = field(default_factory=default_layout)
@@ -53,19 +60,17 @@ class RunConfig:
     master_seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        if not 0 <= self.master_seed < 2**64:
+        if not _is_integer(self.runs) or self.runs < 1:
+            raise ConfigError("runs must be an integer >= 1")
+        if not _is_integer(self.master_seed) or not 0 <= self.master_seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if any(math.hypot(s.lateral_offset, s.height) < 1.0 for s in self.layout.rrhs):
             raise ConfigError("RRHs must sit at least the 1 m path-loss reference from the track")
         for _, _, env in self.layout.segments:
             if env not in self.profiles:
                 raise ConfigError(f"no profile for environment {env.value!r}")
-        try:
+        with _config_errors():
             self.handover.ttt_samples(self.l1.sample_period_s)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     @property
     def speed_kmh(self) -> float:
@@ -76,26 +81,40 @@ class RunConfig:
         return self.layout.environment_label
 
 
-def _build(cls, data: Mapping[str, Any], context: str, **extra):
-    """Instantiate a config dataclass from a JSON mapping, rejecting unknown keys."""
+def _object(data: Any, allowed: Iterable[str], context: str, what: str | None = None) -> Mapping[str, Any]:
+    """Return ``data`` if it is a JSON object whose keys are all in ``allowed``."""
     if not isinstance(data, Mapping):
         raise ConfigError(f"{context} must be a JSON object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    unknown = set(data) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what or context + ' keys'}: {sorted(unknown)}")
+    return data
+
+
+@contextlib.contextmanager
+def _config_errors(prefix: str = ""):
+    """Re-raise a bad value met while building a configuration as ``ConfigError``."""
     try:
-        return cls(**{**data, **extra})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {context}: {exc}") from exc
+        yield
+    except (TypeError, ValueError, LookupError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
-def _build_kinematics(data: Mapping[str, Any]) -> TrainKinematics:
-    data = dict(data)
-    if "speed_kmh" in data and "speed_mps" in data:
-        raise ConfigError("give kinematics.speed_kmh or speed_mps, not both")
+def _build(cls, data: Any, context: str, base=None):
+    """Build dataclass ``cls`` from a JSON object, or replace the given fields of ``base``."""
+    _object(data, (f.name for f in dataclasses.fields(cls)), context)
+    with _config_errors(f"bad {context}: "):
+        return cls(**data) if base is None else dataclasses.replace(base, **data)
+
+
+def _build_kinematics(data: Any) -> TrainKinematics:
+    names = [f.name for f in dataclasses.fields(TrainKinematics)]
+    data = dict(_object(data, [*names, "speed_kmh"], "kinematics"))
     if "speed_kmh" in data:
-        data["speed_mps"] = kmh_to_mps(data.pop("speed_kmh"))
+        if "speed_mps" in data:
+            raise ConfigError("give kinematics.speed_kmh or speed_mps, not both")
+        with _config_errors("bad kinematics: "):
+            data["speed_mps"] = kmh_to_mps(data.pop("speed_kmh"))
     return _build(TrainKinematics, data, "kinematics")
 
 
@@ -112,107 +131,63 @@ _LAYOUT_KEYS = {
 }
 
 
-def _build_layout(data: Mapping[str, Any]) -> DeploymentLayout:
-    if not isinstance(data, Mapping):
-        raise ConfigError("layout must be a JSON object")
-    unknown = set(data) - _LAYOUT_KEYS
-    if unknown:
-        raise ConfigError(f"unknown layout keys: {sorted(unknown)}")
+def _build_layout(data: Any) -> DeploymentLayout:
+    _object(data, _LAYOUT_KEYS, "layout")
     if "segments" in data and "environment" in data:
         raise ConfigError("give layout.segments or layout.environment, not both")
-    kwargs: dict[str, Any] = {}
-    for key in ("rrh_spacing_m", "lateral_offset_m", "rrh_height_m", "max_gain_db", "pattern_floor_db"):
-        if key in data:
-            kwargs[key] = data[key]
-    if "beamwidth_3db_deg" in data:
-        kwargs["beamwidth_3db_rad"] = math.radians(data["beamwidth_3db_deg"])
-    try:
-        if "segments" in data:
-            if not data["segments"]:
-                raise ConfigError("segments must not be empty")
-            spans = data.get("spans")
-            if spans is None:
-                # One segment may cover several RRH spans: size the track by its end.
-                spacing = kwargs.get("rrh_spacing_m", DEFAULT_RRH_SPACING_M)
-                end = float(data["segments"][-1][1])
-                spans = round(end / spacing)
-                if not math.isclose(end, spans * spacing, rel_tol=1e-9, abs_tol=1e-6):
-                    raise ConfigError(
-                        f"segments end at {end}, not a whole number of {spacing} m RRH spans"
-                    )
-            base = default_layout(spans=spans, **kwargs)
-            segments = tuple(
-                (float(s[0]), float(s[1]), Environment(s[2])) for s in data["segments"]
+    with _config_errors("bad layout: "):
+        site_keys = ("rrh_spacing_m", "lateral_offset_m", "rrh_height_m", "max_gain_db", "pattern_floor_db")
+        kwargs = {key: data[key] for key in site_keys if key in data}
+        if "beamwidth_3db_deg" in data:
+            kwargs["beamwidth_3db_rad"] = math.radians(data["beamwidth_3db_deg"])
+        if "segments" not in data:
+            return default_layout(
+                environment=data.get("environment", "mixed"),
+                spans=data.get("spans", 3),
+                **kwargs,
             )
-            return dataclasses.replace(base, segments=segments)
-        return default_layout(
-            environment=data.get("environment", "mixed"),
-            spans=data.get("spans", 3),
-            **kwargs,
-        )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad layout: {exc}") from exc
+        if not data["segments"]:
+            raise ConfigError("segments must not be empty")
+        spans = data.get("spans")
+        if spans is None:
+            # One segment may cover several RRH spans: size the track by its end.
+            spacing = kwargs.get("rrh_spacing_m", DEFAULT_RRH_SPACING_M)
+            end = float(data["segments"][-1][1])
+            spans = round(end / spacing)
+            if not math.isclose(end, spans * spacing, rel_tol=1e-9, abs_tol=1e-6):
+                raise ConfigError(f"segments end at {end}, not a whole number of {spacing} m RRH spans")
+        segments = tuple((float(s[0]), float(s[1]), Environment(s[2])) for s in data["segments"])
+        return dataclasses.replace(default_layout(spans=spans, **kwargs), segments=segments)
 
 
-def _build_profiles(data: Mapping[str, Any]) -> dict[Environment, EnvironmentProfile]:
+def _build_profiles(data: Any) -> dict[Environment, EnvironmentProfile]:
     profiles = default_profiles()
-    if not isinstance(data, Mapping):
-        raise ConfigError("profiles must be a JSON object keyed by environment")
-    for name, overrides in data.items():
-        try:
-            env = Environment(name)
-        except ValueError as exc:
-            raise ConfigError(f"unknown environment {name!r}") from exc
-        base = profiles[env]
-        names = {f.name for f in dataclasses.fields(EnvironmentProfile)} - {"environment"}
-        unknown = set(overrides) - names
-        if unknown:
-            raise ConfigError(f"unknown profile keys for {name}: {sorted(unknown)}")
-        try:
-            profiles[env] = dataclasses.replace(base, **overrides)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad profile for {name}: {exc}") from exc
+    for name, overrides in _object(data, (env.value for env in profiles), "profiles", "environment").items():
+        env = Environment(name)
+        profiles[env] = _build(EnvironmentProfile, overrides, f"profiles.{name}", base=profiles[env])
     return profiles
 
 
-_TOP_KEYS = {"layout", "kinematics", "profiles", "budget", "ici", "l1", "l3", "handover", "runs", "seed"}
+# JSON key -> (RunConfig field, function that turns the JSON value into the field's value)
+_SECTIONS: dict[str, tuple[str, Callable[[Any], Any]]] = {
+    "layout": ("layout", _build_layout),
+    "kinematics": ("kinematics", _build_kinematics),
+    "profiles": ("profiles", _build_profiles),
+    "budget": ("budget", functools.partial(_build, LinkBudget, context="budget")),
+    "ici": ("ici", functools.partial(_build, IciParams, context="ici")),
+    "l1": ("l1", functools.partial(_build, L1Config, context="l1")),
+    "l3": ("l3", functools.partial(_build, L3Config, context="l3")),
+    "handover": ("handover", functools.partial(_build, HandoverConfig, context="handover")),
+    "runs": ("runs", lambda value: value),
+    "seed": ("master_seed", lambda value: value),
+}
 
 
-def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
-    if not isinstance(doc, Mapping):
-        raise ConfigError("configuration root must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    kwargs: dict[str, Any] = {}
-    if "layout" in doc:
-        kwargs["layout"] = _build_layout(doc["layout"])
-    if "kinematics" in doc:
-        kwargs["kinematics"] = _build_kinematics(doc["kinematics"])
-    if "profiles" in doc:
-        kwargs["profiles"] = _build_profiles(doc["profiles"])
-    if "budget" in doc:
-        kwargs["budget"] = _build(LinkBudget, doc["budget"], "budget")
-    if "ici" in doc:
-        kwargs["ici"] = _build(IciParams, doc["ici"], "ici")
-    if "l1" in doc:
-        kwargs["l1"] = _build(L1Config, doc["l1"], "l1")
-    if "l3" in doc:
-        kwargs["l3"] = _build(L3Config, doc["l3"], "l3")
-    if "handover" in doc:
-        kwargs["handover"] = _build(HandoverConfig, doc["handover"], "handover")
-    if "runs" in doc:
-        kwargs["runs"] = doc["runs"]
-    if "seed" in doc:
-        kwargs["seed"] = doc["seed"]
-    if "seed" in kwargs:
-        kwargs["master_seed"] = kwargs.pop("seed")
-    try:
+def config_from_dict(doc: Any) -> RunConfig:
+    _object(doc, _SECTIONS, "configuration")
+    kwargs = {name: build(doc[key]) for key, (name, build) in _SECTIONS.items() if key in doc}
+    with _config_errors():
         return RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -237,36 +212,23 @@ def apply_overrides(
 ) -> RunConfig:
     """Return a copy of ``cfg`` with CLI-style overrides applied."""
     kwargs: dict[str, Any] = {}
-    if speed_kmh is not None:
-        if speed_kmh <= 0:
-            raise ConfigError("speed must be positive")
-        kwargs["kinematics"] = dataclasses.replace(
-            cfg.kinematics, speed_mps=kmh_to_mps(speed_kmh)
-        )
-    if environment is not None:
-        layout = cfg.layout
-        try:
+    handover: dict[str, float] = {}
+    with _config_errors():
+        if speed_kmh is not None:
+            kwargs["kinematics"] = dataclasses.replace(cfg.kinematics, speed_mps=kmh_to_mps(speed_kmh))
+        if environment is not None:
+            layout = cfg.layout
             kwargs["layout"] = dataclasses.replace(
                 layout, segments=span_segments(layout.rrhs, layout.track_length_m, environment)
             )
-        except ValueError as exc:
-            raise ConfigError(f"bad environment: {exc}") from exc
-    handover = cfg.handover
-    if offset_db is not None:
-        handover = dataclasses.replace(handover, hysteresis_db=offset_db)
-    if ttt_ms is not None:
-        handover = dataclasses.replace(handover, ttt_s=ttt_ms / 1000.0)
-    if handover is not cfg.handover:
-        kwargs["handover"] = handover
-    if runs is not None:
-        kwargs["runs"] = runs
-    if seed is not None:
-        kwargs["master_seed"] = seed
-    if not kwargs:
-        return cfg
-    try:
-        return dataclasses.replace(cfg, **kwargs)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+        if offset_db is not None:
+            handover["hysteresis_db"] = offset_db
+        if ttt_ms is not None:
+            handover["ttt_s"] = ttt_ms / 1000.0
+        if handover:
+            kwargs["handover"] = dataclasses.replace(cfg.handover, **handover)
+        if runs is not None:
+            kwargs["runs"] = runs
+        if seed is not None:
+            kwargs["master_seed"] = seed
+        return dataclasses.replace(cfg, **kwargs) if kwargs else cfg

@@ -73,8 +73,8 @@ class HandoverConfig:
         return round(ratio)
 
 
-def a3_condition(l3_target_db: float, l3_serving_db: float, hysteresis_db: float) -> bool:
-    """Entering condition: target exceeds serving by at least the hysteresis."""
+def a3_condition(l3_target_db, l3_serving_db, hysteresis_db: float):
+    """Entering condition: target exceeds serving by at least the hysteresis (scalars or arrays)."""
     return l3_target_db - l3_serving_db >= hysteresis_db
 
 
@@ -190,7 +190,8 @@ class HandoverFsm:
         command_s = cfg.preparation_delay_s + cfg.command_delay_s
         self._command_ticks = _delay_ticks(command_s, sample_period_s)
         self._completion_ticks = _delay_ticks(command_s + cfg.sib_rach_delay_s, sample_period_s)
-        self._reestablish_ticks = _delay_ticks(cfg.reestablishment_delay_s, sample_period_s)
+        # Reconnection is checked from the tick after the failed RACH on.
+        self._reestablish_ticks = max(1, _delay_ticks(cfg.reestablishment_delay_s, sample_period_s))
         self._trigger_tick: int | None = None
         self._report_tick: int | None = None
         self._command_tick: int | None = None
@@ -198,20 +199,11 @@ class HandoverFsm:
         self._next_tick = 0
 
     def _best_non_serving(self, l3_db: Sequence[float]) -> int | None:
-        best = None
-        for cell in range(self.n_cells):
-            if cell == self.serving_cell:
-                continue
-            if best is None or l3_db[cell] > l3_db[best]:
-                best = cell
-        return best
+        others = (cell for cell in range(self.n_cells) if cell != self.serving_cell)
+        return max(others, key=l3_db.__getitem__, default=None)
 
     def _strongest(self, l3_db: Sequence[float]) -> int:
-        best = 0
-        for cell in range(1, self.n_cells):
-            if l3_db[cell] > l3_db[best]:
-                best = cell
-        return best
+        return max(range(self.n_cells), key=l3_db.__getitem__)
 
     def _reset_monitoring(self) -> None:
         self.phase = Phase.MONITORING
@@ -231,24 +223,12 @@ class HandoverFsm:
             **fields,
         )
 
-    def _skip_idle_ticks(self, tick: int) -> None:
-        """Advance to ``tick`` over ticks on which ``step`` would change nothing.
-
-        Only valid in Monitoring, where the caller has checked that the A3
-        entering condition fails on every skipped tick.
-        """
-        if self.phase is not Phase.MONITORING:
-            raise ValueError(f"cannot skip ticks in phase {self.phase.value}")
-        if tick < self._next_tick:
-            raise ValueError(f"cannot skip back to tick {tick} (next is {self._next_tick})")
-        self._next_tick = tick
-
     def _entering_ticks(self, l3_db: np.ndarray, serving: int) -> np.ndarray:
         """Ticks on which max_{c != serving} L3[c] - L3[serving] >= hysteresis."""
         if self.n_cells == 1:
             return np.empty(0, dtype=np.intp)
-        margin = np.delete(l3_db, serving, axis=0).max(axis=0) - l3_db[serving]
-        return np.flatnonzero(margin >= self.cfg.hysteresis_db)
+        best_other = np.delete(l3_db, serving, axis=0).max(axis=0)
+        return np.flatnonzero(a3_condition(best_other, l3_db[serving], self.cfg.hysteresis_db))
 
     def run(
         self,
@@ -285,8 +265,7 @@ class HandoverFsm:
                 i = np.searchsorted(ticks, t)
                 nxt = int(ticks[i]) if i < ticks.size else n_ticks
                 serving[t:nxt] = s
-                self._skip_idle_ticks(nxt)
-                t = nxt
+                t = self._next_tick = nxt
                 if t == n_ticks:
                     break
             records.extend(self.step(t, l3[:, t].tolist(), ul[:, t].tolist(), dl[:, t].tolist()))

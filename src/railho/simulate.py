@@ -63,13 +63,11 @@ class RunTrace:
     tick_snapshots: np.ndarray
     positions_m: np.ndarray
     p_ici: float
-    pr_linear: np.ndarray          # (n_ticks, n_cells), noise-normalised, no ICI
     snr_db: np.ndarray             # (n_ticks, n_cells), no ICI
     effective_snr_db: np.ndarray   # (n_ticks, n_cells), with ICI
     serving_cell: np.ndarray       # (n_ticks,), -1 while re-establishing
     interrupted: np.ndarray        # (n_ticks,) bool
     throughput_bps: np.ndarray     # (n_ticks,)
-    bandwidth_hz: float
 
 
 @dataclass(frozen=True)
@@ -288,13 +286,11 @@ def simulate_run(
             tick_snapshots=tables.tick_snapshots.copy(),
             positions_m=tables.positions[tables.tick_snapshots],
             p_ici=p,
-            pr_linear=pr_dl.T.copy(),
             snr_db=(10.0 * np.log10(pr_dl)).T,
             effective_snr_db=dl_snr.T.copy(),
             serving_cell=serving_trace,
             interrupted=interrupted,
             throughput_bps=throughput,
-            bandwidth_hz=cfg.budget.bandwidth_hz,
         )
     return RunResult(run_id=run_index, records=tuple(records), trace=trace)
 

@@ -31,7 +31,6 @@ from railho.simulate import (
 
 def profile(**overrides) -> EnvironmentProfile:
     base = dict(
-        environment=Environment.VIADUCT,
         pathloss_exponent=2.2,
         pathloss_intercept_db=43.3,
         rician_k_db=10.0,

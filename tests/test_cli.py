@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from railho import csvio
+from railho import cli, csvio
 from railho.cli import main
 
 TINY = {
@@ -52,10 +52,21 @@ class TestSimulateCommand:
         assert all(r.offset_db == 4.0 for r in rows)
         assert {r.run_id for r in rows} == {0, 1}
 
-    def test_configuration_error_exits_2(self, tmp_path):
+    def test_configuration_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["simulate", "--config", str(bad)]) == 2
+        for text in (
+            "{not json",
+            '{"runs": 2.5}',
+            '{"seed": 1.5}',
+            '{"kinematics": [1, 2]}',
+            '{"kinematics": {"speed_kmh": "fast"}}',
+            '{"profiles": {"urban": 5}}',
+            '{"layout": {"beamwidth_3db_deg": "wide"}}',
+            '{"layout": {"segments": [{"start": 0}]}}',
+        ):
+            bad.write_text(text)
+            assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2, text
+            assert capsys.readouterr().err.startswith("configuration error:"), text
 
     def test_invalid_override_exits_2(self, tiny_config_path):
         assert main(["simulate", "--config", str(tiny_config_path), "--ttt-ms", "50"]) == 2
@@ -78,7 +89,7 @@ class TestSimulateCommand:
 
 
 class TestSweepCommand:
-    def test_grid_outputs(self, tiny_config_path, tmp_path):
+    def test_grid_outputs(self, tiny_config_path, tmp_path, capsys):
         out = tmp_path / "sweep"
         code = main(
             [
@@ -96,6 +107,10 @@ class TestSweepCommand:
         assert {(r.speed_kmh, r.offset_db) for r in rows} == {
             (100.0, 0.0), (100.0, 2.0), (300.0, 0.0), (300.0, 2.0),
         }
+        summaries = [line for line in capsys.readouterr().out.splitlines() if "handovers succeeded" in line]
+        assert [line.split(" offset")[0] for line in summaries] == [
+            "100 km/h viaduct", "100 km/h viaduct", "300 km/h viaduct", "300 km/h viaduct",
+        ]
 
     def test_env_list(self, tiny_config_path, tmp_path):
         out = tmp_path / "sweep"
@@ -105,13 +120,22 @@ class TestSweepCommand:
                 "--config", str(tiny_config_path),
                 "--speeds", "300",
                 "--offsets", "2",
-                "--envs", "viaduct,urban",
+                "--envs", "viaduct,,urban,",
                 "--out", str(out),
             ]
         )
         assert code == 0
         rows = csvio.read_records_csv(out / "sweep_records.csv")
         assert {r.environment for r in rows} == {"viaduct", "urban"}
+
+    def test_unknown_env_exits_2_before_any_run(self, tiny_config_path, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "monte_carlo", lambda cfg, **kwargs: calls.append(cfg))
+        code = main(
+            ["sweep", "--config", str(tiny_config_path), "--envs", "viaduct,foo", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert calls == []
 
     def test_empty_speed_list_exits_2(self, tiny_config_path, tmp_path):
         out = tmp_path / "sweep"

@@ -17,14 +17,14 @@ class TestDefaults:
         assert cfg.layout.track_length_m == pytest.approx(3 * 1732.0)
 
     def test_runs_lower_bound(self):
-        with pytest.raises(ConfigError):
-            RunConfig(runs=0)
+        for runs in (0, 2.5, True):
+            with pytest.raises(ConfigError, match="runs"):
+                RunConfig(runs=runs)
 
     def test_seed_range(self):
-        with pytest.raises(ConfigError):
-            RunConfig(master_seed=-1)
-        with pytest.raises(ConfigError):
-            RunConfig(master_seed=2**64)
+        for seed in (-1, 2**64, 1.5):
+            with pytest.raises(ConfigError, match="seed"):
+                RunConfig(master_seed=seed)
 
     def test_sites_within_path_loss_reference_rejected(self):
         close = default_layout(spans=1, lateral_offset_m=0.5, rrh_height_m=0.5)
