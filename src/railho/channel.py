@@ -12,7 +12,8 @@ terms (reciprocity) and differ only in transmit power.
 
 The deterministic terms (antenna gain, path loss, LOS probability) accept
 scalars or numpy arrays. The random terms are drawn per link along the
-snapshot grid by ``shadowing_series_db`` and ``small_scale_series``;
+snapshot grid by ``shadowing_series_db`` and ``small_scale_series`` (which takes
+the K-factor terms that ``rician_coefficients`` derives);
 ``shadowing_db`` is the one-step scalar form of the shadowing recursion and
 serves as its reference. Shadowing mixes a UE-local component common to all
 sites with a per-link component (``shadow_site_correlation``; the per-link
@@ -234,14 +235,32 @@ def shadowing_series_db(
     return out
 
 
-def small_scale_series(normals: np.ndarray, k_linear: np.ndarray) -> np.ndarray:
-    """Vectorised |h|^2 draws from per-sample Rician K factors (0 = Rayleigh)."""
-    normals = np.asarray(normals, dtype=float)
-    k = np.broadcast_to(np.asarray(k_linear, dtype=float), (normals.shape[0],))
+def rician_coefficients(k_linear):
+    """In-phase mean and per-component scale of unit-mean fading with Rician K factors.
+
+    A draw is |h|^2 = (mean + scale * n_re)^2 + (scale * n_im)^2 for standard
+    normals n_re, n_im. K = 0 is Rayleigh; an infinite K is a pure LOS ray
+    (mean 1, scale 0), so its |h|^2 is exactly 1. Accepts a scalar or array K.
+    """
+    k = np.asarray(k_linear, dtype=float)
     finite = np.isfinite(k)
     kf = np.where(finite, k, 0.0)
-    scale = np.sqrt(1.0 / (2.0 * (kf + 1.0)))
-    re = np.sqrt(kf / (kf + 1.0)) + normals[:, 0] * scale
-    im = normals[:, 1] * scale
-    h2 = re * re + im * im
-    return np.where(finite, h2, 1.0)
+    mean = np.where(finite, np.sqrt(kf / (kf + 1.0)), 1.0)
+    scale = np.where(finite, np.sqrt(1.0 / (2.0 * (kf + 1.0))), 0.0)
+    return mean, scale
+
+
+def small_scale_series(normals: np.ndarray, mean, scale) -> np.ndarray:
+    """Vectorised |h|^2 draws from ``(..., 2)`` standard normals.
+
+    ``mean`` and ``scale`` come from ``rician_coefficients`` and broadcast
+    against ``normals.shape[:-1]``.
+    """
+    normals = np.asarray(normals, dtype=float)
+    re = normals[..., 0] * scale
+    re += mean
+    re *= re
+    im = normals[..., 1] * scale
+    im *= im
+    re += im
+    return re

@@ -3,7 +3,8 @@
 A run configuration file is a JSON document with the optional top-level keys
 ``layout``, ``kinematics``, ``profiles``, ``budget``, ``ici``, ``l1``,
 ``l3``, ``handover``, ``runs`` and ``seed``; anything omitted falls back to
-the built-in deployment defaults. Unknown keys are rejected.
+the built-in deployment defaults. Unknown keys are rejected, and every value
+is checked against the type its field is annotated with.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import functools
 import json
 import math
 import numbers
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Literal, Mapping
 
 from .channel import EnvironmentProfile, LinkBudget, default_profiles
 from .constants import kmh_to_mps, mps_to_kmh
@@ -100,9 +103,53 @@ def _config_errors(prefix: str = ""):
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
+def _type_check(annotation: Any) -> tuple[Callable[[Any], bool], str]:
+    """Check of a JSON value against a field annotation, and what it expects in words.
+
+    ``float`` takes any JSON number but not a boolean; unions and ``Literal``
+    are checked member by member; other annotations take any value.
+    """
+    if annotation is float:
+        return lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"
+    if annotation is int:
+        return _is_integer, "an integer"
+    if annotation is str:
+        return lambda v: isinstance(v, str), "a string"
+    if annotation is type(None):
+        return lambda v: v is None, "null"
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is Literal:
+        return (
+            lambda v: any(type(v) is type(a) and v == a for a in args),
+            "one of " + ", ".join(repr(a) for a in args),
+        )
+    if origin in (typing.Union, types.UnionType):
+        checks = [_type_check(a) for a in args]
+        return (
+            lambda v: any(check(v) for check, _ in checks),
+            " or ".join(text for _, text in checks),
+        )
+    return lambda v: True, "any value"
+
+
+@functools.cache
+def _field_checks(owner: Any) -> dict[str, tuple[Callable[[Any], bool], str]]:
+    """Type checks of the annotated fields (or parameters) of a dataclass (or function)."""
+    return {name: _type_check(kind) for name, kind in typing.get_type_hints(owner).items()}
+
+
+def _check_types(data: Mapping[str, Any], checks: Mapping[str, tuple], context: str) -> None:
+    for key, value in data.items():
+        if key in checks:
+            check, expected = checks[key]
+            if not check(value):
+                raise ConfigError(f"bad {context}: {key} must be {expected}, got {value!r}")
+
+
 def _build(cls, data: Any, context: str, base=None):
     """Build dataclass ``cls`` from a JSON object, or replace the given fields of ``base``."""
     _object(data, (f.name for f in dataclasses.fields(cls)), context)
+    _check_types(data, _field_checks(cls), context)
     with _config_errors(f"bad {context}: "):
         return cls(**data) if base is None else dataclasses.replace(base, **data)
 
@@ -110,6 +157,7 @@ def _build(cls, data: Any, context: str, base=None):
 def _build_kinematics(data: Any) -> TrainKinematics:
     names = [f.name for f in dataclasses.fields(TrainKinematics)]
     data = dict(_object(data, [*names, "speed_kmh"], "kinematics"))
+    _check_types(data, {"speed_kmh": _type_check(float)}, "kinematics")
     if "speed_kmh" in data:
         if "speed_mps" in data:
             raise ConfigError("give kinematics.speed_kmh or speed_mps, not both")
@@ -133,6 +181,7 @@ _LAYOUT_KEYS = {
 
 def _build_layout(data: Any) -> DeploymentLayout:
     _object(data, _LAYOUT_KEYS, "layout")
+    _check_types(data, {**_field_checks(default_layout), "beamwidth_3db_deg": _type_check(float)}, "layout")
     if "segments" in data and "environment" in data:
         raise ConfigError("give layout.segments or layout.environment, not both")
     with _config_errors("bad layout: "):

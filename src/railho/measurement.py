@@ -4,11 +4,14 @@ Layer 1 samples the per-snapshot linear SINR stream every measurement
 period, averages a sliding window in the linear domain, converts to dB and
 adds truncated Gaussian measurement noise. Layer 3 smooths the Layer-1
 series with the standard recursive filter F[n] = (1-a) F[n-1] + a M[n].
+Both filters work along the last axis, so one call filters every cell of a
+run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -53,14 +56,16 @@ def l1_filter(
     raw_linear: np.ndarray,
     cfg: L1Config,
     stride: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
-    """Layer-1 series in dB from a per-snapshot linear SINR stream.
+    """Layer-1 series in dB from per-snapshot linear SINR streams along the last axis.
 
     Takes every ``stride``-th snapshot, averages the last ``window_samples``
     taken values in the linear domain (the window shrinks at the stream
     start), converts to dB, then adds N(0, sigma^2) noise clipped to
-    +/- cutoff * sigma.
+    +/- cutoff * sigma. Each stream draws its noise from its own generator:
+    ``rng`` is one generator for a 1-D stream, or a sequence of them, one per
+    stream in C order, for a stack of streams.
     """
     raw = np.asarray(raw_linear, dtype=float)
     if raw.size == 0:
@@ -69,30 +74,36 @@ def l1_filter(
         raise ValueError("raw stream values must be positive")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    sampled = raw[::stride]
-    n = sampled.size
-    w = cfg.window_samples
-    csum = np.concatenate(([0.0], np.cumsum(sampled)))
-    ends = np.arange(1, n + 1)
-    starts = np.maximum(0, ends - w)
-    means = (csum[ends] - csum[starts]) / (ends - starts)
-    out = 10.0 * np.log10(means)
+    sampled = raw[..., ::stride]
+    n = sampled.shape[-1]
+    w = min(cfg.window_samples, n)
+    csum = np.cumsum(sampled, axis=-1)
+    sums = csum.copy()
+    sums[..., w:] -= csum[..., : n - w]
+    sums /= np.minimum(np.arange(1, n + 1), w)
+    out = 10.0 * np.log10(sums)
     if cfg.noise_sigma_db > 0.0:
         if rng is None:
             raise ValueError("rng required when noise_sigma_db > 0")
+        generators = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+        normals = np.empty(out.shape)
+        rows = normals.reshape(-1, n)
+        if len(generators) != rows.shape[0]:
+            raise ValueError(f"{len(generators)} generators for {rows.shape[0]} streams")
+        for row, generator in zip(rows, generators):
+            generator.standard_normal(out=row)
         bound = cfg.noise_cutoff_sigmas * cfg.noise_sigma_db
-        noise = np.clip(rng.standard_normal(n) * cfg.noise_sigma_db, -bound, bound)
-        out = out + noise
+        out = out + np.clip(normals * cfg.noise_sigma_db, -bound, bound)
     return out
 
 
 def l3_filter(l1_db: np.ndarray, cfg: L3Config) -> np.ndarray:
-    """Layer-3 series F[0] = M[0], F[n] = (1-a) F[n-1] + a M[n], in dB."""
+    """Layer-3 series F[0] = M[0], F[n] = (1-a) F[n-1] + a M[n], in dB, along the last axis."""
     m = np.asarray(l1_db, dtype=float)
     if m.size == 0:
         raise ValueError("l1 series is empty")
     a = cfg.filter_coefficient_a
-    out, _ = lfilter([a], [1.0, -(1.0 - a)], m, zi=np.array([(1.0 - a) * m[0]]))
+    out, _ = lfilter([a], [1.0, -(1.0 - a)], m, axis=-1, zi=(1.0 - a) * m[..., :1])
     return out
 
 
@@ -100,7 +111,11 @@ def measure_cell(
     raw_linear: np.ndarray,
     l1_cfg: L1Config,
     l3_cfg: L3Config,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
-    """Layer-3 series in dB of one cell from its tick-grid linear SINR stream."""
+    """Layer-3 series in dB from tick-grid linear SINR streams along the last axis.
+
+    ``raw_linear`` is one cell's stream or a ``(n_cells, n_ticks)`` stack;
+    ``rng`` is as in ``l1_filter``.
+    """
     return l3_filter(l1_filter(raw_linear, l1_cfg, 1, rng), l3_cfg)

@@ -4,11 +4,30 @@ One run walks the train over the configured snapshot grid, draws the per-cell
 downlink power (path loss + antenna pattern + correlated shadowing + fast
 fading), degrades it with the worst-case ICI power for the configured speed,
 feeds the L1/L3 measurement pipeline on the 40 ms tick grid, and drives the
-handover state machine event by event (``HandoverFsm.run``). The shadowing
-and LOS recursions and the fading draws run over every snapshot; everything
-after them is evaluated on the tick snapshots only. Runs are reproducible:
-every random stream is derived from (master_seed, run_index, cell, purpose),
-so results are independent of execution order and worker count.
+handover state machine event by event (``HandoverFsm.run``).
+
+What runs on snapshots and what on ticks:
+
+* Snapshots: per cell, the shadowing and LOS-latent recursions and the draws
+  of every stream. Only their tick values are kept, in ``(n_cells,
+  n_ticks)`` arrays, so no per-snapshot stack of cells is ever built.
+* Ticks: everything after the recursions runs once per run on those arrays,
+  against tick-grid tables that ``precompute_tables`` builds once per
+  config: the LOS decision, fading power, received power, the ICI-degraded
+  DL SINR (computed once; the L1 input is its linear form and the FSM's DL
+  gate its dB form), the UL SINR, L1/L3 for all cells in one call, and the
+  FSM.
+
+Streams drawn only as far as they are read: the LOS latent of a cell stops
+at the last tick whose LOS threshold is finite in some cell, and is not
+drawn at all when none is (single-environment viaduct and urban tracks, the
+urban tail of the mixed track); a threshold of +inf or -inf settles the
+comparison without it. Every other stream covers the whole snapshot grid, so
+a value does not depend on the tick stride.
+
+Runs are reproducible: every random stream is derived from (master_seed,
+run_index, cell, purpose), so results are independent of execution order
+and worker count.
 """
 
 from __future__ import annotations
@@ -24,7 +43,7 @@ from scipy.special import ndtri
 
 from . import channel, ici
 from .config import RunConfig
-from .geometry import environment_at, link_geometry, sample_stride
+from .geometry import DeploymentLayout, Environment, environment_at, link_geometry, sample_stride
 from .handover import HandoverFsm, HandoverRecord, Outcome, interruption_window
 from .measurement import measure_cell
 
@@ -37,7 +56,11 @@ _COMMON_LINK = 0x636F6D  # pseudo cell id of the UE-local common shadowing strea
 
 @dataclass(frozen=True)
 class _StaticTables:
-    """Run-invariant per-snapshot link tables, precomputed once per config."""
+    """Run-invariant link tables, precomputed once per config.
+
+    The snapshot tables feed the recursions; the tick tables hold what the
+    per-run tail reads, already gathered at ``tick_snapshots``.
+    """
 
     positions: np.ndarray          # (n_snap,)
     base_db_nlos: np.ndarray       # (n_cells, n_snap): gain - path loss - penetration
@@ -50,6 +73,14 @@ class _StaticTables:
     site_ind_sqrt: np.ndarray      # (n_snap,) sqrt of the per-link shadowing share
     los_decorrelation_m: np.ndarray  # (n_snap,)
     tick_snapshots: np.ndarray     # (n_ticks,) snapshot index of each tick
+    tick_stride: int               # snapshots per tick: tick_snapshots is [0, n_snap) by it
+    tick_rx_nlos_dbm: np.ndarray   # (n_cells, n_ticks): tx power + base_db_nlos
+    tick_rx_los_dbm: np.ndarray    # (n_cells, n_ticks): tx power + base_db_los
+    tick_los_threshold: np.ndarray  # (n_cells, n_ticks)
+    tick_site_corr_sqrt: np.ndarray  # (n_ticks,)
+    tick_site_ind_sqrt: np.ndarray   # (n_ticks,)
+    tick_rician: tuple[np.ndarray, np.ndarray]  # (mean, scale), each (n_ticks,), on LOS ticks
+    los_ticks: int                 # ticks up to the last finite LOS threshold of any cell
     p_ici: float
     noise_dbm: float
     initial_serving: int
@@ -97,21 +128,39 @@ def _link_streams(master_seed: int, run_index: int, cell: int, purpose: int) -> 
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def _environment_runs(
+    layout: DeploymentLayout, positions: np.ndarray
+) -> list[tuple[int, int, Environment]]:
+    """Maximal ``(lo, hi, environment)`` snapshot slices of one environment.
+
+    Segments are contiguous, so one ``searchsorted`` of the segment starts
+    gives the first snapshot of each; ``environment_at`` names the
+    environment of each non-empty slice.
+    """
+    starts = np.array([start for start, _, _ in layout.segments[1:]])
+    edges = [0, *np.searchsorted(positions, starts).tolist(), positions.size]
+    slices = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+    envs = environment_at(layout, positions[[lo for lo, _ in slices]])
+    runs: list[tuple[int, int, Environment]] = []
+    for (lo, hi), env in zip(slices, envs):
+        if runs and runs[-1][2] is env:
+            runs[-1] = (runs[-1][0], hi, env)
+        else:
+            runs.append((lo, hi, env))
+    return runs
+
+
 def precompute_tables(cfg: RunConfig) -> _StaticTables:
     kin = cfg.kinematics
     layout = cfg.layout
     n_snap = math.floor((layout.track_length_m - kin.start_position_m) / kin.snapshot_interval_m) + 1
     positions = kin.start_position_m + np.arange(n_snap) * kin.snapshot_interval_m
-
-    env_per_snap = environment_at(layout, positions)
-    envs = dict.fromkeys(env for _, _, env in layout.segments)
-    # A 0-d object array keeps numpy from casting the str-valued enum to text.
-    masks = {env: env_per_snap == np.array(env, dtype=object) for env in envs}
+    runs = _environment_runs(layout, positions)
 
     def per_snapshot(value_of) -> np.ndarray:
         out = np.empty(n_snap)
-        for env, mask in masks.items():
-            out[mask] = value_of(cfg.profiles[env])
+        for lo, hi, env in runs:
+            out[lo:hi] = value_of(cfg.profiles[env])
         return out
 
     sigma = per_snapshot(lambda p: p.shadow_sigma_db)
@@ -128,17 +177,23 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
     for c, site in enumerate(layout.rrhs):
         dist, bearing = link_geometry(site, positions)
         gain = channel.antenna_gain_db(site, bearing)
-        for env, mask in masks.items():
+        for lo, hi, env in runs:
             profile = cfg.profiles[env]
-            d = dist[mask]
-            base_nlos[c, mask] = gain[mask] - channel.path_loss_db(profile, d) - penetration
-            base_los[c, mask] = gain[mask] - channel.path_loss_db(profile, d, los=True) - penetration
+            d = dist[lo:hi]
+            base_nlos[c, lo:hi] = gain[lo:hi] - channel.path_loss_db(profile, d) - penetration
+            base_los[c, lo:hi] = gain[lo:hi] - channel.path_loss_db(profile, d, los=True) - penetration
             with np.errstate(divide="ignore"):
-                los_threshold[c, mask] = ndtri(profile.los_probability(d))
+                los_threshold[c, lo:hi] = ndtri(profile.los_probability(d))
 
-    tick_snapshots = np.arange(0, n_snap, sample_stride(kin, cfg.l1.sample_period_s))
+    stride = sample_stride(kin, cfg.l1.sample_period_s)
+    ticks = slice(None, None, stride)
+    tick_threshold = los_threshold[:, ticks]
+    decisive = np.flatnonzero(np.isfinite(tick_threshold).any(axis=0))
     fd = ici.doppler_spread_hz(kin.speed_mps, cfg.ici.carrier_frequency_hz)
     p_ici = ici.ici_power_upper(fd, cfg.ici)
+    tx = cfg.budget.rrh_tx_power_dbm
+    site_corr_sqrt = np.sqrt(site_corr)
+    site_ind_sqrt = np.sqrt(1.0 - site_corr)
 
     start = float(positions[0])
     initial_serving = min(
@@ -153,60 +208,76 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
         k_los_linear=k_los,
         sigma_db=sigma,
         decorrelation_m=decorr,
-        site_corr_sqrt=np.sqrt(site_corr),
-        site_ind_sqrt=np.sqrt(1.0 - site_corr),
+        site_corr_sqrt=site_corr_sqrt,
+        site_ind_sqrt=site_ind_sqrt,
         los_decorrelation_m=los_decorr,
-        tick_snapshots=tick_snapshots,
+        tick_snapshots=np.arange(0, n_snap, stride),
+        tick_stride=stride,
+        tick_rx_nlos_dbm=tx + base_nlos[:, ticks],
+        tick_rx_los_dbm=tx + base_los[:, ticks],
+        tick_los_threshold=tick_threshold,
+        tick_site_corr_sqrt=site_corr_sqrt[ticks],
+        tick_site_ind_sqrt=site_ind_sqrt[ticks],
+        tick_rician=channel.rician_coefficients(k_los[ticks]),
+        los_ticks=int(decisive[-1]) + 1 if decisive.size else 0,
         p_ici=p_ici,
         noise_dbm=cfg.budget.noise_dbm(),
         initial_serving=initial_serving,
     )
 
 
-def _common_shadow_series(cfg: RunConfig, tables: _StaticTables, run_index: int) -> np.ndarray:
-    """UE-local shadowing component shared by every link of one run."""
-    eps = _link_streams(cfg.master_seed, run_index, _COMMON_LINK, _STREAM_SHADOW).standard_normal(
-        tables.positions.size
-    )
-    return channel.shadowing_series_db(
-        eps, cfg.kinematics.snapshot_interval_m, tables.sigma_db, tables.decorrelation_m
-    )
+_RAYLEIGH = channel.rician_coefficients(0.0)
 
 
-def _downlink_pr_series(
-    cfg: RunConfig,
-    tables: _StaticTables,
-    run_index: int,
-    cell: int,
-    common_shadow: np.ndarray,
-) -> np.ndarray:
-    """Noise-normalised downlink power of one link at the tick snapshots.
+def _downlink_pr_ticks(cfg: RunConfig, tables: _StaticTables, run_index: int) -> np.ndarray:
+    """Noise-normalised downlink power of every link at the tick snapshots, ``(n_cells, n_ticks)``.
 
-    The recursions and random streams cover every snapshot, so a value does
-    not depend on the tick stride; the elementwise tail runs on ticks only.
+    Per cell, the streams are drawn and the recursions run over the snapshot
+    grid; only their tick values are kept. The rest runs once on the stack.
     """
+    seed = cfg.master_seed
     n_snap = tables.positions.size
     step = cfg.kinematics.snapshot_interval_m
-    idx = tables.tick_snapshots
+    ticks = slice(None, None, tables.tick_stride)
+    n_cells, n_ticks = tables.tick_rx_nlos_dbm.shape
+    m = tables.los_ticks
+    n_latent = int(tables.tick_snapshots[m - 1]) + 1 if m else 0
 
-    eps = _link_streams(cfg.master_seed, run_index, cell, _STREAM_SHADOW).standard_normal(n_snap)
-    own = channel.shadowing_series_db(eps, step, tables.sigma_db, tables.decorrelation_m)
-    shadow = tables.site_corr_sqrt[idx] * common_shadow[idx] + tables.site_ind_sqrt[idx] * own[idx]
+    own = np.empty((n_cells, n_ticks))
+    latent = np.empty((n_cells, n_ticks))
+    latent[:, m:] = 0.0  # only an infinite threshold is read there
+    normals = np.empty((n_cells, n_ticks, 2))
+    for cell in range(n_cells):
+        eps = _link_streams(seed, run_index, cell, _STREAM_SHADOW).standard_normal(n_snap)
+        series = channel.shadowing_series_db(eps, step, tables.sigma_db, tables.decorrelation_m)
+        own[cell] = series[ticks]
+        if n_latent:
+            # LOS persistence: threshold a unit-variance correlated latent so the
+            # marginal LOS probability stays exactly distance-dependent.
+            eps = _link_streams(seed, run_index, cell, _STREAM_LOS).standard_normal(n_latent)
+            latent[cell, :m] = channel.shadowing_series_db(
+                eps, step, 1.0, tables.los_decorrelation_m[:n_latent]
+            )[ticks]
+        fading = _link_streams(seed, run_index, cell, _STREAM_FADING)
+        normals[cell] = fading.standard_normal((n_snap, 2))[ticks]
+    eps = _link_streams(seed, run_index, _COMMON_LINK, _STREAM_SHADOW).standard_normal(n_snap)
+    common = channel.shadowing_series_db(eps, step, tables.sigma_db, tables.decorrelation_m)[ticks]
 
-    # LOS persistence: threshold a unit-variance correlated latent so the
-    # marginal LOS probability stays exactly distance-dependent.
-    latent_eps = _link_streams(cfg.master_seed, run_index, cell, _STREAM_LOS).standard_normal(n_snap)
-    latent = channel.shadowing_series_db(latent_eps, step, 1.0, tables.los_decorrelation_m)
-    los = latent[idx] < tables.los_threshold[cell, idx]
-
-    normals = _link_streams(cfg.master_seed, run_index, cell, _STREAM_FADING).standard_normal(
-        (n_snap, 2)
+    los = latent < tables.tick_los_threshold
+    mean, scale = tables.tick_rician
+    h2 = channel.small_scale_series(
+        normals, np.where(los, mean, _RAYLEIGH[0]), np.where(los, scale, _RAYLEIGH[1])
     )
-    k = np.where(los, tables.k_los_linear[idx], 0.0)
-    h2 = channel.small_scale_series(normals[idx], k)
-
-    base = np.where(los, tables.base_db_los[cell, idx], tables.base_db_nlos[cell, idx])
-    rx_dbm = cfg.budget.rrh_tx_power_dbm + base + shadow + 10.0 * np.log10(h2)
+    # rx = (tx + base) + shadow + 10 log10(h2), in place; the shadow mixes
+    # the per-link and common terms
+    shadow = own
+    shadow *= tables.tick_site_ind_sqrt
+    shadow += tables.tick_site_corr_sqrt * common
+    rx_dbm = np.where(los, tables.tick_rx_los_dbm, tables.tick_rx_nlos_dbm)
+    rx_dbm += shadow
+    fading_db = np.log10(h2)
+    fading_db *= 10.0
+    rx_dbm += fading_db
     return ici.snr_linear_from_dbm(rx_dbm, tables.noise_dbm)
 
 
@@ -225,18 +296,13 @@ def simulate_run(
     p = tables.p_ici
     ul_shift = 10.0 ** ((cfg.budget.ue_tx_power_dbm - cfg.budget.rrh_tx_power_dbm) / 10.0)
 
-    common_shadow = _common_shadow_series(cfg, tables, run_index)
-    pr_dl = np.empty((n_cells, n_ticks))
-    for cell in range(n_cells):
-        pr_dl[cell] = _downlink_pr_series(cfg, tables, run_index, cell, common_shadow)
-
+    pr_dl = _downlink_pr_ticks(cfg, tables, run_index)
     eff_lin_dl = pr_dl / (pr_dl * p + 1.0)
-    l3 = np.empty((n_cells, n_ticks))
-    for cell in range(n_cells):
-        meas_rng = _link_streams(cfg.master_seed, run_index, cell, _STREAM_MEASUREMENT)
-        l3[cell] = measure_cell(eff_lin_dl[cell], cfg.l1, cfg.l3, meas_rng)
-
-    dl_snr = ici.rss_with_ici(pr_dl, p)
+    meas_rngs = [
+        _link_streams(cfg.master_seed, run_index, cell, _STREAM_MEASUREMENT) for cell in range(n_cells)
+    ]
+    l3 = measure_cell(eff_lin_dl, cfg.l1, cfg.l3, meas_rngs)
+    dl_snr = 10.0 * np.log10(eff_lin_dl)  # ici.rss_with_ici(pr_dl, p), from the L1 input
     ul_snr = ici.rss_with_ici(pr_dl * ul_shift, p)
 
     fsm = HandoverFsm(

@@ -16,7 +16,7 @@ import pytest
 
 from railho.cli import main
 from railho.config import RunConfig, apply_overrides
-from railho.channel import FadingState, shadowing_db, small_scale_series, default_profiles
+from railho.channel import FadingState, rician_coefficients, shadowing_db, small_scale_series, default_profiles
 from railho.geometry import Environment
 from railho.handover import (
     HandoverConfig,
@@ -293,7 +293,7 @@ def test_criterion_10_channel_statistics():
         u = rng.random(n)
         los = u < profile.los_probability(distance)
         k = np.where(los, profile.rician_k_linear(), 0.0)
-        h2 = small_scale_series(rng.standard_normal((n, 2)), k)
+        h2 = small_scale_series(rng.standard_normal((n, 2)), *rician_coefficients(k))
         mean = float(np.mean(h2))
         fading_ok &= abs(mean - 1.0) < 0.01
         details.append(f"{env.value} E|h|^2 {mean:.4f}")

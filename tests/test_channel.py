@@ -13,6 +13,7 @@ from railho.channel import (
     antenna_gain_db,
     default_profiles,
     path_loss_db,
+    rician_coefficients,
     shadowing_db,
     shadowing_series_db,
     small_scale_series,
@@ -21,12 +22,7 @@ from railho.config import RunConfig
 from railho.geometry import Environment, RrhSite, default_layout, environment_at, link_geometry
 from railho.handover import HandoverFsm
 from railho.ici import IciParams
-from railho.simulate import (
-    _common_shadow_series,
-    _downlink_pr_series,
-    precompute_tables,
-    simulate_run,
-)
+from railho.simulate import _downlink_pr_ticks, precompute_tables, simulate_run
 
 
 def profile(**overrides) -> EnvironmentProfile:
@@ -158,19 +154,20 @@ class TestShadowing:
 class TestSmallScaleFading:
     def test_pure_los_limit(self):
         k = profile(rician_k_db=math.inf).rician_k_linear()
-        h2 = small_scale_series(rng(7).standard_normal((1000, 2)), k)
+        h2 = small_scale_series(rng(7).standard_normal((1000, 2)), *rician_coefficients(k))
         assert np.all(h2 == 1.0)
 
     def test_rayleigh_unit_mean(self):
         k = profile(rician_k_db=None, los_mode="never").rician_k_linear()
-        draws = small_scale_series(rng(8).standard_normal((50_000, 2)), k)
+        draws = small_scale_series(rng(8).standard_normal((50_000, 2)), *rician_coefficients(k))
         assert np.mean(draws) == pytest.approx(1.0, abs=0.02)
 
     def test_rician_power_variance(self):
         k_db = 10.0
         k = 10.0 ** (k_db / 10.0)
         draws = small_scale_series(
-            rng(9).standard_normal((100_000, 2)), profile(rician_k_db=k_db).rician_k_linear()
+            rng(9).standard_normal((100_000, 2)),
+            *rician_coefficients(profile(rician_k_db=k_db).rician_k_linear()),
         )
         expected_var = (1.0 + 2.0 * k) / (1.0 + k) ** 2
         assert np.mean(draws) == pytest.approx(1.0, abs=0.01)
@@ -180,7 +177,7 @@ class TestSmallScaleFading:
         g = rng(10)
         for k_lin in (0.0, 10.0, math.inf):
             normals = g.standard_normal((200_000, 2))
-            h2 = small_scale_series(normals, np.full(200_000, k_lin))
+            h2 = small_scale_series(normals, *rician_coefficients(np.full(200_000, k_lin)))
             assert np.mean(h2) == pytest.approx(1.0, abs=0.01)
 
 
@@ -240,7 +237,7 @@ class TestMeanRxPower:
             budget=LinkBudget(penetration_loss_db=0.0),
         )
         tables = precompute_tables(cfg)
-        pr = _downlink_pr_series(cfg, tables, 0, 0, _common_shadow_series(cfg, tables, 0))
+        pr = _downlink_pr_ticks(cfg, tables, 0)[0]
         rx_dbm = tables.noise_dbm + 10.0 * np.log10(pr)
         np.testing.assert_allclose(rx_dbm, 30.0, rtol=0.0, atol=1e-9)
 

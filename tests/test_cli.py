@@ -63,6 +63,10 @@ class TestSimulateCommand:
             '{"profiles": {"urban": 5}}',
             '{"layout": {"beamwidth_3db_deg": "wide"}}',
             '{"layout": {"segments": [{"start": 0}]}}',
+            '{"budget": {"rrh_tx_power_dbm": "x"}}',
+            '{"handover": {"snr_gate_db": "x"}}',
+            '{"profiles": {"urban": {"rician_k_db": "x"}}}',
+            '{"layout": {"environment": "urban", "max_gain_db": "x"}}',
         ):
             bad.write_text(text)
             assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2, text

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -78,6 +79,31 @@ class TestJsonLoading:
         for section, key, value in (("l1", "window_msec", 200), ("budget", "noise_power_dbm", -90)):
             with pytest.raises(ConfigError, match=f"unknown {section} keys"):
                 config_from_dict({section: {key: value}})
+
+    def test_values_checked_against_field_types(self):
+        for doc, message in (
+            ({"handover": {"hysteresis_db": True}}, "hysteresis_db must be a number"),
+            ({"l1": {"window_s": "0.2"}}, "window_s must be a number"),
+            ({"profiles": {"cutting": {"los_mode": "sometimes"}}}, "los_mode must be one of"),
+            ({"profiles": {"urban": {"rician_k_db": [1]}}}, "rician_k_db must be a number or null"),
+            ({"layout": {"spans": 2.5}}, "spans must be an integer"),
+            ({"kinematics": {"speed_kmh": False}}, "speed_kmh must be a number"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                config_from_dict(doc)
+
+    def test_typed_values_keep_their_meaning(self):
+        cfg = config_from_dict(
+            {
+                "handover": {"hysteresis_db": 3},
+                "profiles": {"viaduct": {"rician_k_db": None}, "cutting": {"rician_k_db": math.inf}},
+                "layout": {"spans": 2, "max_gain_db": 12},
+            }
+        )
+        assert cfg.handover.hysteresis_db == 3.0
+        assert cfg.profiles[Environment.VIADUCT].rician_k_db is None
+        assert cfg.profiles[Environment.CUTTING].rician_k_linear() == math.inf
+        assert len(cfg.layout.rrhs) == 3 and cfg.layout.rrhs[0].max_gain_db == 12.0
 
     def test_speed_given_twice(self):
         with pytest.raises(ConfigError):

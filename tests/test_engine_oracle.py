@@ -1,0 +1,205 @@
+"""Differential oracle of the tick-grid run engine.
+
+``_reference_run`` is the per-link engine the tick-grid pass replaced, kept
+literally: per cell, every stream is drawn and every table is read at the
+tick snapshots by fancy indexing, the fading power comes from the Rician K
+factor directly, L1/L3 run one cell at a time, and both SINRs come from
+``rss_with_ici``. ``simulate_run`` must reproduce its records and every
+``RunTrace`` array bit for bit.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from railho import channel, ici
+from railho.config import RunConfig, apply_overrides, config_from_dict
+from railho.geometry import Environment
+from railho.handover import HandoverFsm, HandoverRecord, Outcome, interruption_window
+from railho.measurement import measure_cell
+from railho.simulate import (
+    _COMMON_LINK,
+    _STREAM_FADING,
+    _STREAM_LOS,
+    _STREAM_MEASUREMENT,
+    _STREAM_SHADOW,
+    RunTrace,
+    _link_streams,
+    precompute_tables,
+    simulate_run,
+)
+
+
+def _small_scale_series_k(normals, k_linear):
+    k = np.broadcast_to(np.asarray(k_linear, dtype=float), (normals.shape[0],))
+    finite = np.isfinite(k)
+    kf = np.where(finite, k, 0.0)
+    scale = np.sqrt(1.0 / (2.0 * (kf + 1.0)))
+    re = np.sqrt(kf / (kf + 1.0)) + normals[:, 0] * scale
+    im = normals[:, 1] * scale
+    h2 = re * re + im * im
+    return np.where(finite, h2, 1.0)
+
+
+def _common_shadow_series(cfg, tables, run_index):
+    eps = _link_streams(cfg.master_seed, run_index, _COMMON_LINK, _STREAM_SHADOW).standard_normal(
+        tables.positions.size
+    )
+    return channel.shadowing_series_db(
+        eps, cfg.kinematics.snapshot_interval_m, tables.sigma_db, tables.decorrelation_m
+    )
+
+
+def _downlink_pr_series(cfg, tables, run_index, cell, common_shadow):
+    n_snap = tables.positions.size
+    step = cfg.kinematics.snapshot_interval_m
+    idx = tables.tick_snapshots
+
+    eps = _link_streams(cfg.master_seed, run_index, cell, _STREAM_SHADOW).standard_normal(n_snap)
+    own = channel.shadowing_series_db(eps, step, tables.sigma_db, tables.decorrelation_m)
+    shadow = tables.site_corr_sqrt[idx] * common_shadow[idx] + tables.site_ind_sqrt[idx] * own[idx]
+
+    latent_eps = _link_streams(cfg.master_seed, run_index, cell, _STREAM_LOS).standard_normal(n_snap)
+    latent = channel.shadowing_series_db(latent_eps, step, 1.0, tables.los_decorrelation_m)
+    los = latent[idx] < tables.los_threshold[cell, idx]
+
+    normals = _link_streams(cfg.master_seed, run_index, cell, _STREAM_FADING).standard_normal(
+        (n_snap, 2)
+    )
+    k = np.where(los, tables.k_los_linear[idx], 0.0)
+    h2 = _small_scale_series_k(normals[idx], k)
+
+    base = np.where(los, tables.base_db_los[cell, idx], tables.base_db_nlos[cell, idx])
+    rx_dbm = cfg.budget.rrh_tx_power_dbm + base + shadow + 10.0 * np.log10(h2)
+    return ici.snr_linear_from_dbm(rx_dbm, tables.noise_dbm)
+
+
+def _reference_run(cfg, run_index, tables):
+    n_cells = len(cfg.layout.rrhs)
+    n_ticks = tables.tick_snapshots.size
+    p = tables.p_ici
+    ul_shift = 10.0 ** ((cfg.budget.ue_tx_power_dbm - cfg.budget.rrh_tx_power_dbm) / 10.0)
+
+    common_shadow = _common_shadow_series(cfg, tables, run_index)
+    pr_dl = np.empty((n_cells, n_ticks))
+    for cell in range(n_cells):
+        pr_dl[cell] = _downlink_pr_series(cfg, tables, run_index, cell, common_shadow)
+
+    eff_lin_dl = pr_dl / (pr_dl * p + 1.0)
+    l3 = np.empty((n_cells, n_ticks))
+    for cell in range(n_cells):
+        meas_rng = _link_streams(cfg.master_seed, run_index, cell, _STREAM_MEASUREMENT)
+        l3[cell] = measure_cell(eff_lin_dl[cell], cfg.l1, cfg.l3, meas_rng)
+
+    dl_snr = ici.rss_with_ici(pr_dl, p)
+    ul_snr = ici.rss_with_ici(pr_dl * ul_shift, p)
+
+    fsm = HandoverFsm(
+        cfg.handover, cfg.l1.sample_period_s, n_cells,
+        serving_cell=tables.initial_serving, run_id=run_index,
+    )
+    records, serving_trace = fsm.run(l3, ul_snr, dl_snr)
+    for rec in records:
+        if rec.command_tick is not None:
+            rec.start_position_m = float(tables.positions[tables.tick_snapshots[rec.command_tick]])
+    if not records:
+        records.append(
+            HandoverRecord(
+                run_id=run_index,
+                serving_cell=fsm.serving_cell if fsm.serving_cell is not None else tables.initial_serving,
+                target_cell=None,
+                outcome=Outcome.NOT_TRIGGERED,
+            )
+        )
+
+    interrupted = np.zeros(n_ticks, dtype=bool)
+    for rec in records:
+        if rec.outcome in (Outcome.SUCCESS, Outcome.FAIL_RACH):
+            lo, hi = interruption_window(rec)
+            interrupted[lo : min(hi, n_ticks)] = True
+    interrupted |= serving_trace < 0
+    eff_db_serving = np.where(
+        serving_trace >= 0, dl_snr[np.maximum(serving_trace, 0), np.arange(n_ticks)], -np.inf
+    )
+    throughput = np.where(
+        interrupted, 0.0, ici.throughput_bps(eff_db_serving, cfg.budget.bandwidth_hz)
+    )
+    trace = RunTrace(
+        run_id=run_index,
+        tick_snapshots=tables.tick_snapshots.copy(),
+        positions_m=tables.positions[tables.tick_snapshots],
+        p_ici=p,
+        snr_db=(10.0 * np.log10(pr_dl)).T,
+        effective_snr_db=dl_snr.T.copy(),
+        serving_cell=serving_trace,
+        interrupted=interrupted,
+        throughput_bps=throughput,
+    )
+    return records, trace
+
+
+_BASE = RunConfig(runs=2, master_seed=20170328)
+_SPAN = 1732.0
+
+
+def _segments(*envs):
+    return config_from_dict(
+        {
+            "layout": {"segments": [[i * _SPAN, (i + 1) * _SPAN, env] for i, env in enumerate(envs)]},
+            "runs": 2,
+            "seed": 20170328,
+        }
+    )
+
+
+def _with(cfg, **sections):
+    return dataclasses.replace(
+        cfg,
+        **{
+            name: dataclasses.replace(getattr(cfg, name), **fields)
+            for name, fields in sections.items()
+        },
+    )
+
+
+def _k_infinite_viaduct():
+    cfg = apply_overrides(_BASE, environment="viaduct")
+    profiles = dict(cfg.profiles)
+    profiles[Environment.VIADUCT] = dataclasses.replace(
+        profiles[Environment.VIADUCT], rician_k_db=math.inf
+    )
+    return dataclasses.replace(cfg, profiles=profiles)
+
+
+# (id, config, LOS extent: ticks whose latent is drawn, as "none", "part" or "all")
+CASES = [
+    *[(f"mixed_{v}kmh", apply_overrides(_BASE, speed_kmh=v), "part") for v in (50, 100, 300, 500)],
+    *[(env, apply_overrides(_BASE, environment=env), extent)
+      for env, extent in (("viaduct", "none"), ("cutting", "all"), ("urban", "none"))],
+    ("grid_0.25m_300kmh",
+     _with(apply_overrides(_BASE, speed_kmh=300), kinematics={"snapshot_interval_m": 0.25}), "part"),
+    ("start_123.4m", _with(_BASE, kinematics={"start_position_m": 123.4}), "part"),
+    ("viaduct_k_inf", _k_infinite_viaduct(), "none"),
+    ("l1_noiseless", _with(_BASE, l1={"noise_sigma_db": 0.0}), "part"),
+    ("ici_off", _with(_BASE, ici={"alpha1": 0.0}), "part"),
+    ("cutting_first", _segments("cutting", "viaduct", "urban"), "part"),
+    ("cutting_middle", _segments("urban", "cutting", "viaduct"), "part"),
+    ("cutting_last", _segments("viaduct", "urban", "cutting"), "all"),
+]
+
+
+@pytest.mark.parametrize("cfg, extent", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_simulate_run_matches_per_link_reference(cfg, extent):
+    tables = precompute_tables(cfg)
+    m, n_ticks = tables.los_ticks, tables.tick_snapshots.size
+    assert {"none": m == 0, "part": 0 < m < n_ticks, "all": m == n_ticks}[extent]
+    for run in (0, 3):
+        records, trace = _reference_run(cfg, run, tables)
+        result = simulate_run(cfg, run, tables=tables, want_trace=True)
+        assert list(result.records) == records
+        for field in dataclasses.fields(RunTrace):
+            got, want = getattr(result.trace, field.name), getattr(trace, field.name)
+            assert np.array_equal(got, want), field.name
+            assert np.asarray(got).dtype == np.asarray(want).dtype, field.name

@@ -13,8 +13,7 @@ from railho.geometry import TrainKinematics, default_layout
 from railho.handover import Outcome
 from railho.ici import IciParams
 from railho.simulate import (
-    _downlink_pr_series,
-    _common_shadow_series,
+    _downlink_pr_ticks,
     _link_streams,
     _COMMON_LINK,
     _STREAM_FADING,
@@ -60,8 +59,7 @@ class TestChannelSeriesOracle:
         n = tables.positions.size
         step = cfg.kinematics.snapshot_interval_m
 
-        common = _common_shadow_series(cfg, tables, run)
-        fast = _downlink_pr_series(cfg, tables, run, cell, common)
+        fast = _downlink_pr_ticks(cfg, tables, run)[cell]
 
         # literal scalar recomputation from the same streams
         eps_c = _link_streams(cfg.master_seed, run, _COMMON_LINK, _STREAM_SHADOW).standard_normal(n)

@@ -159,3 +159,12 @@ class TestPipeline:
         l1 = l1_filter(raw, L1Config(), 3, np.random.default_rng(2))
         assert len(l3) == len(l1) == 34
         np.testing.assert_array_equal(l3, l3_filter(l1, L3Config()))
+
+    def test_stack_of_cells_matches_one_cell_at_a_time(self):
+        raw = np.abs(np.random.default_rng(3).normal(10.0, 3.0, size=(3, 120))) + 0.1
+        stacked = measure_cell(raw, L1Config(), L3Config(), [np.random.default_rng(s) for s in range(3)])
+        for cell in range(3):
+            one = measure_cell(raw[cell], L1Config(), L3Config(), np.random.default_rng(cell))
+            np.testing.assert_array_equal(stacked[cell], one)
+        with pytest.raises(ValueError, match="2 generators for 3 streams"):
+            measure_cell(raw, L1Config(), L3Config(), [np.random.default_rng(s) for s in range(2)])
