@@ -22,8 +22,9 @@ Streams drawn only as far as they are read: the LOS latent of a cell stops
 at the last tick whose LOS threshold is finite in some cell, and is not
 drawn at all when none is (single-environment viaduct and urban tracks, the
 urban tail of the mixed track); a threshold of +inf or -inf settles the
-comparison without it. Every other stream covers the whole snapshot grid, so
-a value does not depend on the tick stride.
+comparison without it. The shadowing and fading streams cover the whole
+snapshot grid, so a value does not depend on the tick stride; the
+measurement noise is drawn once per tick.
 
 Runs are reproducible: every random stream is derived from (master_seed,
 run_index, cell, purpose), so results are independent of execution order
@@ -58,7 +59,8 @@ _COMMON_LINK = 0x636F6D  # pseudo cell id of the UE-local common shadowing strea
 class _StaticTables:
     """Run-invariant link tables, precomputed once per config.
 
-    The snapshot tables feed the recursions; the tick tables hold what the
+    The snapshot tables describe every snapshot, and the recursions read
+    their sigma and decorrelation lengths; the tick tables hold what the
     per-run tail reads, already gathered at ``tick_snapshots``.
     """
 
