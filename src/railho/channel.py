@@ -12,8 +12,9 @@ terms (reciprocity) and differ only in transmit power.
 
 The deterministic terms (antenna gain, path loss, LOS probability) accept
 scalars or numpy arrays. The random terms are drawn per link along the
-snapshot grid by ``shadowing_series_db`` and ``small_scale_series`` (which takes
-the K-factor terms that ``rician_coefficients`` derives);
+snapshot grid by ``shadowing_series_db`` (over the segments that
+``shadowing_segments`` splits once per config) and ``small_scale_series``
+(which takes the K-factor terms that ``rician_coefficients`` derives);
 ``shadowing_db`` is the one-step scalar form of the shadowing recursion and
 serves as its reference. Shadowing mixes a UE-local component common to all
 sites with a per-link component (``shadow_site_correlation``; the per-link
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -199,39 +200,55 @@ def shadowing_db(state: FadingState, profile: EnvironmentProfile, position_m: fl
     return value
 
 
-def shadowing_series_db(
-    eps: np.ndarray,
-    step_m: float,
-    sigma_db: np.ndarray,
-    decorrelation_m: np.ndarray,
-) -> np.ndarray:
+#: One recursion segment: (start, stop, rho, sqrt(1 - rho^2) * sigma).
+RecursionSegment = tuple[int, int, float, float]
+
+
+def shadowing_segments(
+    step_m: float, runs: Iterable[tuple[int, int, float, float]], n: int
+) -> tuple[RecursionSegment, ...]:
+    """Split the first ``n`` points of an equally spaced grid into recursion segments.
+
+    ``runs`` are consecutive ``(lo, hi, sigma_db, decorrelation_m)`` slices
+    that tile the grid from 0. Sample 0 is a fresh N(0, sigma^2) draw, the
+    segment ``(0, 1, 0.0, sigma)``. From sample 1 on, adjacent runs with
+    equal parameters merge into one segment with the Gauss-Markov weight
+    rho = exp(-step / decorrelation) of its parameters.
+    """
+    segments: list[RecursionSegment] = []
+    last = None
+    for lo, hi, sigma, decorr in runs:
+        if lo == 0 < n:
+            segments.append((0, 1, 0.0, sigma))
+        lo, hi = max(lo, 1), min(hi, n)
+        if lo >= hi:
+            continue
+        if (sigma, decorr) == last:
+            segments[-1] = (segments[-1][0], hi, *segments[-1][2:])
+        else:
+            rho = math.exp(-step_m / decorr)
+            segments.append((lo, hi, rho, math.sqrt(1.0 - rho * rho) * sigma))
+            last = (sigma, decorr)
+    return tuple(segments)
+
+
+def shadowing_series_db(eps: np.ndarray, segments: Sequence[RecursionSegment]) -> np.ndarray:
     """Vectorised Gauss-Markov shadowing along an equally spaced position grid.
 
-    ``sigma_db`` and ``decorrelation_m`` are per-position arrays; runs of
-    constant parameters are filtered in one pass each, carrying the state
-    across run boundaries. Matches a literal unrolling of ``shadowing_db``.
+    ``segments`` come from ``shadowing_segments`` and tile ``eps``; each is
+    filtered in one pass, carrying the state across segment boundaries.
+    Matches a literal unrolling of ``shadowing_db``.
     """
-    eps = np.asarray(eps, dtype=float)
-    n = eps.size
-    if n == 0:
-        return np.empty(0)
-    sigma = np.broadcast_to(np.asarray(sigma_db, dtype=float), (n,))
-    decorr = np.broadcast_to(np.asarray(decorrelation_m, dtype=float), (n,))
-    out = np.empty(n)
-    prev = float(sigma[0] * eps[0])
-    out[0] = prev
-    if n == 1:
-        return out
-    changes = 1 + np.flatnonzero(
-        (sigma[2:] != sigma[1:-1]) | (decorr[2:] != decorr[1:-1])
-    )
-    bounds = np.concatenate(([1], changes + 1, [n]))
-    for i, j in zip(bounds[:-1], bounds[1:]):
-        rho = math.exp(-step_m / decorr[i])
-        drive = math.sqrt(1.0 - rho * rho) * sigma[i] * eps[i:j]
-        seg, _ = lfilter([1.0], [1.0, -rho], drive, zi=np.array([rho * prev]))
-        out[i:j] = seg
-        prev = float(seg[-1])
+    out = np.empty(len(eps))
+    prev = 0.0
+    for i, j, rho, scale in segments:
+        if j - i == 1:
+            prev = rho * prev + scale * float(eps[i])
+            out[i] = prev
+        else:
+            seg, _ = lfilter([1.0], [1.0, -rho], scale * eps[i:j], zi=[rho * prev])
+            out[i:j] = seg
+            prev = float(seg[-1])
     return out
 
 

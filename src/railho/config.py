@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import numbers
@@ -45,6 +46,10 @@ class ConfigError(ValueError):
 
 def _is_integer(value: Any) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,7 @@ def _type_check(annotation: Any) -> tuple[Callable[[Any], bool], str]:
     are checked member by member; other annotations take any value.
     """
     if annotation is float:
-        return lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"
+        return _is_number, "a number"
     if annotation is int:
         return _is_integer, "an integer"
     if annotation is str:
@@ -166,17 +171,15 @@ def _build_kinematics(data: Any) -> TrainKinematics:
     return _build(TrainKinematics, data, "kinematics")
 
 
-_LAYOUT_KEYS = {
-    "environment",
-    "spans",
-    "rrh_spacing_m",
-    "lateral_offset_m",
-    "rrh_height_m",
-    "max_gain_db",
-    "beamwidth_3db_deg",
-    "pattern_floor_db",
-    "segments",
-}
+# default_layout's parameters, with the beamwidth in degrees, and explicit segments
+_LAYOUT_KEYS = (
+    {*inspect.signature(default_layout).parameters, "beamwidth_3db_deg", "segments"} - {"beamwidth_3db_rad"}
+)
+
+
+def _is_segment(entry: Any) -> bool:
+    """Whether a JSON value has the form ``[number, number, environment]``."""
+    return isinstance(entry, list) and len(entry) == 3 and _is_number(entry[0]) and _is_number(entry[1])
 
 
 def _build_layout(data: Any) -> DeploymentLayout:
@@ -194,6 +197,11 @@ def _build_layout(data: Any) -> DeploymentLayout:
                 environment=data.get("environment", "mixed"),
                 spans=data.get("spans", 3),
                 **kwargs,
+            )
+        if not isinstance(data["segments"], list) or not all(map(_is_segment, data["segments"])):
+            raise ConfigError(
+                "segments must be a list of [start, end, environment] entries with numeric bounds, "
+                f"got {data['segments']!r}"
             )
         if not data["segments"]:
             raise ConfigError("segments must not be empty")

@@ -15,6 +15,9 @@ from enum import Enum
 import numpy as np
 
 DEFAULT_RRH_SPACING_M = 1732.0
+# The paper's abstract fixes neither the RRH's distance from the track nor its
+# height; 100 m and 30 m are this repository's choice. With them the train
+# passes its own RRH off the beam axis, at the pattern floor.
 DEFAULT_LATERAL_OFFSET_M = 100.0
 DEFAULT_RRH_HEIGHT_M = 30.0
 DEFAULT_SNAPSHOT_INTERVAL_M = 1.0
@@ -140,7 +143,9 @@ def default_layout(
     """Build a linear deployment with one RRH at each span boundary.
 
     ``environment`` is either a single environment name applied to every span
-    or "mixed", which cycles viaduct/cutting/urban along the track.
+    or "mixed", which cycles viaduct/cutting/urban along the track. The
+    default 100 m lateral offset and 30 m height are this repository's
+    choice, not the paper's.
     """
     if spans < 1:
         raise ValueError("spans must be >= 1")

@@ -8,15 +8,18 @@ handover state machine event by event (``HandoverFsm.run``).
 
 What runs on snapshots and what on ticks:
 
-* Snapshots: per cell, the shadowing and LOS-latent recursions and the draws
-  of every stream. Only their tick values are kept, in ``(n_cells,
-  n_ticks)`` arrays, so no per-snapshot stack of cells is ever built.
-* Ticks: everything after the recursions runs once per run on those arrays,
-  against tick-grid tables that ``precompute_tables`` builds once per
-  config: the LOS decision, fading power, received power, the ICI-degraded
-  DL SINR (computed once; the L1 input is its linear form and the FSM's DL
-  gate its dB form), the UL SINR, L1/L3 for all cells in one call, and the
-  FSM.
+* Snapshots: per cell, the draws of every stream and the shadowing and
+  LOS-latent recursions, nothing else. The recursions read segment tables
+  that ``precompute_tables`` splits once per config. Only their tick values
+  are kept, in ``(n_cells, n_ticks)`` arrays, so no per-snapshot stack of
+  cells is ever built.
+* Ticks: every link table is evaluated only at the tick positions, once per
+  config: geometry, antenna gain, both path losses, the LOS thresholds,
+  the shadowing shares and the Rician terms. Everything after the
+  recursions runs once per run on the tick arrays: the LOS decision, fading
+  power, received power, the ICI-degraded DL SINR (computed once; the L1
+  input is its linear form and the FSM's DL gate its dB form), the UL SINR,
+  L1/L3 for all cells in one call, and the FSM.
 
 Streams drawn only as far as they are read: the LOS latent of a cell stops
 at the last tick whose LOS threshold is finite in some cell, and is not
@@ -59,28 +62,22 @@ _COMMON_LINK = 0x636F6D  # pseudo cell id of the UE-local common shadowing strea
 class _StaticTables:
     """Run-invariant link tables, precomputed once per config.
 
-    The snapshot tables describe every snapshot, and the recursions read
-    their sigma and decorrelation lengths; the tick tables hold what the
-    per-run tail reads, already gathered at ``tick_snapshots``.
+    Only the recursions run on the snapshot grid, and they read it through
+    their segment tables; every other table holds what the per-run tail
+    reads at the ``tick_snapshots`` and is evaluated only there.
     """
 
-    positions: np.ndarray          # (n_snap,)
-    base_db_nlos: np.ndarray       # (n_cells, n_snap): gain - path loss - penetration
-    base_db_los: np.ndarray
-    los_threshold: np.ndarray      # (n_cells, n_snap): latent threshold ndtri(p_los)
-    k_los_linear: np.ndarray       # (n_snap,)
-    sigma_db: np.ndarray           # (n_snap,)
-    decorrelation_m: np.ndarray    # (n_snap,)
-    site_corr_sqrt: np.ndarray     # (n_snap,) sqrt of the common shadowing share
-    site_ind_sqrt: np.ndarray      # (n_snap,) sqrt of the per-link shadowing share
-    los_decorrelation_m: np.ndarray  # (n_snap,)
+    n_snapshots: int
+    shadow_segments: tuple[channel.RecursionSegment, ...]  # the shadowing, over every snapshot
+    los_segments: tuple[channel.RecursionSegment, ...]     # the LOS latent, up to the last decisive tick
     tick_snapshots: np.ndarray     # (n_ticks,) snapshot index of each tick
-    tick_stride: int               # snapshots per tick: tick_snapshots is [0, n_snap) by it
-    tick_rx_nlos_dbm: np.ndarray   # (n_cells, n_ticks): tx power + base_db_nlos
-    tick_rx_los_dbm: np.ndarray    # (n_cells, n_ticks): tx power + base_db_los
-    tick_los_threshold: np.ndarray  # (n_cells, n_ticks)
-    tick_site_corr_sqrt: np.ndarray  # (n_ticks,)
-    tick_site_ind_sqrt: np.ndarray   # (n_ticks,)
+    tick_stride: int               # snapshots per tick: tick_snapshots is [0, n_snapshots) by it
+    tick_positions: np.ndarray     # (n_ticks,) train position at each tick
+    tick_rx_nlos_dbm: np.ndarray   # (n_cells, n_ticks): tx power + gain - path loss - penetration
+    tick_rx_los_dbm: np.ndarray    # (n_cells, n_ticks): the same with the LOS path loss
+    tick_los_threshold: np.ndarray  # (n_cells, n_ticks): latent threshold ndtri(p_los)
+    tick_site_corr_sqrt: np.ndarray  # (n_ticks,) sqrt of the common shadowing share
+    tick_site_ind_sqrt: np.ndarray   # (n_ticks,) sqrt of the per-link shadowing share
     tick_rician: tuple[np.ndarray, np.ndarray]  # (mean, scale), each (n_ticks,), on LOS ticks
     los_ticks: int                 # ticks up to the last finite LOS threshold of any cell
     p_ici: float
@@ -155,31 +152,32 @@ def _environment_runs(
 def precompute_tables(cfg: RunConfig) -> _StaticTables:
     kin = cfg.kinematics
     layout = cfg.layout
-    n_snap = math.floor((layout.track_length_m - kin.start_position_m) / kin.snapshot_interval_m) + 1
-    positions = kin.start_position_m + np.arange(n_snap) * kin.snapshot_interval_m
-    runs = _environment_runs(layout, positions)
+    step = kin.snapshot_interval_m
+    n_snap = math.floor((layout.track_length_m - kin.start_position_m) / step) + 1
+    runs = _environment_runs(layout, kin.start_position_m + np.arange(n_snap) * step)
+    stride = sample_stride(kin, cfg.l1.sample_period_s)
+    tick_snapshots = np.arange(0, n_snap, stride)
+    tick_positions = kin.start_position_m + tick_snapshots * step
+    n_ticks = tick_snapshots.size
+    # the ticks of snapshot slice [lo, hi) are [ceil(lo / stride), ceil(hi / stride))
+    tick_runs = [(-(-lo // stride), -(-hi // stride), env) for lo, hi, env in runs]
 
-    def per_snapshot(value_of) -> np.ndarray:
-        out = np.empty(n_snap)
-        for lo, hi, env in runs:
+    def per_tick(value_of) -> np.ndarray:
+        out = np.empty(n_ticks)
+        for lo, hi, env in tick_runs:
             out[lo:hi] = value_of(cfg.profiles[env])
         return out
 
-    sigma = per_snapshot(lambda p: p.shadow_sigma_db)
-    decorr = per_snapshot(lambda p: p.shadow_decorrelation_m)
-    site_corr = per_snapshot(lambda p: p.shadow_site_correlation)
-    los_decorr = per_snapshot(lambda p: p.los_decorrelation_m)
-    k_los = per_snapshot(lambda p: p.rician_k_linear())
-
+    site_corr = per_tick(lambda p: p.shadow_site_correlation)
     n_cells = len(layout.rrhs)
     penetration = cfg.budget.penetration_loss_db
-    base_nlos = np.empty((n_cells, n_snap))
-    base_los = np.empty((n_cells, n_snap))
-    los_threshold = np.empty((n_cells, n_snap))
+    base_nlos = np.empty((n_cells, n_ticks))
+    base_los = np.empty((n_cells, n_ticks))
+    los_threshold = np.empty((n_cells, n_ticks))
     for c, site in enumerate(layout.rrhs):
-        dist, bearing = link_geometry(site, positions)
+        dist, bearing = link_geometry(site, tick_positions)
         gain = channel.antenna_gain_db(site, bearing)
-        for lo, hi, env in runs:
+        for lo, hi, env in tick_runs:
             profile = cfg.profiles[env]
             d = dist[lo:hi]
             base_nlos[c, lo:hi] = gain[lo:hi] - channel.path_loss_db(profile, d) - penetration
@@ -187,42 +185,38 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
             with np.errstate(divide="ignore"):
                 los_threshold[c, lo:hi] = ndtri(profile.los_probability(d))
 
-    stride = sample_stride(kin, cfg.l1.sample_period_s)
-    ticks = slice(None, None, stride)
-    tick_threshold = los_threshold[:, ticks]
-    decisive = np.flatnonzero(np.isfinite(tick_threshold).any(axis=0))
+    decisive = np.flatnonzero(np.isfinite(los_threshold).any(axis=0))
+    los_ticks = int(decisive[-1]) + 1 if decisive.size else 0
+    n_latent = (los_ticks - 1) * stride + 1 if los_ticks else 0
+    profile_runs = [(lo, hi, cfg.profiles[env]) for lo, hi, env in runs]
     fd = ici.doppler_spread_hz(kin.speed_mps, cfg.ici.carrier_frequency_hz)
-    p_ici = ici.ici_power_upper(fd, cfg.ici)
     tx = cfg.budget.rrh_tx_power_dbm
-    site_corr_sqrt = np.sqrt(site_corr)
-    site_ind_sqrt = np.sqrt(1.0 - site_corr)
-
-    start = float(positions[0])
+    start = float(tick_positions[0])
     initial_serving = min(
         range(n_cells),
         key=lambda c: abs(layout.rrhs[c].position_along_track - start),
     )
     return _StaticTables(
-        positions=positions,
-        base_db_nlos=base_nlos,
-        base_db_los=base_los,
-        los_threshold=los_threshold,
-        k_los_linear=k_los,
-        sigma_db=sigma,
-        decorrelation_m=decorr,
-        site_corr_sqrt=site_corr_sqrt,
-        site_ind_sqrt=site_ind_sqrt,
-        los_decorrelation_m=los_decorr,
-        tick_snapshots=np.arange(0, n_snap, stride),
+        n_snapshots=n_snap,
+        shadow_segments=channel.shadowing_segments(
+            step,
+            [(lo, hi, p.shadow_sigma_db, p.shadow_decorrelation_m) for lo, hi, p in profile_runs],
+            n_snap,
+        ),
+        los_segments=channel.shadowing_segments(
+            step, [(lo, hi, 1.0, p.los_decorrelation_m) for lo, hi, p in profile_runs], n_latent
+        ),
+        tick_snapshots=tick_snapshots,
         tick_stride=stride,
-        tick_rx_nlos_dbm=tx + base_nlos[:, ticks],
-        tick_rx_los_dbm=tx + base_los[:, ticks],
-        tick_los_threshold=tick_threshold,
-        tick_site_corr_sqrt=site_corr_sqrt[ticks],
-        tick_site_ind_sqrt=site_ind_sqrt[ticks],
-        tick_rician=channel.rician_coefficients(k_los[ticks]),
-        los_ticks=int(decisive[-1]) + 1 if decisive.size else 0,
-        p_ici=p_ici,
+        tick_positions=tick_positions,
+        tick_rx_nlos_dbm=tx + base_nlos,
+        tick_rx_los_dbm=tx + base_los,
+        tick_los_threshold=los_threshold,
+        tick_site_corr_sqrt=np.sqrt(site_corr),
+        tick_site_ind_sqrt=np.sqrt(1.0 - site_corr),
+        tick_rician=channel.rician_coefficients(per_tick(lambda p: p.rician_k_linear())),
+        los_ticks=los_ticks,
+        p_ici=ici.ici_power_upper(fd, cfg.ici),
         noise_dbm=cfg.budget.noise_dbm(),
         initial_serving=initial_serving,
     )
@@ -238,12 +232,11 @@ def _downlink_pr_ticks(cfg: RunConfig, tables: _StaticTables, run_index: int) ->
     grid; only their tick values are kept. The rest runs once on the stack.
     """
     seed = cfg.master_seed
-    n_snap = tables.positions.size
-    step = cfg.kinematics.snapshot_interval_m
+    n_snap = tables.n_snapshots
     ticks = slice(None, None, tables.tick_stride)
     n_cells, n_ticks = tables.tick_rx_nlos_dbm.shape
     m = tables.los_ticks
-    n_latent = int(tables.tick_snapshots[m - 1]) + 1 if m else 0
+    n_latent = tables.los_segments[-1][1] if tables.los_segments else 0
 
     own = np.empty((n_cells, n_ticks))
     latent = np.empty((n_cells, n_ticks))
@@ -251,19 +244,16 @@ def _downlink_pr_ticks(cfg: RunConfig, tables: _StaticTables, run_index: int) ->
     normals = np.empty((n_cells, n_ticks, 2))
     for cell in range(n_cells):
         eps = _link_streams(seed, run_index, cell, _STREAM_SHADOW).standard_normal(n_snap)
-        series = channel.shadowing_series_db(eps, step, tables.sigma_db, tables.decorrelation_m)
-        own[cell] = series[ticks]
+        own[cell] = channel.shadowing_series_db(eps, tables.shadow_segments)[ticks]
         if n_latent:
             # LOS persistence: threshold a unit-variance correlated latent so the
             # marginal LOS probability stays exactly distance-dependent.
             eps = _link_streams(seed, run_index, cell, _STREAM_LOS).standard_normal(n_latent)
-            latent[cell, :m] = channel.shadowing_series_db(
-                eps, step, 1.0, tables.los_decorrelation_m[:n_latent]
-            )[ticks]
+            latent[cell, :m] = channel.shadowing_series_db(eps, tables.los_segments)[ticks]
         fading = _link_streams(seed, run_index, cell, _STREAM_FADING)
         normals[cell] = fading.standard_normal((n_snap, 2))[ticks]
     eps = _link_streams(seed, run_index, _COMMON_LINK, _STREAM_SHADOW).standard_normal(n_snap)
-    common = channel.shadowing_series_db(eps, step, tables.sigma_db, tables.decorrelation_m)[ticks]
+    common = channel.shadowing_series_db(eps, tables.shadow_segments)[ticks]
 
     los = latent < tables.tick_los_threshold
     mean, scale = tables.tick_rician
@@ -318,9 +308,7 @@ def simulate_run(
 
     for rec in records:
         if rec.command_tick is not None:
-            rec.start_position_m = float(
-                tables.positions[tables.tick_snapshots[rec.command_tick]]
-            )
+            rec.start_position_m = float(tables.tick_positions[rec.command_tick])
     if not records:
         records.append(
             HandoverRecord(
@@ -352,7 +340,7 @@ def simulate_run(
         trace = RunTrace(
             run_id=run_index,
             tick_snapshots=tables.tick_snapshots.copy(),
-            positions_m=tables.positions[tables.tick_snapshots],
+            positions_m=tables.tick_positions.copy(),
             p_ici=p,
             snr_db=(10.0 * np.log10(pr_dl)).T,
             effective_snr_db=dl_snr.T.copy(),

@@ -15,10 +15,11 @@ from railho.channel import (
     path_loss_db,
     rician_coefficients,
     shadowing_db,
+    shadowing_segments,
     shadowing_series_db,
     small_scale_series,
 )
-from railho.config import RunConfig
+from railho.config import RunConfig, config_from_dict
 from railho.geometry import Environment, RrhSite, default_layout, environment_at, link_geometry
 from railho.handover import HandoverFsm
 from railho.ici import IciParams
@@ -133,7 +134,8 @@ class TestShadowing:
         eps = g.standard_normal(400)
         sigma = np.where(np.arange(400) < 150, 6.0, 3.0)
         decorr = np.where(np.arange(400) < 250, 50.0, 80.0)
-        series = shadowing_series_db(eps, 1.0, sigma, decorr)
+        runs = [(0, 150, 6.0, 50.0), (150, 250, 3.0, 50.0), (250, 400, 3.0, 80.0)]
+        series = shadowing_series_db(eps, shadowing_segments(1.0, runs, 400))
         prev = sigma[0] * eps[0]
         expected = [prev]
         for i in range(1, 400):
@@ -145,10 +147,110 @@ class TestShadowing:
     def test_series_matches_scalar_op_stream(self):
         g1, g2 = rng(6), rng(6)
         eps = g1.standard_normal(200)
-        series = shadowing_series_db(eps, 2.0, 6.0, 50.0)
+        series = shadowing_series_db(eps, shadowing_segments(2.0, [(0, 200, 6.0, 50.0)], 200))
         state = FadingState(rng=g2)
         scalar = [shadowing_db(state, profile(), 2.0 * i) for i in range(200)]
         np.testing.assert_allclose(series, scalar, rtol=0.0, atol=1e-10)
+
+
+def _unrolled_shadowing(cfg, seed, n, los=False):
+    """``shadowing_db`` stepped literally over the first ``n`` snapshots of ``cfg``.
+
+    Each snapshot takes the sigma and decorrelation of the environment it
+    lies in; ``los=True`` gives the unit-variance LOS latent instead.
+    """
+    kin = cfg.kinematics
+    state = FadingState(rng=rng(seed))
+    out = []
+    for i in range(n):
+        x = kin.start_position_m + i * kin.snapshot_interval_m
+        env = cfg.layout.segments[-1][2]
+        for start, end, seg_env in cfg.layout.segments:
+            if start <= x < end:
+                env = seg_env
+                break
+        p = cfg.profiles[env]
+        if los:
+            p = dataclasses.replace(p, shadow_sigma_db=1.0, shadow_decorrelation_m=p.los_decorrelation_m)
+        out.append(shadowing_db(state, p, x))
+    return np.array(out)
+
+
+_UNEQUAL = {
+    "viaduct": {"shadow_sigma_db": 4.0, "shadow_decorrelation_m": 20.0, "los_decorrelation_m": 30.0},
+    "cutting": {"shadow_sigma_db": 8.0, "shadow_decorrelation_m": 80.0, "los_decorrelation_m": 10.0},
+    "urban": {"shadow_sigma_db": 2.0, "shadow_decorrelation_m": 5.0, "los_decorrelation_m": 70.0},
+}
+
+
+class TestShadowingSegments:
+    """The segment tables of ``precompute_tables`` against ``shadowing_db`` stepped literally."""
+
+    @staticmethod
+    def _check(cfg, seed=11):
+        tables = precompute_tables(cfg)
+        n = tables.n_snapshots
+        eps = rng(seed).standard_normal(n)
+        np.testing.assert_allclose(
+            shadowing_series_db(eps, tables.shadow_segments),
+            _unrolled_shadowing(cfg, seed, n),
+            rtol=0.0,
+            atol=1e-10,
+        )
+        n_latent = tables.los_segments[-1][1] if tables.los_segments else 0
+        np.testing.assert_allclose(
+            shadowing_series_db(eps[:n_latent], tables.los_segments),
+            _unrolled_shadowing(cfg, seed, n_latent, los=True),
+            rtol=0.0,
+            atol=1e-10,
+        )
+        return tables
+
+    def test_unequal_profiles_split_at_every_boundary(self):
+        cfg = config_from_dict({"profiles": _UNEQUAL})
+        tables = self._check(cfg)
+        # the first sample, then one segment per environment
+        assert [seg[:2] for seg in tables.shadow_segments] == [(0, 1), (1, 1732), (1732, 3464), (3464, 5197)]
+
+    def test_boundary_at_snapshot_1(self):
+        cfg = config_from_dict(
+            {"profiles": _UNEQUAL, "kinematics": {"speed_kmh": 100.0, "start_position_m": 1731.0}}
+        )
+        tables = self._check(cfg)
+        assert [seg[:2] for seg in tables.shadow_segments] == [(0, 1), (1, 1733), (1733, 3466)]
+        # sample 0 is viaduct, drawn fresh with viaduct's sigma; sample 1 opens cutting
+        assert tables.shadow_segments[0][2:] == (0.0, 4.0)
+        assert tables.shadow_segments[1][2] == pytest.approx(math.exp(-1.0 / 80.0), rel=1e-15)
+
+    def test_equal_adjacent_environments_merge(self):
+        profiles = {**_UNEQUAL, "urban": _UNEQUAL["cutting"]}
+        cfg = config_from_dict({"profiles": profiles})
+        tables = self._check(cfg)
+        assert [seg[:2] for seg in tables.shadow_segments] == [(0, 1), (1, 1732), (1732, 5197)]
+
+    def test_one_snapshot_track(self):
+        cfg = config_from_dict(
+            {"profiles": _UNEQUAL, "kinematics": {"speed_kmh": 100.0, "start_position_m": 5196.0}}
+        )
+        tables = self._check(cfg)
+        assert tables.n_snapshots == 1
+        assert tables.shadow_segments == ((0, 1, 0.0, 2.0),)
+
+    def test_los_latent_cut_inside_a_segment(self):
+        # urban shares cutting's LOS decorrelation, so one latent segment runs
+        # from 1732 m to the track end; the latent stops at the last cutting
+        # tick (the last finite LOS threshold), in the middle of that segment
+        urban = {**_UNEQUAL["urban"], "los_decorrelation_m": 10.0}
+        cfg = config_from_dict(
+            {
+                "profiles": {**_UNEQUAL, "urban": urban},
+                "kinematics": {"speed_kmh": 300.0, "start_position_m": 0.5},
+            }
+        )
+        tables = self._check(cfg)
+        assert tables.tick_snapshots[tables.los_ticks - 1] == 3462
+        assert [seg[:2] for seg in tables.los_segments] == [(0, 1), (1, 1732), (1732, 3463)]
+        assert tables.shadow_segments[-1][:2] == (3464, 5196)
 
 
 class TestSmallScaleFading:
@@ -188,16 +290,16 @@ class TestMeanRxPower:
         cfg = RunConfig()
         tables = precompute_tables(cfg)
         for c, site in enumerate(cfg.layout.rrhs):
-            for i in (0, 866, 1732, 2600, 5196):
-                pos = float(tables.positions[i])
+            for t in (0, 866, 1732, 2600, 5196):
+                pos = float(tables.tick_positions[t])
                 dist, bearing = link_geometry(site, pos)
                 p = cfg.profiles[environment_at(cfg.layout, pos)]
                 gain = antenna_gain_db(site, bearing)
-                assert tables.base_db_los[c, i] == pytest.approx(
-                    gain - path_loss_db(p, dist, los=True) - 20.0, abs=1e-9
+                assert tables.tick_rx_los_dbm[c, t] == pytest.approx(
+                    30.0 + gain - path_loss_db(p, dist, los=True) - 20.0, abs=1e-9
                 )
-                assert tables.base_db_nlos[c, i] == pytest.approx(
-                    gain - path_loss_db(p, dist) - 20.0, abs=1e-9
+                assert tables.tick_rx_nlos_dbm[c, t] == pytest.approx(
+                    30.0 + gain - path_loss_db(p, dist) - 20.0, abs=1e-9
                 )
 
     def test_uplink_downlink_differ_by_tx_power(self, tiny_cfg, monkeypatch):

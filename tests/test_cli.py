@@ -63,6 +63,9 @@ class TestSimulateCommand:
             '{"profiles": {"urban": 5}}',
             '{"layout": {"beamwidth_3db_deg": "wide"}}',
             '{"layout": {"segments": [{"start": 0}]}}',
+            '{"layout": {"segments": [[0, "1732", "cutting"], ["1732", 3464, "urban"]]}}',
+            '{"layout": {"segments": [[0, 1732, "urban", 5]]}}',
+            '{"layout": {"segments": [[0, 1732]]}}',
             '{"budget": {"rrh_tx_power_dbm": "x"}}',
             '{"handover": {"snr_gate_db": "x"}}',
             '{"profiles": {"urban": {"rician_k_db": "x"}}}',

@@ -149,6 +149,22 @@ class TestJsonLoading:
         with pytest.raises(ConfigError, match="empty"):
             config_from_dict({"layout": {"segments": []}})
 
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            [[0, "1732", "cutting"], ["1732", 3464, "urban"]],
+            [[0, 1732, "urban", 5]],
+            [[0, 1732]],
+            [[False, 1732, "urban"]],
+            [0, 1732, "urban"],
+            "0 1732 urban",
+        ],
+        ids=["string_bounds", "four_items", "two_items", "bool_bound", "flat", "string"],
+    )
+    def test_segment_entries_must_be_number_number_environment(self, segments):
+        with pytest.raises(ConfigError, match=r"\[start, end, environment\]"):
+            config_from_dict({"layout": {"segments": segments}})
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")

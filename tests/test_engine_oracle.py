@@ -1,22 +1,27 @@
 """Differential oracle of the tick-grid run engine.
 
 ``_reference_run`` is the per-link engine the tick-grid pass replaced, kept
-literally: per cell, every stream is drawn and every table is read at the
-tick snapshots by fancy indexing, the fading power comes from the Rician K
-factor directly, L1/L3 run one cell at a time, and both SINRs come from
-``rss_with_ici``. ``simulate_run`` must reproduce its records and every
-``RunTrace`` array bit for bit.
+literally: it builds its own link tables on every snapshot, runs the
+recursions with a per-snapshot parameter split, and per cell draws every
+stream and reads every table at the tick snapshots by fancy indexing; the
+fading power comes from the Rician K factor directly, L1/L3 run one cell at
+a time, and both SINRs come from ``rss_with_ici``. ``simulate_run``, whose
+tables exist only on the ticks and whose recursions read segment tables,
+must reproduce its records and every ``RunTrace`` array bit for bit.
 """
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
+from scipy.special import ndtri
 
 from railho import channel, ici
 from railho.config import RunConfig, apply_overrides, config_from_dict
-from railho.geometry import Environment
+from railho.geometry import Environment, environment_at, link_geometry, sample_stride
 from railho.handover import HandoverFsm, HandoverRecord, Outcome, interruption_window
 from railho.measurement import measure_cell
 from railho.simulate import (
@@ -32,6 +37,65 @@ from railho.simulate import (
 )
 
 
+def _snapshot_tables(cfg):
+    """Link tables on every snapshot, from the physics functions called on the whole grid."""
+    kin, layout = cfg.kinematics, cfg.layout
+    n_snap = math.floor((layout.track_length_m - kin.start_position_m) / kin.snapshot_interval_m) + 1
+    positions = kin.start_position_m + np.arange(n_snap) * kin.snapshot_interval_m
+    envs = environment_at(layout, positions)
+    profiles = [cfg.profiles[env] for env in envs]
+
+    def per_snapshot(value_of):
+        return np.array([value_of(p) for p in profiles], dtype=float)
+
+    site_corr = per_snapshot(lambda p: p.shadow_site_correlation)
+    pen = cfg.budget.penetration_loss_db
+    shape = (len(layout.rrhs), n_snap)
+    base_nlos, base_los, threshold = np.empty(shape), np.empty(shape), np.empty(shape)
+    for c, site in enumerate(layout.rrhs):
+        dist, bearing = link_geometry(site, positions)
+        gain = channel.antenna_gain_db(site, bearing)
+        for env in set(envs):
+            at = np.array([e is env for e in envs])
+            profile = cfg.profiles[env]
+            base_nlos[c, at] = gain[at] - channel.path_loss_db(profile, dist[at]) - pen
+            base_los[c, at] = gain[at] - channel.path_loss_db(profile, dist[at], los=True) - pen
+            with np.errstate(divide="ignore"):
+                threshold[c, at] = ndtri(profile.los_probability(dist[at]))
+    return SimpleNamespace(
+        positions=positions,
+        base_db_nlos=base_nlos,
+        base_db_los=base_los,
+        los_threshold=threshold,
+        k_los_linear=per_snapshot(lambda p: p.rician_k_linear()),
+        sigma_db=per_snapshot(lambda p: p.shadow_sigma_db),
+        decorrelation_m=per_snapshot(lambda p: p.shadow_decorrelation_m),
+        site_corr_sqrt=np.sqrt(site_corr),
+        site_ind_sqrt=np.sqrt(1.0 - site_corr),
+        los_decorrelation_m=per_snapshot(lambda p: p.los_decorrelation_m),
+        tick_snapshots=np.arange(0, n_snap, sample_stride(kin, cfg.l1.sample_period_s)),
+    )
+
+
+def _series_per_snapshot(eps, step_m, sigma_db, decorrelation_m):
+    """Gauss-Markov series with per-snapshot parameters, split where they change."""
+    n = eps.size
+    sigma = np.broadcast_to(np.asarray(sigma_db, dtype=float), (n,))
+    decorr = np.broadcast_to(np.asarray(decorrelation_m, dtype=float), (n,))
+    out = np.empty(n)
+    prev = float(sigma[0] * eps[0])
+    out[0] = prev
+    changes = 1 + np.flatnonzero((sigma[2:] != sigma[1:-1]) | (decorr[2:] != decorr[1:-1]))
+    bounds = np.concatenate(([1], changes + 1, [n]))
+    for i, j in zip(bounds[:-1], bounds[1:]):
+        rho = math.exp(-step_m / decorr[i])
+        drive = math.sqrt(1.0 - rho * rho) * sigma[i] * eps[i:j]
+        seg, _ = lfilter([1.0], [1.0, -rho], drive, zi=np.array([rho * prev]))
+        out[i:j] = seg
+        prev = float(seg[-1])
+    return out
+
+
 def _small_scale_series_k(normals, k_linear):
     k = np.broadcast_to(np.asarray(k_linear, dtype=float), (normals.shape[0],))
     finite = np.isfinite(k)
@@ -43,49 +107,50 @@ def _small_scale_series_k(normals, k_linear):
     return np.where(finite, h2, 1.0)
 
 
-def _common_shadow_series(cfg, tables, run_index):
+def _common_shadow_series(cfg, snap, run_index):
     eps = _link_streams(cfg.master_seed, run_index, _COMMON_LINK, _STREAM_SHADOW).standard_normal(
-        tables.positions.size
+        snap.positions.size
     )
-    return channel.shadowing_series_db(
-        eps, cfg.kinematics.snapshot_interval_m, tables.sigma_db, tables.decorrelation_m
+    return _series_per_snapshot(
+        eps, cfg.kinematics.snapshot_interval_m, snap.sigma_db, snap.decorrelation_m
     )
 
 
-def _downlink_pr_series(cfg, tables, run_index, cell, common_shadow):
-    n_snap = tables.positions.size
+def _downlink_pr_series(cfg, snap, noise_dbm, run_index, cell, common_shadow):
+    n_snap = snap.positions.size
     step = cfg.kinematics.snapshot_interval_m
-    idx = tables.tick_snapshots
+    idx = snap.tick_snapshots
 
     eps = _link_streams(cfg.master_seed, run_index, cell, _STREAM_SHADOW).standard_normal(n_snap)
-    own = channel.shadowing_series_db(eps, step, tables.sigma_db, tables.decorrelation_m)
-    shadow = tables.site_corr_sqrt[idx] * common_shadow[idx] + tables.site_ind_sqrt[idx] * own[idx]
+    own = _series_per_snapshot(eps, step, snap.sigma_db, snap.decorrelation_m)
+    shadow = snap.site_corr_sqrt[idx] * common_shadow[idx] + snap.site_ind_sqrt[idx] * own[idx]
 
     latent_eps = _link_streams(cfg.master_seed, run_index, cell, _STREAM_LOS).standard_normal(n_snap)
-    latent = channel.shadowing_series_db(latent_eps, step, 1.0, tables.los_decorrelation_m)
-    los = latent[idx] < tables.los_threshold[cell, idx]
+    latent = _series_per_snapshot(latent_eps, step, 1.0, snap.los_decorrelation_m)
+    los = latent[idx] < snap.los_threshold[cell, idx]
 
     normals = _link_streams(cfg.master_seed, run_index, cell, _STREAM_FADING).standard_normal(
         (n_snap, 2)
     )
-    k = np.where(los, tables.k_los_linear[idx], 0.0)
+    k = np.where(los, snap.k_los_linear[idx], 0.0)
     h2 = _small_scale_series_k(normals[idx], k)
 
-    base = np.where(los, tables.base_db_los[cell, idx], tables.base_db_nlos[cell, idx])
+    base = np.where(los, snap.base_db_los[cell, idx], snap.base_db_nlos[cell, idx])
     rx_dbm = cfg.budget.rrh_tx_power_dbm + base + shadow + 10.0 * np.log10(h2)
-    return ici.snr_linear_from_dbm(rx_dbm, tables.noise_dbm)
+    return ici.snr_linear_from_dbm(rx_dbm, noise_dbm)
 
 
 def _reference_run(cfg, run_index, tables):
+    snap = _snapshot_tables(cfg)
     n_cells = len(cfg.layout.rrhs)
-    n_ticks = tables.tick_snapshots.size
+    n_ticks = snap.tick_snapshots.size
     p = tables.p_ici
     ul_shift = 10.0 ** ((cfg.budget.ue_tx_power_dbm - cfg.budget.rrh_tx_power_dbm) / 10.0)
 
-    common_shadow = _common_shadow_series(cfg, tables, run_index)
+    common_shadow = _common_shadow_series(cfg, snap, run_index)
     pr_dl = np.empty((n_cells, n_ticks))
     for cell in range(n_cells):
-        pr_dl[cell] = _downlink_pr_series(cfg, tables, run_index, cell, common_shadow)
+        pr_dl[cell] = _downlink_pr_series(cfg, snap, tables.noise_dbm, run_index, cell, common_shadow)
 
     eff_lin_dl = pr_dl / (pr_dl * p + 1.0)
     l3 = np.empty((n_cells, n_ticks))
@@ -103,7 +168,7 @@ def _reference_run(cfg, run_index, tables):
     records, serving_trace = fsm.run(l3, ul_snr, dl_snr)
     for rec in records:
         if rec.command_tick is not None:
-            rec.start_position_m = float(tables.positions[tables.tick_snapshots[rec.command_tick]])
+            rec.start_position_m = float(snap.positions[snap.tick_snapshots[rec.command_tick]])
     if not records:
         records.append(
             HandoverRecord(
@@ -128,8 +193,8 @@ def _reference_run(cfg, run_index, tables):
     )
     trace = RunTrace(
         run_id=run_index,
-        tick_snapshots=tables.tick_snapshots.copy(),
-        positions_m=tables.positions[tables.tick_snapshots],
+        tick_snapshots=snap.tick_snapshots.copy(),
+        positions_m=snap.positions[snap.tick_snapshots],
         p_ici=p,
         snr_db=(10.0 * np.log10(pr_dl)).T,
         effective_snr_db=dl_snr.T.copy(),

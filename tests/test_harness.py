@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from railho import csvio
+from railho.channel import shadowing_series_db
 from railho.config import RunConfig, apply_overrides
 from railho.constants import kmh_to_mps
-from railho.geometry import TrainKinematics, default_layout
+from railho.geometry import TrainKinematics, default_layout, environment_at, sample_stride
 from railho.handover import Outcome
 from railho.ici import IciParams
 from railho.simulate import (
@@ -56,8 +58,10 @@ class TestChannelSeriesOracle:
         cfg = tiny_cfg
         tables = precompute_tables(cfg)
         run, cell = 2, 1
-        n = tables.positions.size
+        n = tables.n_snapshots
         step = cfg.kinematics.snapshot_interval_m
+        positions = [cfg.kinematics.start_position_m + i * step for i in range(n)]
+        profiles = [cfg.profiles[environment_at(cfg.layout, x)] for x in positions]
 
         fast = _downlink_pr_ticks(cfg, tables, run)[cell]
 
@@ -68,29 +72,27 @@ class TestChannelSeriesOracle:
         normals = _link_streams(cfg.master_seed, run, cell, _STREAM_FADING).standard_normal((n, 2))
 
         def ar1(eps):
-            out = [tables.sigma_db[0] * eps[0]]
+            out = [profiles[0].shadow_sigma_db * eps[0]]
             for i in range(1, n):
-                rho = math.exp(-step / tables.decorrelation_m[i])
-                out.append(
-                    rho * out[-1] + math.sqrt(1 - rho * rho) * tables.sigma_db[i] * eps[i]
-                )
+                sigma = profiles[i].shadow_sigma_db
+                rho = math.exp(-step / profiles[i].shadow_decorrelation_m)
+                out.append(rho * out[-1] + math.sqrt(1 - rho * rho) * sigma * eps[i])
             return out
 
         def unit_ar1(eps):
             out = [eps[0]]
             for i in range(1, n):
-                rho = math.exp(-step / tables.los_decorrelation_m[i])
+                rho = math.exp(-step / profiles[i].los_decorrelation_m)
                 out.append(rho * out[-1] + math.sqrt(1 - rho * rho) * eps[i])
             return out
 
         shadow_c, shadow_o, latent = ar1(eps_c), ar1(eps_o), unit_ar1(eps_l)
-        expected = np.empty(n)
-        for i in range(n):
-            shadow = (
-                tables.site_corr_sqrt[i] * shadow_c[i] + tables.site_ind_sqrt[i] * shadow_o[i]
-            )
-            los = latent[i] < tables.los_threshold[cell, i]
-            k = tables.k_los_linear[i] if los else 0.0
+        expected = []
+        for t, i in enumerate(tables.tick_snapshots):
+            corr = profiles[i].shadow_site_correlation
+            shadow = math.sqrt(corr) * shadow_c[i] + math.sqrt(1.0 - corr) * shadow_o[i]
+            los = latent[i] < tables.tick_los_threshold[cell, t]
+            k = profiles[i].rician_k_linear() if los else 0.0
             if math.isinf(k):
                 h2 = 1.0
             else:
@@ -98,43 +100,39 @@ class TestChannelSeriesOracle:
                 re = math.sqrt(k / (k + 1.0)) + normals[i, 0] * scale
                 im = normals[i, 1] * scale
                 h2 = re * re + im * im
-            base = tables.base_db_los[cell, i] if los else tables.base_db_nlos[cell, i]
-            rx = cfg.budget.rrh_tx_power_dbm + base + shadow + 10.0 * math.log10(h2)
-            expected[i] = 10.0 ** ((rx - tables.noise_dbm) / 10.0)
+            base = (tables.tick_rx_los_dbm if los else tables.tick_rx_nlos_dbm)[cell, t]
+            rx = base + shadow + 10.0 * math.log10(h2)
+            expected.append(10.0 ** ((rx - tables.noise_dbm) / 10.0))
         # the recursions run over every snapshot, the result is read on ticks
         assert tables.tick_snapshots[1] > 1
-        np.testing.assert_allclose(fast, expected[tables.tick_snapshots], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(fast, expected, rtol=1e-12, atol=0.0)
 
     def test_los_marginal_probability_preserved(self, tiny_cfg):
         # cutting profile: P(los) must track exp(-d / decay) despite the latent
         cfg = apply_overrides(tiny_cfg, environment="cutting")
         tables = precompute_tables(cfg)
         cell = 0
-        hits = np.zeros(tables.positions.size)
+        n_latent = tables.los_segments[-1][1]
+        assert tables.los_ticks == tables.tick_snapshots.size
+        hits = np.zeros(tables.tick_snapshots.size)
         n_runs = 400
         for run in range(n_runs):
-            latent_eps = _link_streams(cfg.master_seed, run, cell, _STREAM_LOS).standard_normal(
-                tables.positions.size
-            )
-            from railho.channel import shadowing_series_db
-
-            latent = shadowing_series_db(
-                latent_eps, cfg.kinematics.snapshot_interval_m, 1.0, tables.los_decorrelation_m
-            )
-            hits += latent < tables.los_threshold[cell]
-        from scipy.special import ndtr
-
-        p_expected = ndtr(tables.los_threshold[cell])
+            latent_eps = _link_streams(cfg.master_seed, run, cell, _STREAM_LOS).standard_normal(n_latent)
+            latent = shadowing_series_db(latent_eps, tables.los_segments)
+            hits += latent[tables.tick_snapshots] < tables.tick_los_threshold[cell]
+        p_expected = ndtr(tables.tick_los_threshold[cell])
         # compare at a few positions with a generous Monte Carlo tolerance
-        for idx in (0, 100, 300, 600):
+        for idx in (0, 33, 100, 200):
             assert hits[idx] / n_runs == pytest.approx(p_expected[idx], abs=0.08)
 
 
 def _literal_tables(cfg: RunConfig):
-    """Per-snapshot link tables from scalar math and a linear segment scan."""
+    """Tick-grid link tables from scalar math and a linear segment scan."""
     kin, layout, pen = cfg.kinematics, cfg.layout, cfg.budget.penetration_loss_db
+    tx = cfg.budget.rrh_tx_power_dbm
     n = math.floor((layout.track_length_m - kin.start_position_m) / kin.snapshot_interval_m) + 1
-    positions = [kin.start_position_m + i * kin.snapshot_interval_m for i in range(n)]
+    ticks = list(range(0, n, sample_stride(kin, cfg.l1.sample_period_s)))
+    positions = [kin.start_position_m + i * kin.snapshot_interval_m for i in ticks]
     envs = []
     for x in positions:
         env = layout.segments[-1][2]
@@ -143,7 +141,7 @@ def _literal_tables(cfg: RunConfig):
                 env = seg_env
                 break
         envs.append(env)
-    base_nlos, base_los, threshold = [], [], []
+    rx_nlos, rx_los, threshold = [], [], []
     for site in layout.rrhs:
         rows = ([], [], [])
         for x, env in zip(positions, envs):
@@ -158,26 +156,28 @@ def _literal_tables(cfg: RunConfig):
             )
             n_los = p.pathloss_exponent if p.pathloss_exponent_los is None else p.pathloss_exponent_los
             for row, exponent in ((rows[0], p.pathloss_exponent), (rows[1], n_los)):
-                row.append(gain - (p.pathloss_intercept_db + 10 * exponent * math.log10(dist)) - pen)
+                row.append(tx + (gain - (p.pathloss_intercept_db + 10 * exponent * math.log10(dist)) - pen))
             if p.los_mode == "always":
                 rows[2].append(math.inf)
             elif p.los_mode == "never":
                 rows[2].append(-math.inf)
             else:
                 rows[2].append(NormalDist().inv_cdf(math.exp(-dist / p.los_decay_m)))
-        for table, row in zip((base_nlos, base_los, threshold), rows):
+        for table, row in zip((rx_nlos, rx_los, threshold), rows):
             table.append(row)
     profiles = [cfg.profiles[env] for env in envs]
+    k = [p.rician_k_linear() for p in profiles]
     return {
-        "positions": np.array(positions),
-        "base_db_nlos": np.array(base_nlos),
-        "base_db_los": np.array(base_los),
-        "los_threshold": np.array(threshold),
-        "sigma_db": np.array([p.shadow_sigma_db for p in profiles]),
-        "decorrelation_m": np.array([p.shadow_decorrelation_m for p in profiles]),
-        "site_corr_sqrt": np.array([math.sqrt(p.shadow_site_correlation) for p in profiles]),
-        "los_decorrelation_m": np.array([p.los_decorrelation_m for p in profiles]),
-        "k_los_linear": np.array([p.rician_k_linear() for p in profiles]),
+        "n_snapshots": n,
+        "tick_snapshots": np.array(ticks),
+        "tick_positions": np.array(positions),
+        "tick_rx_nlos_dbm": np.array(rx_nlos),
+        "tick_rx_los_dbm": np.array(rx_los),
+        "tick_los_threshold": np.array(threshold),
+        "tick_site_corr_sqrt": np.array([math.sqrt(p.shadow_site_correlation) for p in profiles]),
+        "tick_site_ind_sqrt": np.array([math.sqrt(1.0 - p.shadow_site_correlation) for p in profiles]),
+        "rician_mean": np.array([1.0 if math.isinf(x) else math.sqrt(x / (x + 1.0)) for x in k]),
+        "rician_scale": np.array([0.0 if math.isinf(x) else math.sqrt(1.0 / (2.0 * (x + 1.0))) for x in k]),
     }
 
 
@@ -207,17 +207,37 @@ class TestPrecomputeOracle:
     def test_tables_match_literal_per_snapshot_loop(self, cfg):
         tables = precompute_tables(cfg)
         ref = _literal_tables(cfg)
-        np.testing.assert_array_equal(tables.positions, ref["positions"])
-        exact = ("sigma_db", "decorrelation_m", "site_corr_sqrt", "los_decorrelation_m", "k_los_linear")
+        assert tables.n_snapshots == ref["n_snapshots"]
+        tables_rician = dict(zip(("rician_mean", "rician_scale"), tables.tick_rician))
+        exact = ("tick_snapshots", "tick_positions", "tick_site_corr_sqrt", "tick_site_ind_sqrt")
         for name in exact:
             np.testing.assert_array_equal(getattr(tables, name), ref[name], err_msg=name)
-        for name in ("base_db_nlos", "base_db_los"):
+        for name, got in tables_rician.items():
+            np.testing.assert_array_equal(got, ref[name], err_msg=name)
+        for name in ("tick_rx_nlos_dbm", "tick_rx_los_dbm"):
             np.testing.assert_allclose(getattr(tables, name), ref[name], rtol=0.0, atol=1e-12)
-        got, want = tables.los_threshold, ref["los_threshold"]
+        got, want = tables.tick_los_threshold, ref["tick_los_threshold"]
         finite = np.isfinite(want)
         assert finite.any() and not finite.all()
         np.testing.assert_array_equal(got[~finite], want[~finite])
         np.testing.assert_allclose(got[finite], want[finite], rtol=0.0, atol=1e-9)
+
+    def test_no_table_on_the_snapshot_grid(self):
+        # 500 km/h on a 0.25 m grid reads one snapshot in 22: only the
+        # recursions may run on the snapshot grid, through their segments
+        cfg = RunConfig(
+            kinematics=TrainKinematics(speed_mps=kmh_to_mps(500.0), snapshot_interval_m=0.25)
+        )
+        tables = precompute_tables(cfg)
+        assert tables.tick_stride == 22
+        arrays = []
+        for field in dataclasses.fields(tables):
+            value = getattr(tables, field.name)
+            arrays.extend(value if isinstance(value, tuple) else [value])
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert arrays
+        for a in arrays:
+            assert tables.n_snapshots not in a.shape
 
 
 class TestIciEffects:
