@@ -94,7 +94,8 @@ def _run_configs(args: argparse.Namespace, cfgs: list[RunConfig], names: tuple[s
     for cfg in cfgs:
         stats = monte_carlo(cfg, workers=args.workers)
         stats_rows.append(csvio.stats_csv_row(stats, cfg))
-        record_rows.extend(csvio.record_row(rec, cfg) for rec in stats.records)
+        columns = csvio.config_columns(cfg)
+        record_rows.extend(csvio.record_row(rec, columns) for rec in stats.records)
         hist_rows.extend(csvio.histogram_csv_rows(stats, cfg))
         print(
             f"{cfg.speed_kmh:g} km/h {cfg.environment_label} offset {cfg.handover.hysteresis_db:g} dB: "

@@ -72,6 +72,11 @@ class RunConfig:
             raise ConfigError("runs must be an integer >= 1")
         if not _is_integer(self.master_seed) or not 0 <= self.master_seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
+        if self.kinematics.start_position_m > self.layout.track_length_m:
+            raise ConfigError(
+                f"kinematics.start_position_m {self.kinematics.start_position_m} is beyond the "
+                f"end of the {self.layout.track_length_m} m track"
+            )
         if any(math.hypot(s.lateral_offset, s.height) < 1.0 for s in self.layout.rrhs):
             raise ConfigError("RRHs must sit at least the 1 m path-loss reference from the track")
         for _, _, env in self.layout.segments:

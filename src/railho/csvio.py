@@ -82,20 +82,24 @@ def _write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence
         writer.writerows(rows)
 
 
-def record_row(record: HandoverRecord, cfg: RunConfig) -> RecordRow:
+def config_columns(cfg: RunConfig) -> tuple[float, str, float]:
+    """The speed_kmh, environment and offset_db columns that ``cfg`` stamps on its rows."""
+    return cfg.speed_kmh, cfg.environment_label, cfg.handover.hysteresis_db
+
+
+def record_row(record: HandoverRecord, columns: tuple[float, str, float]) -> RecordRow:
+    """Records-CSV row of ``record``; ``columns`` is ``config_columns`` of its configuration."""
     delay_ms = None if record.total_delay_s is None else record.total_delay_s * 1000.0
     return RecordRow(
-        run_id=record.run_id,
-        speed_kmh=cfg.speed_kmh,
-        environment=cfg.environment_label,
-        offset_db=cfg.handover.hysteresis_db,
-        trigger_tick=record.trigger_tick,
-        report_tick=record.report_tick,
-        command_tick=record.command_tick,
-        completion_tick=record.completion_tick,
-        start_position_m=record.start_position_m,
-        delay_ms=delay_ms,
-        outcome=record.outcome.value,
+        record.run_id,
+        *columns,
+        record.trigger_tick,
+        record.report_tick,
+        record.command_tick,
+        record.completion_tick,
+        record.start_position_m,
+        delay_ms,
+        record.outcome.value,
     )
 
 
@@ -118,10 +122,11 @@ def read_records_csv(path: str | Path) -> list[RecordRow]:
 def stats_csv_row(stats: SweepStatistics, cfg: RunConfig) -> list[str]:
     mean_delay_ms = None if math.isnan(stats.mean_delay_s) else stats.mean_delay_s * 1000.0
     weighted = None if math.isnan(stats.weighted_start_point_m) else stats.weighted_start_point_m
+    speed_kmh, environment, offset_db = config_columns(cfg)
     return [
-        _fmt(cfg.speed_kmh),
-        cfg.environment_label,
-        _fmt(cfg.handover.hysteresis_db),
+        _fmt(speed_kmh),
+        environment,
+        _fmt(offset_db),
         _fmt(cfg.handover.ttt_s * 1000.0),
         _fmt(stats.runs),
         _fmt(stats.n_records),
@@ -138,11 +143,12 @@ def write_stats_csv(rows: Sequence[Sequence[str]], path: str | Path) -> None:
 
 
 def histogram_csv_rows(stats: SweepStatistics, cfg: RunConfig) -> list[list[str]]:
+    speed_kmh, environment, offset_db = config_columns(cfg)
     return [
         [
-            _fmt(cfg.speed_kmh),
-            cfg.environment_label,
-            _fmt(cfg.handover.hysteresis_db),
+            _fmt(speed_kmh),
+            environment,
+            _fmt(offset_db),
             _fmt(snapshot),
             _fmt(probability),
         ]

@@ -12,11 +12,17 @@ Protocol delays accumulate in continuous time from the report and are
 quantised up to the measurement sample grid, so the default
 50 + 15 + 55 ms pipeline completes exactly 3 samples (120 ms) after the
 report.
+
+``HandoverFsm`` has two drives that must agree on every record, event and
+final state: ``step`` consumes one tick at a time, and ``run`` resolves a
+whole trace attempt by attempt, reading each gate only at the tick on which
+it is due.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -159,11 +165,16 @@ class HandoverFsm:
     the RACH check after prep + cmd + SIB/RACH, each rounded up to whole
     ticks; re-establishment ends its own delay after a failed RACH check.
 
-    ``run`` drives a whole trace event by event: in Monitoring a tick changes
-    nothing unless the A3 entering condition holds, so it jumps from one
-    entering tick to the next and calls ``step`` only there and on every tick
-    of the window that follows (TTT, preparation, RACH, re-establishment),
-    until the machine is back in Monitoring.
+    ``run`` drives a whole trace one attempt per iteration and calls
+    ``step`` on no tick. Every transition is due on a tick known in
+    advance: TTT starts on the next A3 entering tick ``e`` (looked up in the
+    entering runs of the serving cell) and resets on the first tick after
+    ``e`` that is not entering; the report is due on ``e + n_ttt - 1``, the
+    command and the RACH check at their offsets from the report, and the
+    reconnection at the end of re-establishment. ``run`` reads the gates
+    there and nowhere else. ``step`` is the per-tick form that ``run`` must
+    equal; both apply the same transition methods, so each record and each
+    event is built in one place.
     """
 
     def __init__(
@@ -223,12 +234,82 @@ class HandoverFsm:
             **fields,
         )
 
-    def _entering_ticks(self, l3_db: np.ndarray, serving: int) -> np.ndarray:
-        """Ticks on which max_{c != serving} L3[c] - L3[serving] >= hysteresis."""
+    # Transitions. ``step`` and ``run`` both call these, so every record and
+    # every event is built in one place; the ``out`` lists receive the records.
+
+    def _start_ttt(self, tick: int) -> None:
+        self.phase = Phase.TTT_RUNNING
+        self._trigger_tick = tick
+        self.events.append(("ttt_start", tick))
+
+    def _reset_ttt(self, tick: int) -> None:
+        self.events.append(("ttt_reset", tick))
+        self._reset_monitoring()
+
+    def _report(self, tick: int, ul_serving_db: float, out: list[HandoverRecord]) -> None:
+        """Send the measurement report, gated on the serving cell's uplink SNR."""
+        self._report_tick = tick
+        if ul_serving_db < self.cfg.snr_gate_db:
+            out.append(self._record(Outcome.FAIL_UPLINK_REPORT))
+            self.events.append(("report_blocked", tick))
+            self._reset_monitoring()
+        else:
+            self.phase = Phase.PREPARING
+            self.events.append(("report", tick))
+
+    def _command(self, tick: int, dl_serving_db: float, out: list[HandoverRecord]) -> None:
+        """Receive the handover command, gated on the serving cell's downlink SNR."""
+        if dl_serving_db < self.cfg.snr_gate_db:
+            out.append(self._record(Outcome.FAIL_DOWNLINK_COMMAND, command_tick=tick))
+            self.events.append(("command_blocked", tick))
+            self._reset_monitoring()
+        else:
+            self._command_tick = tick
+            self.phase = Phase.RACH_IN_PROGRESS
+            self.events.append(("command", tick))
+
+    def _complete(
+        self, tick: int, ul_target_db: float, dl_target_db: float, out: list[HandoverRecord]
+    ) -> None:
+        """Check SIB reading and RACH toward the target: connect, or start re-establishment."""
+        target = self.target_cell
+        connected = ul_target_db >= self.cfg.snr_gate_db and dl_target_db >= self.cfg.snr_gate_db
+        until = None if connected else tick + self._reestablish_ticks
+        out.append(
+            self._record(
+                Outcome.SUCCESS if connected else Outcome.FAIL_RACH,
+                command_tick=self._command_tick,
+                completion_tick=tick,
+                reestablish_until_tick=until,
+                total_delay_s=(tick - self._report_tick) * self.sample_period_s,
+            )
+        )
+        if connected:
+            self.serving_cell = target
+            self.events.append(("connected", tick))
+            self._reset_monitoring()
+        else:
+            self.events.append(("rach_failed", tick))
+            self._reestablish_until = until
+            self.serving_cell = None
+            self.phase = Phase.REESTABLISHING
+
+    def _reconnect(self, tick: int, l3_db: Sequence[float]) -> None:
+        self.serving_cell = self._strongest(l3_db)
+        self.events.append(("reestablished", tick))
+        self._reset_monitoring()
+
+    def _entering_runs(self, l3_db: np.ndarray, serving: int) -> list[int]:
+        """Runs of ticks on which max_{c != serving} L3[c] - L3[serving] >= hysteresis.
+
+        The runs' half-open bounds come flattened, in tick order:
+        ``[start_0, end_0, start_1, end_1, ...]``.
+        """
         if self.n_cells == 1:
-            return np.empty(0, dtype=np.intp)
+            return []
         best_other = np.delete(l3_db, serving, axis=0).max(axis=0)
-        return np.flatnonzero(a3_condition(best_other, l3_db[serving], self.cfg.hysteresis_db))
+        entering = a3_condition(best_other, l3_db[serving], self.cfg.hysteresis_db)
+        return np.flatnonzero(np.diff(entering, prepend=False, append=False)).tolist()
 
     def run(
         self,
@@ -240,7 +321,8 @@ class HandoverFsm:
 
         Returns the records of every terminated attempt, in tick order, and
         the serving cell after each tick (-1 while re-establishing). The
-        result equals calling ``step`` on every tick.
+        result, the events and the final state equal calling ``step`` on
+        every tick.
         """
         l3 = np.asarray(l3_db, dtype=float)
         ul = np.asarray(ul_snr_db, dtype=float)
@@ -252,25 +334,61 @@ class HandoverFsm:
         if self._next_tick != 0:
             raise ValueError("run needs a machine that has not been stepped yet")
         n_ticks = l3.shape[1]
+        n_ttt = self._n_ttt
         serving = np.empty(n_ticks, dtype=int)
         records: list[HandoverRecord] = []
-        entering: dict[int, np.ndarray] = {}
-        t = 0
-        while t < n_ticks:
-            if self.phase is Phase.MONITORING:
-                s = self.serving_cell
-                ticks = entering.get(s)
-                if ticks is None:
-                    ticks = entering[s] = self._entering_ticks(l3, s)
-                i = np.searchsorted(ticks, t)
-                nxt = int(ticks[i]) if i < ticks.size else n_ticks
-                serving[t:nxt] = s
-                t = self._next_tick = nxt
-                if t == n_ticks:
+        entering: dict[int, list[int]] = {}
+        s = self.serving_cell
+        since = 0  # first tick served by s
+        t = 0  # first tick on which an attempt may start
+        while True:
+            bounds = entering.get(s)
+            if bounds is None:
+                bounds = entering[s] = self._entering_runs(l3, s)
+            j = bisect_right(bounds, t)
+            if j == len(bounds):
+                break
+            # An odd count of bounds up to t puts t inside an entering run.
+            e, end = (t, bounds[j]) if j % 2 else (bounds[j], bounds[j + 1])
+            self._start_ttt(e)
+            if end - e < n_ttt:  # the run ends before TTT does
+                if end == n_ticks:
+                    self.target_cell = self._best_non_serving(l3[:, end - 1].tolist())
                     break
-            records.extend(self.step(t, l3[:, t].tolist(), ul[:, t].tolist(), dl[:, t].tolist()))
-            serving[t] = -1 if self.serving_cell is None else self.serving_cell
-            t += 1
+                self._reset_ttt(end)
+                t = end + 1
+                continue
+            r = e + n_ttt - 1
+            self.target_cell = self._best_non_serving(l3[:, r].tolist())
+            self._report(r, ul[s, r], records)
+            if self.phase is not Phase.PREPARING:
+                t = r + 1
+                continue
+            c = r + self._command_ticks
+            if c >= n_ticks:
+                break
+            self._command(c, dl[s, c], records)
+            if self.phase is not Phase.RACH_IN_PROGRESS:
+                t = c + 1
+                continue
+            d = r + self._completion_ticks
+            if d >= n_ticks:
+                break
+            target = self.target_cell
+            self._complete(d, ul[target, d], dl[target, d], records)
+            serving[since:d] = s
+            if self.phase is Phase.MONITORING:
+                s, since, t = target, d, d + 1
+                continue
+            u = self._reestablish_until
+            serving[d:u] = -1
+            since = u
+            if u >= n_ticks:
+                break
+            self._reconnect(u, l3[:, u].tolist())
+            s, t = self.serving_cell, u
+        serving[since:] = s
+        self._next_tick = n_ticks
         return records, serving
 
     def step(
@@ -283,74 +401,33 @@ class HandoverFsm:
         if tick != self._next_tick:
             raise ValueError(f"ticks must advance by exactly 1 (expected {self._next_tick}, got {tick})")
         self._next_tick = tick + 1
-        cfg = self.cfg
         out: list[HandoverRecord] = []
 
         if self.phase is Phase.REESTABLISHING:
-            if tick >= self._reestablish_until:
-                self.serving_cell = self._strongest(l3_db)
-                self.events.append(("reestablished", tick))
-                self._reset_monitoring()
-            else:
+            if tick < self._reestablish_until:
                 return out
+            self._reconnect(tick, l3_db)
 
         if self.phase in (Phase.MONITORING, Phase.TTT_RUNNING):
             target = self._best_non_serving(l3_db)
             entered = target is not None and a3_condition(
-                l3_db[target], l3_db[self.serving_cell], cfg.hysteresis_db
+                l3_db[target], l3_db[self.serving_cell], self.cfg.hysteresis_db
             )
             if entered:
                 if self.phase is Phase.MONITORING:
-                    self.phase = Phase.TTT_RUNNING
-                    self._trigger_tick = tick
-                    self.events.append(("ttt_start", tick))
+                    self._start_ttt(tick)
                 self.target_cell = target
             elif self.phase is Phase.TTT_RUNNING:
-                self.events.append(("ttt_reset", tick))
-                self._reset_monitoring()
+                self._reset_ttt(tick)
 
             # Ticks advance by exactly 1 and TTT resets on the first tick
             # without entering, so the trigger tick counts the TTT.
             if self.phase is Phase.TTT_RUNNING and tick - self._trigger_tick + 1 >= self._n_ttt:
-                self._report_tick = tick
-                if ul_snr_db[self.serving_cell] < cfg.snr_gate_db:
-                    out.append(self._record(Outcome.FAIL_UPLINK_REPORT))
-                    self.events.append(("report_blocked", tick))
-                    self._reset_monitoring()
-                else:
-                    self.phase = Phase.PREPARING
-                    self.events.append(("report", tick))
+                self._report(tick, ul_snr_db[self.serving_cell], out)
 
         if self.phase is Phase.PREPARING and tick - self._report_tick >= self._command_ticks:
-            if dl_snr_db[self.serving_cell] < cfg.snr_gate_db:
-                out.append(self._record(Outcome.FAIL_DOWNLINK_COMMAND, command_tick=tick))
-                self.events.append(("command_blocked", tick))
-                self._reset_monitoring()
-            else:
-                self._command_tick = tick
-                self.phase = Phase.RACH_IN_PROGRESS
-                self.events.append(("command", tick))
+            self._command(tick, dl_snr_db[self.serving_cell], out)
 
         if self.phase is Phase.RACH_IN_PROGRESS and tick - self._report_tick >= self._completion_ticks:
-            target = self.target_cell
-            connected = ul_snr_db[target] >= cfg.snr_gate_db and dl_snr_db[target] >= cfg.snr_gate_db
-            until = None if connected else tick + self._reestablish_ticks
-            out.append(
-                self._record(
-                    Outcome.SUCCESS if connected else Outcome.FAIL_RACH,
-                    command_tick=self._command_tick,
-                    completion_tick=tick,
-                    reestablish_until_tick=until,
-                    total_delay_s=(tick - self._report_tick) * self.sample_period_s,
-                )
-            )
-            if connected:
-                self.serving_cell = target
-                self.events.append(("connected", tick))
-                self._reset_monitoring()
-            else:
-                self.events.append(("rach_failed", tick))
-                self._reestablish_until = until
-                self.serving_cell = None
-                self.phase = Phase.REESTABLISHING
+            self._complete(tick, ul_snr_db[self.target_cell], dl_snr_db[self.target_cell], out)
         return out

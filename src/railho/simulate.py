@@ -4,7 +4,7 @@ One run walks the train over the configured snapshot grid, draws the per-cell
 downlink power (path loss + antenna pattern + correlated shadowing + fast
 fading), degrades it with the worst-case ICI power for the configured speed,
 feeds the L1/L3 measurement pipeline on the 40 ms tick grid, and drives the
-handover state machine event by event (``HandoverFsm.run``).
+handover state machine attempt by attempt (``HandoverFsm.run``).
 
 What runs on snapshots and what on ticks:
 

@@ -305,15 +305,16 @@ class TestMeanRxPower:
     def test_uplink_downlink_differ_by_tx_power(self, tiny_cfg, monkeypatch):
         cfg = dataclasses.replace(tiny_cfg, ici=IciParams(alpha1=0.0, alpha2=0.0))
         seen = []
-        step = HandoverFsm.step
+        run = HandoverFsm.run
 
-        def spy(fsm, tick, l3_db, ul_snr_db, dl_snr_db):
+        def spy(fsm, l3_db, ul_snr_db, dl_snr_db):
             seen.append((ul_snr_db, dl_snr_db))
-            return step(fsm, tick, l3_db, ul_snr_db, dl_snr_db)
+            return run(fsm, l3_db, ul_snr_db, dl_snr_db)
 
-        monkeypatch.setattr(HandoverFsm, "step", spy)
+        monkeypatch.setattr(HandoverFsm, "run", spy)
         simulate_run(cfg, 0)
-        ul, dl = (np.array(rows) for rows in zip(*seen))
+        [(ul, dl)] = seen
+        assert ul.shape == dl.shape == (len(cfg.layout.rrhs), precompute_tables(cfg).tick_snapshots.size)
         np.testing.assert_allclose(dl - ul, 7.0, rtol=0.0, atol=1e-9)
 
     def test_identity_link_returns_tx_power(self):

@@ -70,6 +70,8 @@ class TestSimulateCommand:
             '{"handover": {"snr_gate_db": "x"}}',
             '{"profiles": {"urban": {"rician_k_db": "x"}}}',
             '{"layout": {"environment": "urban", "max_gain_db": "x"}}',
+            '{"kinematics": {"speed_kmh": 100, "start_position_m": 6000}}',
+            '{"kinematics": {"speed_kmh": 100, "start_position_m": 5196.5}}',
         ):
             bad.write_text(text)
             assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2, text

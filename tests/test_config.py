@@ -32,6 +32,20 @@ class TestDefaults:
         with pytest.raises(ConfigError, match="1 m"):
             RunConfig(layout=close)
 
+    @pytest.mark.parametrize("start_m", [6000.0, 5196.5])
+    def test_start_beyond_track_end_rejected(self, start_m):
+        doc = {"kinematics": {"speed_kmh": 100, "start_position_m": start_m}}
+        with pytest.raises(ConfigError, match="start_position_m"):
+            config_from_dict(doc)
+
+    def test_start_at_track_end_runs_one_snapshot(self):
+        from railho.simulate import precompute_tables, simulate_run
+
+        cfg = config_from_dict({"kinematics": {"speed_kmh": 100, "start_position_m": 5196}, "runs": 1})
+        assert precompute_tables(cfg).tick_snapshots.tolist() == [0]
+        [record] = simulate_run(cfg, 0).records
+        assert record.outcome.value == "NotTriggered"
+
     def test_ttt_must_sit_on_sample_grid(self):
         from railho.handover import HandoverConfig
 

@@ -475,3 +475,93 @@ class TestEventDrivenRun:
     def test_run_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             fsm().run(np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 4)))
+
+
+FINAL_STATE = (
+    "phase",
+    "serving_cell",
+    "target_cell",
+    "_trigger_tick",
+    "_report_tick",
+    "_command_tick",
+    "_reestablish_until",
+    "_next_tick",
+)
+
+
+def final_state(machine):
+    return {name: getattr(machine, name) for name in FINAL_STATE}
+
+
+def edge_config(rng):
+    """Protocol delays that are zero half of the time, so the command can fall on
+    the report tick, completion on the command tick and reconnection on the tick
+    after the failed RACH; 1-3 tick TTT."""
+    def delay_s():
+        return 0.0 if rng.random() < 0.5 else 0.010 * int(rng.integers(1, 21))
+
+    return HandoverConfig(
+        hysteresis_db=float(rng.integers(-2, 4)),
+        ttt_s=int(rng.integers(1, 4)) * PERIOD,
+        preparation_delay_s=delay_s(),
+        command_delay_s=delay_s(),
+        sib_rach_delay_s=delay_s(),
+        reestablishment_delay_s=delay_s(),
+    )
+
+
+def phases_after_each_tick(cfg, n_cells, serving, l3, ul, dl):
+    machine = HandoverFsm(cfg, PERIOD, n_cells, serving)
+    phases = []
+    for t in range(l3.shape[1]):
+        machine.step(t, l3[:, t].tolist(), ul[:, t].tolist(), dl[:, t].tolist())
+        phases.append(machine.phase)
+    return phases
+
+
+class TestAttemptDriveEdgeCases:
+    def test_zero_delays_and_cut_traces_match_literal_drive(self):
+        rng = np.random.default_rng(1703_09869)
+        cut_in = {phase: 0 for phase in Phase}
+        zero = {"command": 0, "completion": 0, "reestablish": 0}
+        for trial in range(1500):
+            cfg = edge_config(rng)
+            n_cells = int(rng.integers(2, 5))
+            n = int(rng.integers(2, 50))
+            l3 = rng.integers(-4, 5, size=(n_cells, n + 1)).astype(float)
+            p_low = rng.uniform(0.0, 0.5)
+            ul = np.where(rng.random((n_cells, n + 1)) < p_low, -20.0, 30.0)
+            dl = np.where(rng.random((n_cells, n + 1)) < p_low, -20.0, 30.0)
+            serving = int(rng.integers(0, n_cells))
+            # Cut the trace right after a tick that leaves the machine in the
+            # phase this trial aims at, when the literal drive reaches it.
+            aim = list(Phase)[trial % len(Phase)]
+            phases = phases_after_each_tick(cfg, n_cells, serving, l3[:, :n], ul[:, :n], dl[:, :n])
+            ends = [t for t, phase in enumerate(phases) if phase is aim]
+            cut = int(rng.choice(ends)) + 1 if ends else n
+
+            fast = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
+            slow = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
+            fast_records, fast_serving = fast.run(l3[:, :cut], ul[:, :cut], dl[:, :cut])
+            slow_records, slow_serving = literal_run(slow, l3[:, :cut], ul[:, :cut], dl[:, :cut])
+            assert fast_records == slow_records
+            assert fast.events == slow.events
+            np.testing.assert_array_equal(fast_serving, slow_serving)
+            assert final_state(fast) == final_state(slow)
+            for rec in fast_records:
+                for name in ("trigger_tick", "report_tick", "command_tick", "completion_tick"):
+                    value = getattr(rec, name)
+                    assert value is None or type(value) is int, (name, value)
+            cut_in[slow.phase] += 1
+
+            # The machine that ``run`` left behind steps on like the literal one.
+            column = [a[:, cut].tolist() for a in (l3, ul, dl)]
+            assert fast.step(cut, *column) == slow.step(cut, *column)
+            assert fast.events == slow.events
+            assert final_state(fast) == final_state(slow)
+
+            zero["command"] += fast._command_ticks == 0
+            zero["completion"] += fast._completion_ticks == fast._command_ticks
+            zero["reestablish"] += fast._reestablish_ticks == 1
+        assert min(cut_in.values()) > 100, cut_in
+        assert min(zero.values()) > 100, zero

@@ -343,7 +343,7 @@ class TestCsv:
 
     def test_success_row_format(self, tiny_cfg, tmp_path):
         stats = monte_carlo(tiny_cfg)
-        rows = [csvio.record_row(r, tiny_cfg) for r in stats.records]
+        rows = [csvio.record_row(r, csvio.config_columns(tiny_cfg)) for r in stats.records]
         path = tmp_path / "records.csv"
         csvio.write_records_csv(rows, path)
         text = path.read_text(encoding="utf-8")
@@ -355,7 +355,7 @@ class TestCsv:
 
     def test_written_records_parse_back(self, tiny_cfg, tmp_path):
         stats = monte_carlo(tiny_cfg)
-        rows = [csvio.record_row(r, tiny_cfg) for r in stats.records]
+        rows = [csvio.record_row(r, csvio.config_columns(tiny_cfg)) for r in stats.records]
         path = tmp_path / "records.csv"
         csvio.write_records_csv(rows, path)
         parsed = csvio.read_records_csv(path)
