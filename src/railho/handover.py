@@ -234,8 +234,7 @@ class HandoverFsm:
             **fields,
         )
 
-    # Transitions. ``step`` and ``run`` both call these, so every record and
-    # every event is built in one place; the ``out`` lists receive the records.
+    # Transitions, shared by ``step`` and ``run``; records are appended to ``out``.
 
     def _start_ttt(self, tick: int) -> None:
         self.phase = Phase.TTT_RUNNING
