@@ -75,6 +75,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_config(args.config) if args.config else RunConfig()
     return apply_overrides(
         cfg,

@@ -49,7 +49,8 @@ def _is_integer(value: Any) -> bool:
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A JSON number: not a boolean and not NaN (infinities are numbers)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and not math.isnan(value)
 
 
 @dataclass(frozen=True)
@@ -284,6 +285,8 @@ def apply_overrides(
                 layout, segments=span_segments(layout.rrhs, layout.track_length_m, environment)
             )
         if offset_db is not None:
+            if not _is_number(offset_db):
+                raise ConfigError(f"offset_db must be a number, got {offset_db!r}")
             handover["hysteresis_db"] = offset_db
         if ttt_ms is not None:
             handover["ttt_s"] = ttt_ms / 1000.0

@@ -76,10 +76,11 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``columns`` and then ``rows``, each cell rendered by ``_fmt``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(rows)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def config_columns(cfg: RunConfig) -> tuple[float, str, float]:
@@ -104,7 +105,7 @@ def record_row(record: HandoverRecord, columns: tuple[float, str, float]) -> Rec
 
 
 def write_records_csv(rows: Iterable[RecordRow], path: str | Path) -> None:
-    _write_csv(path, RECORD_COLUMNS, ([_fmt(v) for v in _record_values(row)] for row in rows))
+    _write_csv(path, RECORD_COLUMNS, map(_record_values, rows))
 
 
 def read_records_csv(path: str | Path) -> list[RecordRow]:
@@ -119,44 +120,35 @@ def read_records_csv(path: str | Path) -> list[RecordRow]:
         ]
 
 
-def stats_csv_row(stats: SweepStatistics, cfg: RunConfig) -> list[str]:
+def stats_csv_row(stats: SweepStatistics, cfg: RunConfig) -> list:
     mean_delay_ms = None if math.isnan(stats.mean_delay_s) else stats.mean_delay_s * 1000.0
     weighted = None if math.isnan(stats.weighted_start_point_m) else stats.weighted_start_point_m
-    speed_kmh, environment, offset_db = config_columns(cfg)
     return [
-        _fmt(speed_kmh),
-        environment,
-        _fmt(offset_db),
-        _fmt(cfg.handover.ttt_s * 1000.0),
-        _fmt(stats.runs),
-        _fmt(stats.n_records),
-        _fmt(stats.n_success),
-        _fmt(stats.success_rate),
-        _fmt(weighted),
-        _fmt(mean_delay_ms),
-        _fmt(stats.delay_in_samples),
+        *config_columns(cfg),
+        cfg.handover.ttt_s * 1000.0,
+        stats.runs,
+        stats.n_records,
+        stats.n_success,
+        stats.success_rate,
+        weighted,
+        mean_delay_ms,
+        stats.delay_in_samples,
     ]
 
 
-def write_stats_csv(rows: Sequence[Sequence[str]], path: str | Path) -> None:
+def write_stats_csv(rows: Sequence[Sequence], path: str | Path) -> None:
     _write_csv(path, STATS_COLUMNS, rows)
 
 
-def histogram_csv_rows(stats: SweepStatistics, cfg: RunConfig) -> list[list[str]]:
-    speed_kmh, environment, offset_db = config_columns(cfg)
+def histogram_csv_rows(stats: SweepStatistics, cfg: RunConfig) -> list[list]:
+    columns = config_columns(cfg)
     return [
-        [
-            _fmt(speed_kmh),
-            environment,
-            _fmt(offset_db),
-            _fmt(snapshot),
-            _fmt(probability),
-        ]
+        [*columns, snapshot, probability]
         for snapshot, probability in sorted(stats.start_point_histogram.items())
     ]
 
 
-def write_histogram_csv(rows: Sequence[Sequence[str]], path: str | Path) -> None:
+def write_histogram_csv(rows: Sequence[Sequence], path: str | Path) -> None:
     _write_csv(path, HISTOGRAM_COLUMNS, rows)
 
 
@@ -169,14 +161,10 @@ def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
         + ["serving_cell", "interrupted", "throughput_bps"]
     )
     rows = (
-        [t, int(trace.tick_snapshots[t]), _fmt(float(trace.positions_m[t]))]
-        + [_fmt(float(trace.snr_db[t, c])) for c in range(n_cells)]
-        + [_fmt(float(trace.effective_snr_db[t, c])) for c in range(n_cells)]
-        + [
-            int(trace.serving_cell[t]),
-            int(trace.interrupted[t]),
-            _fmt(float(trace.throughput_bps[t])),
-        ]
+        [t, int(trace.tick_snapshots[t]), float(trace.positions_m[t])]
+        + [float(trace.snr_db[t, c]) for c in range(n_cells)]
+        + [float(trace.effective_snr_db[t, c]) for c in range(n_cells)]
+        + [int(trace.serving_cell[t]), int(trace.interrupted[t]), float(trace.throughput_bps[t])]
         for t in range(trace.tick_snapshots.size)
     )
     _write_csv(path, columns, rows)

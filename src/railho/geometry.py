@@ -21,7 +21,6 @@ DEFAULT_RRH_SPACING_M = 1732.0
 DEFAULT_LATERAL_OFFSET_M = 100.0
 DEFAULT_RRH_HEIGHT_M = 30.0
 DEFAULT_SNAPSHOT_INTERVAL_M = 1.0
-DEFAULT_SAMPLE_PERIOD_S = 0.040
 
 _REL_TOL = 1e-9
 
@@ -45,7 +44,6 @@ class RrhSite:
     position_along_track: float
     lateral_offset: float = DEFAULT_LATERAL_OFFSET_M
     height: float = DEFAULT_RRH_HEIGHT_M
-    beam_azimuth_rad: float = 0.0  # beam axis rotation away from the track direction
     max_gain_db: float = 14.0
     beamwidth_3db_rad: float = math.radians(30.0)
     pattern_floor_db: float = 25.0
@@ -68,8 +66,8 @@ class TrainKinematics:
     start_position_m: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.speed_mps <= 0.0:
-            raise ValueError(f"speed must be positive, got {self.speed_mps}")
+        if not 0.0 < self.speed_mps < math.inf:
+            raise ValueError(f"speed must be finite and positive, got {self.speed_mps}")
         if self.snapshot_interval_m <= 0.0:
             raise ValueError("snapshot_interval_m must be positive")
         if self.start_position_m < 0.0:
@@ -192,14 +190,13 @@ def link_geometry(site: RrhSite, train_position_m):
     """3D site-to-train distance and horizontal bearing off the beam axis.
 
     Accepts a scalar position or a numpy array of positions and returns
-    matching scalars or arrays. The bearing is folded into [0, pi]; the
-    antenna pattern handles the bidirectional beam symmetry.
+    matching scalars or arrays. The bearing is measured from the forward
+    track direction; the antenna pattern handles the bidirectional beam
+    symmetry.
     """
     d_along = np.asarray(train_position_m, dtype=float) - site.position_along_track
     distance = np.sqrt(d_along * d_along + site.lateral_offset**2 + site.height**2)
-    angle = np.arctan2(site.lateral_offset, d_along)  # in (0, pi)
-    raw = np.mod(angle - site.beam_azimuth_rad, 2.0 * math.pi)
-    bearing = np.minimum(raw, 2.0 * math.pi - raw)
+    bearing = np.arctan2(site.lateral_offset, d_along)  # in (0, pi)
     return distance, bearing
 
 
@@ -220,9 +217,7 @@ def environment_at(layout: DeploymentLayout, position_m):
     return envs[np.maximum(np.searchsorted(starts, pos, side="right") - 1, 0)]
 
 
-def sample_stride(
-    kinematics: TrainKinematics, sample_period_s: float = DEFAULT_SAMPLE_PERIOD_S
-) -> int:
+def sample_stride(kinematics: TrainKinematics, sample_period_s: float) -> int:
     """Number of spatial snapshots advanced per measurement sample.
 
     Uses floor with a minimum of 1 so that 100/300/500 km/h on the default

@@ -102,7 +102,6 @@ class RunTrace:
 
 @dataclass(frozen=True)
 class RunResult:
-    run_id: int
     records: tuple[HandoverRecord, ...]
     trace: RunTrace | None = None
 
@@ -313,7 +312,7 @@ def simulate_run(
         records.append(
             HandoverRecord(
                 run_id=run_index,
-                serving_cell=fsm.serving_cell if fsm.serving_cell is not None else tables.initial_serving,
+                serving_cell=fsm.serving_cell,
                 target_cell=None,
                 outcome=Outcome.NOT_TRIGGERED,
             )
@@ -326,7 +325,6 @@ def simulate_run(
             if rec.outcome in (Outcome.SUCCESS, Outcome.FAIL_RACH):
                 lo, hi = interruption_window(rec)
                 interrupted[lo : min(hi, n_ticks)] = True
-        interrupted |= serving_trace < 0
         eff_db_serving = np.where(
             serving_trace >= 0,
             dl_snr[np.maximum(serving_trace, 0), np.arange(n_ticks)],
@@ -348,7 +346,7 @@ def simulate_run(
             interrupted=interrupted,
             throughput_bps=throughput,
         )
-    return RunResult(run_id=run_index, records=tuple(records), trace=trace)
+    return RunResult(records=tuple(records), trace=trace)
 
 
 def aggregate_records(records: Sequence[HandoverRecord], cfg: RunConfig) -> SweepStatistics:
@@ -412,7 +410,5 @@ def monte_carlo(cfg: RunConfig, *, workers: int = 1) -> SweepStatistics:
             )
     else:
         results = [simulate_run(cfg, i, tables=tables) for i in range(cfg.runs)]
-    records: list[HandoverRecord] = []
-    for res in sorted(results, key=lambda r: r.run_id):
-        records.extend(res.records)
+    records = [rec for res in results for rec in res.records]
     return aggregate_records(records, cfg)

@@ -72,10 +72,41 @@ class TestSimulateCommand:
             '{"layout": {"environment": "urban", "max_gain_db": "x"}}',
             '{"kinematics": {"speed_kmh": 100, "start_position_m": 6000}}',
             '{"kinematics": {"speed_kmh": 100, "start_position_m": 5196.5}}',
+            '{"kinematics": {"speed_kmh": Infinity}}',
+            '{"handover": {"preparation_delay_s": NaN}}',
+            '{"handover": {"snr_gate_db": NaN}}',
+            '{"budget": {"rrh_tx_power_dbm": NaN}}',
         ):
             bad.write_text(text)
             assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2, text
             assert capsys.readouterr().err.startswith("configuration error:"), text
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["simulate", "--speed", "nan"],
+            ["simulate", "--speed", "inf"],
+            ["simulate", "--offset-db", "nan"],
+            ["sweep", "--speeds", "100,nan"],
+            ["sweep", "--offsets", "nan"],
+        ],
+    )
+    def test_non_finite_flag_exits_2(self, tiny_config_path, tmp_path, capsys, flags):
+        code = main([*flags, "--config", str(tiny_config_path), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_2(self, tiny_config_path, tmp_path, monkeypatch, capsys, command, workers):
+        calls = []
+        monkeypatch.setattr(cli, "monte_carlo", lambda cfg, **kwargs: calls.append(cfg))
+        code = main(
+            [command, "--config", str(tiny_config_path), "--workers", workers, "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert calls == []
 
     def test_invalid_override_exits_2(self, tiny_config_path):
         assert main(["simulate", "--config", str(tiny_config_path), "--ttt-ms", "50"]) == 2

@@ -119,6 +119,24 @@ class TestJsonLoading:
         assert cfg.profiles[Environment.CUTTING].rician_k_linear() == math.inf
         assert len(cfg.layout.rrhs) == 3 and cfg.layout.rrhs[0].max_gain_db == 12.0
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kinematics": {"speed_kmh": Infinity}}',
+            '{"kinematics": {"speed_kmh": NaN}}',
+            '{"handover": {"preparation_delay_s": NaN}}',
+            '{"handover": {"snr_gate_db": NaN}}',
+            '{"budget": {"rrh_tx_power_dbm": NaN}}',
+        ],
+    )
+    def test_nan_values_and_infinite_speed_rejected(self, text):
+        with pytest.raises(ConfigError):
+            config_from_dict(json.loads(text))
+
+    def test_infinite_rician_k_still_loads(self):
+        cfg = config_from_dict(json.loads('{"profiles": {"viaduct": {"rician_k_db": Infinity}}}'))
+        assert cfg.profiles[Environment.VIADUCT].rician_k_linear() == math.inf
+
     def test_speed_given_twice(self):
         with pytest.raises(ConfigError):
             config_from_dict({"kinematics": {"speed_kmh": 100, "speed_mps": 27.0}})
@@ -216,9 +234,9 @@ class TestOverrides:
         assert cfg.environment_label == "urban"
 
     def test_environment_override_keeps_sites_and_track(self):
-        # four RRHs under one viaduct segment, beams turned 0.2 rad off the track
+        # four RRHs under one viaduct segment, with a 17 dB peak gain
         base = default_layout(spans=3)
-        rrhs = tuple(dataclasses.replace(s, beam_azimuth_rad=0.2) for s in base.rrhs)
+        rrhs = tuple(dataclasses.replace(s, max_gain_db=17.0) for s in base.rrhs)
         layout = DeploymentLayout(
             rrhs=rrhs,
             rrh_spacing_m=base.rrh_spacing_m,
@@ -254,3 +272,12 @@ class TestOverrides:
     def test_bad_speed_override(self):
         with pytest.raises(ConfigError):
             apply_overrides(RunConfig(), speed_kmh=-5.0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"speed_kmh": math.nan}, {"speed_kmh": math.inf}, {"offset_db": math.nan}],
+        ids=["speed_nan", "speed_inf", "offset_nan"],
+    )
+    def test_non_finite_override_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            apply_overrides(RunConfig(), **overrides)

@@ -115,10 +115,10 @@ class TestEnvironmentAt:
 class TestSampleStride:
     @pytest.mark.parametrize("speed_kmh,expected", [(100.0, 1), (300.0, 3), (500.0, 5)])
     def test_paper_matching_strides(self, speed_kmh, expected):
-        assert sample_stride(kin(speed_kmh)) == expected
+        assert sample_stride(kin(speed_kmh), 0.040) == expected
 
     def test_minimum_one(self):
-        assert sample_stride(kin(1.0)) == 1
+        assert sample_stride(kin(1.0), 0.040) == 1
 
     def test_bad_period(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from railho import csvio
 from railho.channel import shadowing_series_db
 from railho.config import RunConfig, apply_overrides
 from railho.constants import kmh_to_mps
-from railho.geometry import TrainKinematics, default_layout, environment_at, sample_stride
+from railho.geometry import TrainKinematics, environment_at, sample_stride
 from railho.handover import Outcome
 from railho.ici import IciParams
 from railho.simulate import (
@@ -148,8 +148,7 @@ def _literal_tables(cfg: RunConfig):
             p = cfg.profiles[env]
             d_along = x - site.position_along_track
             dist = math.sqrt(d_along * d_along + site.lateral_offset**2 + site.height**2)
-            raw = (math.atan2(site.lateral_offset, d_along) - site.beam_azimuth_rad) % (2 * math.pi)
-            bearing = min(raw, 2 * math.pi - raw)
+            bearing = math.atan2(site.lateral_offset, d_along)
             theta = min(bearing, math.pi - bearing)
             gain = site.max_gain_db - min(
                 12.0 * (theta / site.beamwidth_3db_rad) ** 2, site.pattern_floor_db
@@ -181,12 +180,6 @@ def _literal_tables(cfg: RunConfig):
     }
 
 
-def _azimuth_cfg() -> RunConfig:
-    layout = default_layout(spans=3)
-    rrhs = tuple(dataclasses.replace(s, beam_azimuth_rad=0.2) for s in layout.rrhs)
-    return RunConfig(layout=dataclasses.replace(layout, rrhs=rrhs))
-
-
 class TestPrecomputeOracle:
     @pytest.mark.parametrize(
         "cfg",
@@ -200,9 +193,8 @@ class TestPrecomputeOracle:
                     speed_mps=kmh_to_mps(300.0), snapshot_interval_m=0.5, start_position_m=123.4
                 )
             ),
-            _azimuth_cfg(),
         ],
-        ids=["mixed_1m", "grid_0.25m", "start_123.4m", "azimuth_0.2"],
+        ids=["mixed_1m", "grid_0.25m", "start_123.4m"],
     )
     def test_tables_match_literal_per_snapshot_loop(self, cfg):
         tables = precompute_tables(cfg)
