@@ -84,8 +84,6 @@ class EnvironmentProfile:
     def rician_k_linear(self) -> float:
         if self.rician_k_db is None:
             return 0.0
-        if math.isinf(self.rician_k_db):
-            return math.inf
         return 10.0 ** (self.rician_k_db / 10.0)
 
 

@@ -30,7 +30,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--runs", type=int, help="Monte Carlo runs per configuration")
     parser.add_argument("--seed", type=int, help="master seed (unsigned 64-bit)")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers")
 
 
 def _csv_floats(text: str) -> list[float]:
@@ -66,6 +65,8 @@ def _parser() -> argparse.ArgumentParser:
         help="comma-separated environments (default: the configured one)",
     )
     p_sweep.set_defaults(func=_cmd_sweep)
+    for p in (p_sim, p_sweep):
+        p.add_argument("--workers", type=int, default=1, help="parallel workers")
 
     p_trace = sub.add_parser("trace", help="dump one run's per-tick trace")
     _add_common(p_trace)
@@ -75,8 +76,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_config(args.config) if args.config else RunConfig()
     return apply_overrides(
         cfg,
@@ -91,6 +90,8 @@ def _load(args: argparse.Namespace) -> RunConfig:
 
 def _run_configs(args: argparse.Namespace, cfgs: list[RunConfig], names: tuple[str, str, str]) -> int:
     """Run each config, print its summary line and write the records, stats and histogram CSVs."""
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     args.out.mkdir(parents=True, exist_ok=True)
     stats_rows, record_rows, hist_rows = [], [], []
     for cfg in cfgs:

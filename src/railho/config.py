@@ -2,9 +2,11 @@
 
 A run configuration file is a JSON document with the optional top-level keys
 ``layout``, ``kinematics``, ``profiles``, ``budget``, ``ici``, ``l1``,
-``l3``, ``handover``, ``runs`` and ``seed``; anything omitted falls back to
-the built-in deployment defaults. Unknown keys are rejected, and every value
-is checked against the type its field is annotated with.
+``l3``, ``handover``, ``runs`` and ``seed``, whose own keys are optional too;
+``config_from_dict`` overlays it on the built-in defaults, and CLI flags reach
+``apply_overrides`` as the same shape of document, checked the same way.
+Unknown keys are rejected, each value must have its field's annotated type,
+and numbers must be finite (only ``rician_k_db`` also takes ±Infinity).
 """
 
 from __future__ import annotations
@@ -12,15 +14,16 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import inspect
 import json
 import math
 import numbers
+import sys
 import types
 import typing
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Literal, Mapping
+from typing import Any, Literal
 
 from .channel import EnvironmentProfile, LinkBudget, default_profiles
 from .constants import kmh_to_mps, mps_to_kmh
@@ -38,6 +41,8 @@ from .measurement import L1Config, L3Config
 
 DEFAULT_RUNS = 500
 DEFAULT_SEED = 42
+_Check = tuple[Callable[[Any], bool], str]  # a check of a JSON value, and what it expects in words
+_ANY: _Check = (lambda v: True, "any value")
 
 
 class ConfigError(ValueError):
@@ -48,9 +53,13 @@ def _is_integer(value: Any) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_number(value: Any) -> bool:
-    """A JSON number: not a boolean and not NaN (infinities are numbers)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and not math.isnan(value)
+def _is_number(value: Any, infinite_ok: bool = False) -> bool:
+    """A finite JSON number that is not a boolean (±Infinity too if ``infinite_ok``).
+
+    The bound is compared exactly, so NaN and integers too large for a float fail it.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and (abs(value) <= sys.float_info.max or infinite_ok and abs(value) == math.inf)
 
 
 @dataclass(frozen=True)
@@ -95,13 +104,17 @@ class RunConfig:
         return self.layout.environment_label
 
 
-def _object(data: Any, allowed: Iterable[str], context: str, what: str | None = None) -> Mapping[str, Any]:
-    """Return ``data`` if it is a JSON object whose keys are all in ``allowed``."""
+def _object(data: Any, checks: Mapping[str, _Check], context: str, what: str | None = None) -> Mapping:
+    """Return ``data`` if it is a JSON object whose keys all have a check in ``checks`` and pass it."""
     if not isinstance(data, Mapping):
         raise ConfigError(f"{context} must be a JSON object")
-    unknown = set(data) - set(allowed)
+    unknown = data.keys() - checks.keys()
     if unknown:
         raise ConfigError(f"unknown {what or context + ' keys'}: {sorted(unknown)}")
+    for key, value in data.items():
+        check, expected = checks[key]
+        if not check(value):
+            raise ConfigError(f"bad {context}: {key} must be {expected}, got {value!r}")
     return data
 
 
@@ -114,14 +127,14 @@ def _config_errors(prefix: str = ""):
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
-def _type_check(annotation: Any) -> tuple[Callable[[Any], bool], str]:
+def _type_check(annotation: Any, infinite_ok: bool = False) -> _Check:
     """Check of a JSON value against a field annotation, and what it expects in words.
 
-    ``float`` takes any JSON number but not a boolean; unions and ``Literal``
-    are checked member by member; other annotations take any value.
+    ``float`` takes a finite JSON number (±Infinity too if ``infinite_ok``) but not a boolean;
+    unions and ``Literal`` are checked member by member; other annotations take any value.
     """
     if annotation is float:
-        return _is_number, "a number"
+        return functools.partial(_is_number, infinite_ok=infinite_ok), "a number"
     if annotation is int:
         return _is_integer, "an integer"
     if annotation is str:
@@ -135,122 +148,113 @@ def _type_check(annotation: Any) -> tuple[Callable[[Any], bool], str]:
             "one of " + ", ".join(repr(a) for a in args),
         )
     if origin in (typing.Union, types.UnionType):
-        checks = [_type_check(a) for a in args]
+        checks = [_type_check(a, infinite_ok) for a in args]
         return (
             lambda v: any(check(v) for check, _ in checks),
             " or ".join(text for _, text in checks),
         )
-    return lambda v: True, "any value"
+    return _ANY
+
+
+# Fields that also take ±Infinity: an infinite Rician K is the pure-LOS limit.
+_INFINITE_OK = {(EnvironmentProfile, "rician_k_db")}
 
 
 @functools.cache
-def _field_checks(owner: Any) -> dict[str, tuple[Callable[[Any], bool], str]]:
+def _field_checks(owner: Any) -> dict[str, _Check]:
     """Type checks of the annotated fields (or parameters) of a dataclass (or function)."""
-    return {name: _type_check(kind) for name, kind in typing.get_type_hints(owner).items()}
+    hints = typing.get_type_hints(owner)
+    return {name: _type_check(kind, (owner, name) in _INFINITE_OK) for name, kind in hints.items()}
 
 
-def _check_types(data: Mapping[str, Any], checks: Mapping[str, tuple], context: str) -> None:
-    for key, value in data.items():
-        if key in checks:
-            check, expected = checks[key]
-            if not check(value):
-                raise ConfigError(f"bad {context}: {key} must be {expected}, got {value!r}")
-
-
-def _build(cls, data: Any, context: str, base=None):
-    """Build dataclass ``cls`` from a JSON object, or replace the given fields of ``base``."""
-    _object(data, (f.name for f in dataclasses.fields(cls)), context)
-    _check_types(data, _field_checks(cls), context)
+def _build(data: Any, base: Any, context: str) -> Any:
+    """Replace the fields that the JSON object ``data`` names in the dataclass ``base``."""
+    _object(data, _field_checks(type(base)), context)
     with _config_errors(f"bad {context}: "):
-        return cls(**data) if base is None else dataclasses.replace(base, **data)
+        return dataclasses.replace(base, **data)
 
 
-def _build_kinematics(data: Any) -> TrainKinematics:
-    names = [f.name for f in dataclasses.fields(TrainKinematics)]
-    data = dict(_object(data, [*names, "speed_kmh"], "kinematics"))
-    _check_types(data, {"speed_kmh": _type_check(float)}, "kinematics")
+def _build_kinematics(data: Any, base: TrainKinematics) -> TrainKinematics:
+    checks = {**_field_checks(TrainKinematics), "speed_kmh": _type_check(float)}
+    data = dict(_object(data, checks, "kinematics"))
     if "speed_kmh" in data:
         if "speed_mps" in data:
             raise ConfigError("give kinematics.speed_kmh or speed_mps, not both")
-        with _config_errors("bad kinematics: "):
-            data["speed_mps"] = kmh_to_mps(data.pop("speed_kmh"))
-    return _build(TrainKinematics, data, "kinematics")
+        data["speed_mps"] = kmh_to_mps(data.pop("speed_kmh"))
+    return _build(data, base, "kinematics")
+
+
+def _is_segments(value: Any) -> bool:
+    """Whether a JSON value is a non-empty list of ``[number, number, environment]`` entries."""
+    return isinstance(value, list) and bool(value) and all(
+        isinstance(s, list) and len(s) == 3 and _is_number(s[0]) and _is_number(s[1]) for s in value
+    )
 
 
 # default_layout's parameters, with the beamwidth in degrees, and explicit segments
-_LAYOUT_KEYS = (
-    {*inspect.signature(default_layout).parameters, "beamwidth_3db_deg", "segments"} - {"beamwidth_3db_rad"}
-)
+_LAYOUT_CHECKS = {
+    **_field_checks(default_layout),
+    "beamwidth_3db_deg": _type_check(float),
+    "segments": (_is_segments, "a non-empty list of [start, end, environment] entries with numeric bounds"),
+}
+del _LAYOUT_CHECKS["beamwidth_3db_rad"], _LAYOUT_CHECKS["return"]
 
 
-def _is_segment(entry: Any) -> bool:
-    """Whether a JSON value has the form ``[number, number, environment]``."""
-    return isinstance(entry, list) and len(entry) == 3 and _is_number(entry[0]) and _is_number(entry[1])
-
-
-def _build_layout(data: Any) -> DeploymentLayout:
-    _object(data, _LAYOUT_KEYS, "layout")
-    _check_types(data, {**_field_checks(default_layout), "beamwidth_3db_deg": _type_check(float)}, "layout")
+def _build_layout(data: Any, base: DeploymentLayout) -> DeploymentLayout:
+    _object(data, _LAYOUT_CHECKS, "layout")
     if "segments" in data and "environment" in data:
         raise ConfigError("give layout.segments or layout.environment, not both")
     with _config_errors("bad layout: "):
-        site_keys = ("rrh_spacing_m", "lateral_offset_m", "rrh_height_m", "max_gain_db", "pattern_floor_db")
-        kwargs = {key: data[key] for key in site_keys if key in data}
+        if data.keys() == {"environment"}:
+            # The environment alone keeps the base's sites and track and retiles its spans.
+            segments = span_segments(base.rrhs, base.track_length_m, data["environment"])
+            return dataclasses.replace(base, segments=segments)
+        kwargs = {key: value for key, value in data.items() if key not in ("segments", "beamwidth_3db_deg")}
         if "beamwidth_3db_deg" in data:
             kwargs["beamwidth_3db_rad"] = math.radians(data["beamwidth_3db_deg"])
         if "segments" not in data:
-            return default_layout(
-                environment=data.get("environment", "mixed"),
-                spans=data.get("spans", 3),
-                **kwargs,
-            )
-        if not isinstance(data["segments"], list) or not all(map(_is_segment, data["segments"])):
-            raise ConfigError(
-                "segments must be a list of [start, end, environment] entries with numeric bounds, "
-                f"got {data['segments']!r}"
-            )
-        if not data["segments"]:
-            raise ConfigError("segments must not be empty")
-        spans = data.get("spans")
-        if spans is None:
+            return default_layout(**kwargs)
+        if "spans" not in kwargs:
             # One segment may cover several RRH spans: size the track by its end.
             spacing = kwargs.get("rrh_spacing_m", DEFAULT_RRH_SPACING_M)
             end = float(data["segments"][-1][1])
-            spans = round(end / spacing)
+            kwargs["spans"] = spans = round(end / spacing)
             if not math.isclose(end, spans * spacing, rel_tol=1e-9, abs_tol=1e-6):
                 raise ConfigError(f"segments end at {end}, not a whole number of {spacing} m RRH spans")
         segments = tuple((float(s[0]), float(s[1]), Environment(s[2])) for s in data["segments"])
-        return dataclasses.replace(default_layout(spans=spans, **kwargs), segments=segments)
+        return dataclasses.replace(default_layout(**kwargs), segments=segments)
 
 
-def _build_profiles(data: Any) -> dict[Environment, EnvironmentProfile]:
-    profiles = default_profiles()
-    for name, overrides in _object(data, (env.value for env in profiles), "profiles", "environment").items():
+def _build_profiles(data: Any, base: Mapping[Environment, EnvironmentProfile]) -> dict:
+    profiles, checks = dict(base), dict.fromkeys((env.value for env in Environment), _ANY)
+    for name, overrides in _object(data, checks, "profiles", "environment").items():
         env = Environment(name)
-        profiles[env] = _build(EnvironmentProfile, overrides, f"profiles.{name}", base=profiles[env])
+        profiles[env] = _build(overrides, profiles[env], f"profiles.{name}")
     return profiles
 
 
-# JSON key -> (RunConfig field, function that turns the JSON value into the field's value)
-_SECTIONS: dict[str, tuple[str, Callable[[Any], Any]]] = {
+# JSON key -> (RunConfig field, function (JSON value, current field value) -> new field value)
+_SECTIONS: dict[str, tuple[str, Callable[[Any, Any], Any]]] = {
     "layout": ("layout", _build_layout),
     "kinematics": ("kinematics", _build_kinematics),
     "profiles": ("profiles", _build_profiles),
-    "budget": ("budget", functools.partial(_build, LinkBudget, context="budget")),
-    "ici": ("ici", functools.partial(_build, IciParams, context="ici")),
-    "l1": ("l1", functools.partial(_build, L1Config, context="l1")),
-    "l3": ("l3", functools.partial(_build, L3Config, context="l3")),
-    "handover": ("handover", functools.partial(_build, HandoverConfig, context="handover")),
-    "runs": ("runs", lambda value: value),
-    "seed": ("master_seed", lambda value: value),
+    **{k: (k, functools.partial(_build, context=k)) for k in ("budget", "ici", "l1", "l3", "handover")},
+    "runs": ("runs", lambda value, base: value),
+    "seed": ("master_seed", lambda value, base: value),
 }
+_SECTION_CHECKS = dict.fromkeys(_SECTIONS, _ANY)
+
+
+def _overlay(cfg: RunConfig, doc: Any) -> RunConfig:
+    """Replace each section that ``doc`` names with one built on ``cfg``'s current value of it."""
+    _object(doc, _SECTION_CHECKS, "configuration")
+    kwargs = {f: build(doc[k], getattr(cfg, f)) for k, (f, build) in _SECTIONS.items() if k in doc}
+    with _config_errors():
+        return dataclasses.replace(cfg, **kwargs) if kwargs else cfg
 
 
 def config_from_dict(doc: Any) -> RunConfig:
-    _object(doc, _SECTIONS, "configuration")
-    kwargs = {name: build(doc[key]) for key, (name, build) in _SECTIONS.items() if key in doc}
-    with _config_errors():
-        return RunConfig(**kwargs)
+    return _overlay(RunConfig(), doc)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -263,6 +267,11 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(doc)
 
 
+def _given(**values: Any) -> dict[str, Any] | None:
+    """The keyword arguments that are not None, or None when there are none."""
+    return {key: value for key, value in values.items() if value is not None} or None
+
+
 def apply_overrides(
     cfg: RunConfig,
     *,
@@ -273,27 +282,12 @@ def apply_overrides(
     runs: int | None = None,
     seed: int | None = None,
 ) -> RunConfig:
-    """Return a copy of ``cfg`` with CLI-style overrides applied."""
-    kwargs: dict[str, Any] = {}
-    handover: dict[str, float] = {}
-    with _config_errors():
-        if speed_kmh is not None:
-            kwargs["kinematics"] = dataclasses.replace(cfg.kinematics, speed_mps=kmh_to_mps(speed_kmh))
-        if environment is not None:
-            layout = cfg.layout
-            kwargs["layout"] = dataclasses.replace(
-                layout, segments=span_segments(layout.rrhs, layout.track_length_m, environment)
-            )
-        if offset_db is not None:
-            if not _is_number(offset_db):
-                raise ConfigError(f"offset_db must be a number, got {offset_db!r}")
-            handover["hysteresis_db"] = offset_db
-        if ttt_ms is not None:
-            handover["ttt_s"] = ttt_ms / 1000.0
-        if handover:
-            kwargs["handover"] = dataclasses.replace(cfg.handover, **handover)
-        if runs is not None:
-            kwargs["runs"] = runs
-        if seed is not None:
-            kwargs["master_seed"] = seed
-        return dataclasses.replace(cfg, **kwargs) if kwargs else cfg
+    """Return ``cfg`` with CLI-style overrides applied, each checked as its JSON key is."""
+    doc = _given(
+        kinematics=_given(speed_kmh=speed_kmh),
+        layout=_given(environment=environment),
+        handover=_given(hysteresis_db=offset_db, ttt_s=None if ttt_ms is None else ttt_ms / 1000.0),
+        runs=runs,
+        seed=seed,
+    )
+    return _overlay(cfg, doc or {})

@@ -259,6 +259,9 @@ class TestSmallScaleFading:
         h2 = small_scale_series(rng(7).standard_normal((1000, 2)), *rician_coefficients(k))
         assert np.all(h2 == 1.0)
 
+    def test_minus_infinite_k_is_rayleigh(self):
+        assert profile(rician_k_db=-math.inf).rician_k_linear() == 0.0
+
     def test_rayleigh_unit_mean(self):
         k = profile(rician_k_db=None, los_mode="never").rician_k_linear()
         draws = small_scale_series(rng(8).standard_normal((50_000, 2)), *rician_coefficients(k))

@@ -76,6 +76,12 @@ class TestSimulateCommand:
             '{"handover": {"preparation_delay_s": NaN}}',
             '{"handover": {"snr_gate_db": NaN}}',
             '{"budget": {"rrh_tx_power_dbm": NaN}}',
+            '{"budget": {"rrh_tx_power_dbm": Infinity}}',
+            '{"handover": {"preparation_delay_s": Infinity}}',
+            '{"handover": {"snr_gate_db": -Infinity}}',
+            '{"layout": {"pattern_floor_db": Infinity}}',
+            '{"l1": {"noise_sigma_db": Infinity}}',
+            '{"handover": {"hysteresis_db": 1%s}}' % ("0" * 400),
         ):
             bad.write_text(text)
             assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2, text
@@ -89,6 +95,10 @@ class TestSimulateCommand:
             ["simulate", "--offset-db", "nan"],
             ["sweep", "--speeds", "100,nan"],
             ["sweep", "--offsets", "nan"],
+            ["simulate", "--offset-db", "inf"],
+            ["simulate", "--offset-db=-inf"],
+            ["sweep", "--speeds", "100,inf"],
+            ["sweep", "--offsets", "inf"],
         ],
     )
     def test_non_finite_flag_exits_2(self, tiny_config_path, tmp_path, capsys, flags):
@@ -107,6 +117,14 @@ class TestSimulateCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("configuration error:")
         assert calls == []
+
+    def test_kinematics_without_speed_runs(self, tmp_path):
+        path = tmp_path / "no_speed.json"
+        path.write_text(json.dumps({**TINY, "kinematics": {"snapshot_interval_m": 2.0}, "runs": 2}))
+        for flags, speed in (([], 100.0), (["--speed", "500"], 500.0)):
+            out = tmp_path / f"out{speed:g}"
+            assert main(["simulate", "--config", str(path), *flags, "--out", str(out)]) == 0
+            assert {r.speed_kmh for r in csvio.read_records_csv(out / "records.csv")} == {speed}
 
     def test_invalid_override_exits_2(self, tiny_config_path):
         assert main(["simulate", "--config", str(tiny_config_path), "--ttt-ms", "50"]) == 2
@@ -217,3 +235,9 @@ class TestTraceCommand:
 
     def test_run_index_validated(self, tiny_config_path):
         assert main(["trace", "--config", str(tiny_config_path), "--run", "99"]) == 2
+
+    def test_workers_flag_rejected(self, tiny_config_path, tmp_path):
+        # trace runs one simulate_run: a worker count would have no effect
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--config", str(tiny_config_path), "--workers", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2

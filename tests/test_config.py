@@ -3,9 +3,12 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from railho.config import ConfigError, RunConfig, apply_overrides, config_from_dict, load_config
-from railho.geometry import DeploymentLayout, Environment, default_layout
+from railho.constants import kmh_to_mps
+from railho.geometry import DeploymentLayout, Environment, default_layout, span_segments
 
 
 class TestDefaults:
@@ -136,6 +139,36 @@ class TestJsonLoading:
     def test_infinite_rician_k_still_loads(self):
         cfg = config_from_dict(json.loads('{"profiles": {"viaduct": {"rician_k_db": Infinity}}}'))
         assert cfg.profiles[Environment.VIADUCT].rician_k_linear() == math.inf
+        cfg = config_from_dict(json.loads('{"profiles": {"viaduct": {"rician_k_db": -Infinity}}}'))
+        assert cfg.profiles[Environment.VIADUCT].rician_k_db == -math.inf
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"budget": {"rrh_tx_power_dbm": Infinity}}',
+            '{"handover": {"preparation_delay_s": Infinity}}',
+            '{"handover": {"snr_gate_db": -Infinity}}',
+            '{"layout": {"pattern_floor_db": Infinity}}',
+            '{"l1": {"noise_sigma_db": Infinity}}',
+            '{"layout": {"segments": [[0, Infinity, "urban"]]}}',
+            '{"profiles": {"urban": {"rician_k_db": NaN}}}',
+            '{"handover": {"hysteresis_db": 1%s}}' % ("0" * 400),
+            '{"profiles": {"urban": {"rician_k_db": 1%s}}}' % ("0" * 400),
+        ],
+        ids=[
+            "tx_power_inf", "prep_delay_inf", "snr_gate_minus_inf", "pattern_floor_inf", "l1_noise_inf",
+            "segment_bound_inf", "rician_k_nan", "huge_int", "rician_k_huge_int",
+        ],
+    )
+    def test_non_finite_and_huge_numbers_rejected(self, text):
+        with pytest.raises(ConfigError, match="must be a"):
+            config_from_dict(json.loads(text))
+
+    def test_kinematics_without_speed_keeps_default_speed(self):
+        cfg = config_from_dict({"kinematics": {"snapshot_interval_m": 0.25}})
+        assert cfg.speed_kmh == pytest.approx(100.0)
+        assert cfg.kinematics.snapshot_interval_m == 0.25
+        assert apply_overrides(cfg, speed_kmh=500.0).kinematics.snapshot_interval_m == 0.25
 
     def test_speed_given_twice(self):
         with pytest.raises(ConfigError):
@@ -281,3 +314,45 @@ class TestOverrides:
     def test_non_finite_override_rejected(self, overrides):
         with pytest.raises(ConfigError):
             apply_overrides(RunConfig(), **overrides)
+
+
+def _replace_overrides(cfg, *, speed_kmh=None, environment=None, offset_db=None, ttt_ms=None, runs=None, seed=None):
+    """Reference: each override applied to its field with ``dataclasses.replace``."""
+    kwargs = {}
+    handover = {}
+    if speed_kmh is not None:
+        kwargs["kinematics"] = dataclasses.replace(cfg.kinematics, speed_mps=kmh_to_mps(speed_kmh))
+    if environment is not None:
+        layout = cfg.layout
+        kwargs["layout"] = dataclasses.replace(
+            layout, segments=span_segments(layout.rrhs, layout.track_length_m, environment)
+        )
+    if offset_db is not None:
+        handover["hysteresis_db"] = offset_db
+    if ttt_ms is not None:
+        handover["ttt_s"] = ttt_ms / 1000.0
+    if handover:
+        kwargs["handover"] = dataclasses.replace(cfg.handover, **handover)
+    if runs is not None:
+        kwargs["runs"] = runs
+    if seed is not None:
+        kwargs["master_seed"] = seed
+    return dataclasses.replace(cfg, **kwargs) if kwargs else cfg
+
+
+_SEGMENT_LAYOUT = {"layout": {"segments": [[0, 3464, "viaduct"], [3464, 5196, "urban"]]}}
+
+
+@given(
+    base_doc=st.sampled_from([{}, _SEGMENT_LAYOUT]),
+    speed_kmh=st.none() | st.floats(min_value=1e-3, max_value=1e300),
+    environment=st.none() | st.sampled_from(["viaduct", "cutting", "urban", "mixed"]),
+    offset_db=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    ttt_ms=st.none() | st.integers(min_value=1, max_value=64).map(lambda k: 40 * k),
+    runs=st.none() | st.integers(min_value=1, max_value=10**6),
+    seed=st.none() | st.integers(min_value=0, max_value=2**64 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_overrides_match_field_replacement(base_doc, **overrides):
+    base = config_from_dict(base_doc)
+    assert apply_overrides(base, **overrides) == _replace_overrides(base, **overrides)
