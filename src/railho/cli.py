@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import csvio
 from .config import ConfigError, RunConfig, apply_overrides, load_config
-from .simulate import monte_carlo, simulate_run
+from .simulate import SweepGrid, monte_carlo, simulate_run
 
 _ENV_CHOICES = ["viaduct", "cutting", "urban", "mixed"]
 
@@ -94,8 +94,9 @@ def _run_configs(args: argparse.Namespace, cfgs: list[RunConfig], names: tuple[s
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     args.out.mkdir(parents=True, exist_ok=True)
     stats_rows, record_rows, hist_rows = [], [], []
+    grid = SweepGrid(cfgs)  # configs that differ only in handover share each run's link
     for cfg in cfgs:
-        stats = monte_carlo(cfg, workers=args.workers)
+        stats = monte_carlo(cfg, workers=args.workers, grid=grid)
         stats_rows.append(csvio.stats_csv_row(stats, cfg))
         columns = csvio.config_columns(cfg)
         record_rows.extend(csvio.record_row(rec, columns) for rec in stats.records)

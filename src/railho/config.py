@@ -286,7 +286,8 @@ def apply_overrides(
     doc = _given(
         kinematics=_given(speed_kmh=speed_kmh),
         layout=_given(environment=environment),
-        handover=_given(hysteresis_db=offset_db, ttt_s=None if ttt_ms is None else ttt_ms / 1000.0),
+        # a ttt_ms that is no finite number stays as it is, for the ttt_s check to reject
+        handover=_given(hysteresis_db=offset_db, ttt_s=ttt_ms / 1000.0 if _is_number(ttt_ms) else ttt_ms),
         runs=runs,
         seed=seed,
     )

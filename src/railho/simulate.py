@@ -1,10 +1,11 @@
 """End-to-end run orchestration and Monte Carlo aggregation.
 
-One run walks the train over the configured snapshot grid, draws the per-cell
-downlink power (path loss + antenna pattern + correlated shadowing + fast
-fading), degrades it with the worst-case ICI power for the configured speed,
-feeds the L1/L3 measurement pipeline on the 40 ms tick grid, and drives the
-handover state machine attempt by attempt (``HandoverFsm.run``).
+One run has a link part and a handover part. The link part walks the train
+over the configured snapshot grid, draws the per-cell downlink power (path
+loss + antenna pattern + correlated shadowing + fast fading), degrades it with
+the worst-case ICI power for the configured speed and feeds the L1/L3
+measurement pipeline on the 40 ms tick grid. The handover part drives the
+handover state machine over it attempt by attempt (``HandoverFsm.run``).
 
 What runs on snapshots and what on ticks:
 
@@ -31,7 +32,9 @@ measurement noise is drawn once per tick.
 
 Runs are reproducible: every random stream is derived from (master_seed,
 run_index, cell, purpose), so results are independent of execution order
-and worker count.
+and worker count. Only the state machine reads ``cfg.handover``, so the
+configs of a sweep that differ only in it see the same link in every run:
+``monte_carlo`` computes it once per run for them all (``SweepGrid``).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +51,7 @@ from scipy.special import ndtri
 from . import channel, ici
 from .config import RunConfig
 from .geometry import DeploymentLayout, Environment, environment_at, link_geometry, sample_stride
-from .handover import HandoverFsm, HandoverRecord, Outcome, interruption_window
+from .handover import HandoverConfig, HandoverFsm, HandoverRecord, Outcome, interruption_window
 from .measurement import measure_cell
 
 _STREAM_SHADOW = 0
@@ -104,6 +107,7 @@ class RunTrace:
 class RunResult:
     records: tuple[HandoverRecord, ...]
     trace: RunTrace | None = None
+    per_handover: tuple[tuple[HandoverRecord, ...], ...] = ()  # each handover setting's records
 
 
 @dataclass(frozen=True)
@@ -191,10 +195,7 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
     fd = ici.doppler_spread_hz(kin.speed_mps, cfg.ici.carrier_frequency_hz)
     tx = cfg.budget.rrh_tx_power_dbm
     start = float(tick_positions[0])
-    initial_serving = min(
-        range(n_cells),
-        key=lambda c: abs(layout.rrhs[c].position_along_track - start),
-    )
+    initial_serving = min(range(n_cells), key=lambda c: abs(layout.rrhs[c].position_along_track - start))
     return _StaticTables(
         n_snapshots=n_snap,
         shadow_segments=channel.shadowing_segments(
@@ -272,54 +273,58 @@ def _downlink_pr_ticks(cfg: RunConfig, tables: _StaticTables, run_index: int) ->
     return ici.snr_linear_from_dbm(rx_dbm, tables.noise_dbm)
 
 
+def _link(cfg: RunConfig, tables: _StaticTables, run_index: int) -> tuple[np.ndarray, ...]:
+    """The link part of a run: ``(pr_dl, l3, ul_snr, dl_snr)``, each ``(n_cells, n_ticks)``."""
+    p = tables.p_ici
+    ul_shift = 10.0 ** ((cfg.budget.ue_tx_power_dbm - cfg.budget.rrh_tx_power_dbm) / 10.0)
+    pr_dl = _downlink_pr_ticks(cfg, tables, run_index)
+    eff_lin_dl = pr_dl / (pr_dl * p + 1.0)
+    meas_rngs = [_link_streams(cfg.master_seed, run_index, c, _STREAM_MEASUREMENT) for c in range(len(pr_dl))]
+    l3 = measure_cell(eff_lin_dl, cfg.l1, cfg.l3, meas_rngs)
+    dl_snr = 10.0 * np.log10(eff_lin_dl)  # ici.rss_with_ici(pr_dl, p), from the L1 input
+    ul_snr = ici.rss_with_ici(pr_dl * ul_shift, p)
+    return pr_dl, l3, ul_snr, dl_snr
+
+
+def _handover(
+    cfg: RunConfig, handover: HandoverConfig, tables: _StaticTables, run_index: int, link: tuple
+) -> tuple[list[HandoverRecord], np.ndarray]:
+    """The handover part of a run: one state machine over the link, its records and serving trace."""
+    _, l3, ul_snr, dl_snr = link
+    n_cells, period = l3.shape[0], cfg.l1.sample_period_s
+    fsm = HandoverFsm(handover, period, n_cells, serving_cell=tables.initial_serving, run_id=run_index)
+    records, serving_trace = fsm.run(l3, ul_snr, dl_snr)
+    for rec in records:
+        if rec.command_tick is not None:
+            rec.start_position_m = float(tables.tick_positions[rec.command_tick])
+    if not records:
+        records.append(HandoverRecord(run_index, fsm.serving_cell, None, Outcome.NOT_TRIGGERED))
+    return records, serving_trace
+
+
 def simulate_run(
     cfg: RunConfig,
     run_index: int,
     *,
     tables: _StaticTables | None = None,
     want_trace: bool = False,
+    handovers: Sequence[HandoverConfig] | None = None,
 ) -> RunResult:
-    """Simulate one seeded run; deterministic given (config, master_seed, run_index)."""
+    """Simulate one seeded run; deterministic given (config, master_seed, run_index).
+
+    The link part runs once, the handover part once per entry of ``handovers``
+    (default ``(cfg.handover,)``); ``records`` and the trace are the first's.
+    """
     if tables is None:
         tables = precompute_tables(cfg)
-    n_cells = len(cfg.layout.rrhs)
-    n_ticks = tables.tick_snapshots.size
-    p = tables.p_ici
-    ul_shift = 10.0 ** ((cfg.budget.ue_tx_power_dbm - cfg.budget.rrh_tx_power_dbm) / 10.0)
-
-    pr_dl = _downlink_pr_ticks(cfg, tables, run_index)
-    eff_lin_dl = pr_dl / (pr_dl * p + 1.0)
-    meas_rngs = [
-        _link_streams(cfg.master_seed, run_index, cell, _STREAM_MEASUREMENT) for cell in range(n_cells)
-    ]
-    l3 = measure_cell(eff_lin_dl, cfg.l1, cfg.l3, meas_rngs)
-    dl_snr = 10.0 * np.log10(eff_lin_dl)  # ici.rss_with_ici(pr_dl, p), from the L1 input
-    ul_snr = ici.rss_with_ici(pr_dl * ul_shift, p)
-
-    fsm = HandoverFsm(
-        cfg.handover,
-        cfg.l1.sample_period_s,
-        n_cells,
-        serving_cell=tables.initial_serving,
-        run_id=run_index,
-    )
-    records, serving_trace = fsm.run(l3, ul_snr, dl_snr)
-
-    for rec in records:
-        if rec.command_tick is not None:
-            rec.start_position_m = float(tables.tick_positions[rec.command_tick])
-    if not records:
-        records.append(
-            HandoverRecord(
-                run_id=run_index,
-                serving_cell=fsm.serving_cell,
-                target_cell=None,
-                outcome=Outcome.NOT_TRIGGERED,
-            )
-        )
+    link = _link(cfg, tables, run_index)
+    drives = [_handover(cfg, ho, tables, run_index, link) for ho in handovers or (cfg.handover,)]
+    records, serving_trace = drives[0]
 
     trace = None
     if want_trace:
+        pr_dl, _, _, dl_snr = link
+        n_ticks = tables.tick_snapshots.size
         interrupted = np.zeros(n_ticks, dtype=bool)
         for rec in records:
             if rec.outcome in (Outcome.SUCCESS, Outcome.FAIL_RACH):
@@ -330,23 +335,19 @@ def simulate_run(
             dl_snr[np.maximum(serving_trace, 0), np.arange(n_ticks)],
             -np.inf,
         )
-        throughput = np.where(
-            interrupted,
-            0.0,
-            ici.throughput_bps(eff_db_serving, cfg.budget.bandwidth_hz),
-        )
+        throughput = np.where(interrupted, 0.0, ici.throughput_bps(eff_db_serving, cfg.budget.bandwidth_hz))
         trace = RunTrace(
             run_id=run_index,
             tick_snapshots=tables.tick_snapshots.copy(),
             positions_m=tables.tick_positions.copy(),
-            p_ici=p,
+            p_ici=tables.p_ici,
             snr_db=(10.0 * np.log10(pr_dl)).T,
             effective_snr_db=dl_snr.T.copy(),
             serving_cell=serving_trace,
             interrupted=interrupted,
             throughput_bps=throughput,
         )
-    return RunResult(records=tuple(records), trace=trace)
+    return RunResult(tuple(records), trace, tuple(tuple(r) for r, _ in drives))
 
 
 def aggregate_records(records: Sequence[HandoverRecord], cfg: RunConfig) -> SweepStatistics:
@@ -396,19 +397,56 @@ def aggregate_records(records: Sequence[HandoverRecord], cfg: RunConfig) -> Swee
     )
 
 
-def monte_carlo(cfg: RunConfig, *, workers: int = 1) -> SweepStatistics:
+def _same_link(a: RunConfig, b: RunConfig) -> bool:
+    return all(getattr(a, f.name) == getattr(b, f.name) for f in fields(RunConfig) if f.name != "handover")
+
+
+class SweepGrid:
+    """The configs of a sweep for ``monte_carlo``, run a group at a time.
+
+    A group is the configs that differ only in ``handover``. The first
+    request for a member runs the whole group; the statistics of the other
+    members wait until they are requested.
+    """
+
+    def __init__(self, cfgs: Sequence[RunConfig]) -> None:
+        self._waiting = list(cfgs)  # configs whose group has not run
+        self._ready: list[tuple[RunConfig, SweepStatistics]] = []
+
+    def statistics(self, cfg: RunConfig, workers: int) -> SweepStatistics:
+        if not any(c == cfg for c, _ in self._ready):
+            group = [c for c in self._waiting if _same_link(c, cfg)]
+            self._waiting = [c for c in self._waiting if not _same_link(c, cfg)]
+            group += [] if cfg in group else [cfg]
+            tables = precompute_tables(cfg)
+            handovers = [member.handover for member in group]
+
+            def run(i: int) -> tuple[tuple[HandoverRecord, ...], ...]:
+                return simulate_run(cfg, i, tables=tables, handovers=handovers).per_handover
+
+            if workers > 1:
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    results = list(pool.map(run, range(cfg.runs)))
+            else:
+                results = [run(i) for i in range(cfg.runs)]
+            for k, member in enumerate(group):
+                records = [rec for per_run in results for rec in per_run[k]]
+                self._ready.append((member, aggregate_records(records, member)))
+        return self._ready.pop(next(i for i, (c, _) in enumerate(self._ready) if c == cfg))[1]
+
+
+def monte_carlo(cfg: RunConfig, *, workers: int = 1, grid: SweepGrid | None = None) -> SweepStatistics:
     """Run ``cfg.runs`` independent seeded runs and aggregate their records.
+
+    The configs of ``grid`` that differ from ``cfg`` only in ``handover``
+    run with it: one set of tables, and per run one link part (every draw,
+    recursion and L1/L3 filter) that drives one state machine per config.
+    This is exact: only the state machine reads ``handover``, and every
+    random stream is keyed by (master_seed, run_index, cell, purpose). Only
+    records are kept per run, never the link arrays. Without a grid,
+    ``cfg`` is a grid of one.
 
     Aggregation is ordered by run index, so the result is identical for any
     worker count.
     """
-    tables = precompute_tables(cfg)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda i: simulate_run(cfg, i, tables=tables), range(cfg.runs))
-            )
-    else:
-        results = [simulate_run(cfg, i, tables=tables) for i in range(cfg.runs)]
-    records = [rec for res in results for rec in res.records]
-    return aggregate_records(records, cfg)
+    return (SweepGrid([cfg]) if grid is None else grid).statistics(cfg, workers)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from railho import cli, csvio
+from railho import cli, csvio, simulate
 from railho.cli import main
+from railho.config import apply_overrides, load_config
 
 TINY = {
     "layout": {"environment": "viaduct", "spans": 2, "rrh_spacing_m": 400.0},
@@ -86,6 +87,8 @@ class TestSimulateCommand:
             bad.write_text(text)
             assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2, text
             assert capsys.readouterr().err.startswith("configuration error:"), text
+        assert main(["simulate", "--ttt-ms", "1" + "0" * 400, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
 
     @pytest.mark.parametrize(
         "flags",
@@ -169,6 +172,32 @@ class TestSweepCommand:
         assert [line.split(" offset")[0] for line in summaries] == [
             "100 km/h viaduct", "100 km/h viaduct", "300 km/h viaduct", "300 km/h viaduct",
         ]
+
+    def test_one_monte_carlo_call_per_config_in_grid_order(self, tiny_config_path, tmp_path, monkeypatch):
+        inner, calls = cli.monte_carlo, []
+
+        def capture(cfg, **kwargs):
+            stats = inner(cfg, **kwargs)
+            calls.append((cfg, stats))
+            return stats
+
+        monkeypatch.setattr(cli, "monte_carlo", capture)
+        argv = ["sweep", "--config", str(tiny_config_path), "--speeds", "100,300", "--offsets", "4,0,4",
+                "--envs", "viaduct,urban", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        base = load_config(tiny_config_path)
+        expected = [
+            apply_overrides(base, speed_kmh=speed, environment=env, offset_db=offset)
+            for env in ("viaduct", "urban")
+            for speed in (100.0, 300.0)
+            for offset in (4.0, 0.0, 4.0)
+        ]
+        assert [cfg for cfg, _ in calls] == expected
+        for cfg, stats in calls:
+            assert stats == simulate.monte_carlo(cfg)
+        assert len(csvio.read_records_csv(tmp_path / "sweep_records.csv")) == sum(
+            stats.n_records for _, stats in calls
+        )
 
     def test_env_list(self, tiny_config_path, tmp_path):
         out = tmp_path / "sweep"

@@ -14,6 +14,7 @@ from railho.constants import kmh_to_mps
 from railho.geometry import TrainKinematics, environment_at, sample_stride
 from railho.handover import Outcome
 from railho.ici import IciParams
+from railho import simulate
 from railho.simulate import (
     _downlink_pr_ticks,
     _link_streams,
@@ -26,6 +27,7 @@ from railho.simulate import (
     SweepStatistics,
     precompute_tables,
     simulate_run,
+    SweepGrid,
 )
 
 
@@ -51,6 +53,58 @@ class TestDeterminism:
 
     def test_worker_count_does_not_change_results(self, tiny_cfg):
         assert monte_carlo(tiny_cfg, workers=1) == monte_carlo(tiny_cfg, workers=3)
+
+
+class TestSweepGrid:
+    """Configs that differ only in ``handover`` share each run's link; nothing else may change."""
+
+    @staticmethod
+    def grid(tiny_cfg):
+        base = dataclasses.replace(tiny_cfg, runs=3)
+        return [  # offsets outermost, so the members of a group are not adjacent
+            apply_overrides(base, offset_db=offset, ttt_ms=ttt, speed_kmh=speed, environment=env)
+            for offset in (0.0, 2.0, 2.0)
+            for ttt in (40, 80)
+            for speed in (100.0, 500.0)
+            for env in ("viaduct", "mixed")
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_shared_grid_equals_each_config_alone(self, tiny_cfg, workers):
+        cfgs = self.grid(tiny_cfg)
+        alone = [monte_carlo(cfg, workers=workers) for cfg in cfgs]
+        assert len({stats.n_records for stats in alone}) > 4  # the handover settings matter
+        grid = SweepGrid(cfgs)
+        assert [monte_carlo(cfg, workers=workers, grid=grid) for cfg in cfgs] == alone
+
+    def test_one_link_per_run_and_group(self, tiny_cfg, monkeypatch):
+        cfgs = self.grid(tiny_cfg)
+        calls = {"precompute_tables": 0, "simulate_run": 0, "measure_cell": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(simulate, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(simulate, name, counted)
+        grid = SweepGrid(cfgs)
+        for cfg in cfgs:
+            monte_carlo(cfg, grid=grid)
+        groups, runs = 4, 3  # two speeds x two environments
+        assert calls == {"precompute_tables": groups, "simulate_run": groups * runs, "measure_cell": groups * runs}
+
+    def test_config_outside_the_grid_runs_alone(self, tiny_cfg):
+        member = apply_overrides(tiny_cfg, offset_db=4.0)
+        grid = SweepGrid([member])
+        assert monte_carlo(tiny_cfg, grid=grid) == monte_carlo(tiny_cfg)
+        assert monte_carlo(member, grid=grid) == monte_carlo(member)
+
+    def test_per_handover_records_match_single_runs(self, tiny_cfg):
+        other = apply_overrides(tiny_cfg, offset_db=0.0, ttt_ms=80)
+        result = simulate_run(tiny_cfg, 1, want_trace=True, handovers=[tiny_cfg.handover, other.handover])
+        assert result.per_handover == (simulate_run(tiny_cfg, 1).records, simulate_run(other, 1).records)
+        assert result.records == result.per_handover[0]
+        alone = simulate_run(tiny_cfg, 1, want_trace=True).trace
+        for field in dataclasses.fields(alone):
+            np.testing.assert_array_equal(getattr(result.trace, field.name), getattr(alone, field.name))
 
 
 class TestChannelSeriesOracle:
