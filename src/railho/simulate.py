@@ -43,6 +43,7 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -195,7 +196,10 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
     fd = ici.doppler_spread_hz(kin.speed_mps, cfg.ici.carrier_frequency_hz)
     tx = cfg.budget.rrh_tx_power_dbm
     start = float(tick_positions[0])
-    initial_serving = min(range(n_cells), key=lambda c: abs(layout.rrhs[c].position_along_track - start))
+    initial_serving = min(
+        range(n_cells),
+        key=lambda c: abs(layout.rrhs[c].position_along_track - start),
+    )
     return _StaticTables(
         n_snapshots=n_snap,
         shadow_segments=channel.shadowing_segments(
@@ -402,11 +406,10 @@ def _same_link(a: RunConfig, b: RunConfig) -> bool:
 
 
 class SweepGrid:
-    """The configs of a sweep for ``monte_carlo``, run a group at a time.
+    """The configs of a sweep, run a group at a time for ``monte_carlo``.
 
-    A group is the configs that differ only in ``handover``. The first
-    request for a member runs the whole group; the statistics of the other
-    members wait until they are requested.
+    The first request for a config runs its group, the configs that differ
+    from it only in ``handover``; the others' statistics wait for their requests.
     """
 
     def __init__(self, cfgs: Sequence[RunConfig]) -> None:
@@ -419,18 +422,14 @@ class SweepGrid:
             self._waiting = [c for c in self._waiting if not _same_link(c, cfg)]
             group += [] if cfg in group else [cfg]
             tables = precompute_tables(cfg)
-            handovers = [member.handover for member in group]
-
-            def run(i: int) -> tuple[tuple[HandoverRecord, ...], ...]:
-                return simulate_run(cfg, i, tables=tables, handovers=handovers).per_handover
-
+            run = partial(simulate_run, cfg, tables=tables, handovers=[c.handover for c in group])
             if workers > 1:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
                     results = list(pool.map(run, range(cfg.runs)))
             else:
                 results = [run(i) for i in range(cfg.runs)]
             for k, member in enumerate(group):
-                records = [rec for per_run in results for rec in per_run[k]]
+                records = [rec for result in results for rec in result.per_handover[k]]
                 self._ready.append((member, aggregate_records(records, member)))
         return self._ready.pop(next(i for i, (c, _) in enumerate(self._ready) if c == cfg))[1]
 
@@ -438,13 +437,12 @@ class SweepGrid:
 def monte_carlo(cfg: RunConfig, *, workers: int = 1, grid: SweepGrid | None = None) -> SweepStatistics:
     """Run ``cfg.runs`` independent seeded runs and aggregate their records.
 
-    The configs of ``grid`` that differ from ``cfg`` only in ``handover``
-    run with it: one set of tables, and per run one link part (every draw,
-    recursion and L1/L3 filter) that drives one state machine per config.
-    This is exact: only the state machine reads ``handover``, and every
-    random stream is keyed by (master_seed, run_index, cell, purpose). Only
-    records are kept per run, never the link arrays. Without a grid,
-    ``cfg`` is a grid of one.
+    The configs of ``grid`` that differ from ``cfg`` only in ``handover`` run
+    with it: one set of tables and, per run, one link part (draws, recursions,
+    L1/L3) that drives one state machine per config. This is exact, since only
+    the state machine reads ``handover`` and every random stream is keyed by
+    (master_seed, run_index, cell, purpose). Runs keep only their records,
+    never the link arrays. Without a grid, ``cfg`` is a grid of one.
 
     Aggregation is ordered by run index, so the result is identical for any
     worker count.
