@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
 
@@ -106,9 +106,12 @@ class RunTrace:
 
 @dataclass(frozen=True)
 class RunResult:
-    records: tuple[HandoverRecord, ...]
+    per_handover: tuple[tuple[HandoverRecord, ...], ...]  # each handover setting's records
     trace: RunTrace | None = None
-    per_handover: tuple[tuple[HandoverRecord, ...], ...] = ()  # each handover setting's records
+
+    @property
+    def records(self) -> tuple[HandoverRecord, ...]:
+        return self.per_handover[0]
 
 
 @dataclass(frozen=True)
@@ -351,7 +354,7 @@ def simulate_run(
             interrupted=interrupted,
             throughput_bps=throughput,
         )
-    return RunResult(tuple(records), trace, tuple(tuple(r) for r, _ in drives))
+    return RunResult(tuple(tuple(r) for r, _ in drives), trace)
 
 
 def aggregate_records(records: Sequence[HandoverRecord], cfg: RunConfig) -> SweepStatistics:
@@ -401,10 +404,6 @@ def aggregate_records(records: Sequence[HandoverRecord], cfg: RunConfig) -> Swee
     )
 
 
-def _same_link(a: RunConfig, b: RunConfig) -> bool:
-    return all(getattr(a, f.name) == getattr(b, f.name) for f in fields(RunConfig) if f.name != "handover")
-
-
 class SweepGrid:
     """The configs of a sweep, run a group at a time for ``monte_carlo``.
 
@@ -418,8 +417,8 @@ class SweepGrid:
 
     def statistics(self, cfg: RunConfig, workers: int) -> SweepStatistics:
         if not any(c == cfg for c, _ in self._ready):
-            group = [c for c in self._waiting if _same_link(c, cfg)]
-            self._waiting = [c for c in self._waiting if not _same_link(c, cfg)]
+            group = [c for c in self._waiting if replace(c, handover=cfg.handover) == cfg]
+            self._waiting = [c for c in self._waiting if c not in group]
             group += [] if cfg in group else [cfg]
             tables = precompute_tables(cfg)
             run = partial(simulate_run, cfg, tables=tables, handovers=[c.handover for c in group])
