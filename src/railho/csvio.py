@@ -1,25 +1,25 @@
 """CSV writers and readers for records, sweep statistics and per-tick traces.
 
-All files are UTF-8 with LF line endings, '.' decimal separators and floats
-rendered to 6 significant digits. Missing values are empty fields.
+All files are UTF-8 with LF line endings and '.' decimal separators. Rows go
+to ``csv.writer`` as they are built; only floats are rendered first, to 6
+significant digits. ``csv`` writes ``None`` as an empty field (a missing
+value) and every other value with ``str``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import operator
-from dataclasses import dataclass, fields
+import typing
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .config import RunConfig
 from .handover import HandoverRecord
 from .simulate import RunTrace, SweepStatistics
 
 
-@dataclass(frozen=True)
-class RecordRow:
+class RecordRow(NamedTuple):
     """One records-CSV row: a handover record stamped with its configuration.
 
     The fields, in order, are the records-CSV columns.
@@ -38,17 +38,16 @@ class RecordRow:
     outcome: str
 
 
-def _field_parser(annotation: str):
-    """Parser of one CSV field for a ``RecordRow`` annotation; empty means None."""
-    base = {"int": int, "float": float, "str": str}[annotation.removesuffix(" | None")]
-    if annotation.endswith(" | None"):
-        return lambda text: base(text) if text else None
-    return base
+def _field_parser(hint):
+    """Parser of one CSV field of type ``hint``; an empty ``T | None`` field is None."""
+    if type(None) not in typing.get_args(hint):
+        return hint
+    base = typing.get_args(hint)[0]
+    return lambda text: base(text) if text else None
 
 
-RECORD_COLUMNS = [f.name for f in fields(RecordRow)]
-_record_values = operator.attrgetter(*RECORD_COLUMNS)
-_record_parsers = [_field_parser(f.type) for f in fields(RecordRow)]
+RECORD_COLUMNS = list(RecordRow._fields)
+_record_parsers = [_field_parser(hint) for hint in typing.get_type_hints(RecordRow).values()]
 
 STATS_COLUMNS = [
     "speed_kmh",
@@ -67,16 +66,13 @@ STATS_COLUMNS = [
 HISTOGRAM_COLUMNS = ["speed_kmh", "environment", "offset_db", "start_snapshot", "probability"]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
+def _fmt(value):
+    """A float to 6 significant digits; csv renders the int, str and None cells."""
+    return format(value, ".6g") if isinstance(value, float) else value
 
 
 def _write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write ``columns`` and then ``rows``, each cell rendered by ``_fmt``."""
+    """Write ``columns`` and then ``rows``, each cell passed through ``_fmt``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -105,7 +101,7 @@ def record_row(record: HandoverRecord, columns: tuple[float, str, float]) -> Rec
 
 
 def write_records_csv(rows: Iterable[RecordRow], path: str | Path) -> None:
-    _write_csv(path, RECORD_COLUMNS, map(_record_values, rows))
+    _write_csv(path, RECORD_COLUMNS, rows)
 
 
 def read_records_csv(path: str | Path) -> list[RecordRow]:
@@ -160,11 +156,9 @@ def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
         + [f"eff_snr_db_cell{c}" for c in range(n_cells)]
         + ["serving_cell", "interrupted", "throughput_bps"]
     )
-    rows = (
-        [t, int(trace.tick_snapshots[t]), float(trace.positions_m[t])]
-        + [float(trace.snr_db[t, c]) for c in range(n_cells)]
-        + [float(trace.effective_snr_db[t, c]) for c in range(n_cells)]
-        + [int(trace.serving_cell[t]), int(trace.interrupted[t]), float(trace.throughput_bps[t])]
-        for t in range(trace.tick_snapshots.size)
+    values = (
+        [trace.tick_snapshots, trace.positions_m, *trace.snr_db.T, *trace.effective_snr_db.T]
+        + [trace.serving_cell, trace.interrupted.astype(int), trace.throughput_bps]  # not True/False
     )
+    rows = zip(range(trace.tick_snapshots.size), *(column.tolist() for column in values))
     _write_csv(path, columns, rows)

@@ -56,7 +56,7 @@ def l1_filter(
     raw_linear: np.ndarray,
     cfg: L1Config,
     stride: int,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    rng: Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
     """Layer-1 series in dB from per-snapshot linear SINR streams along the last axis.
 
@@ -64,8 +64,7 @@ def l1_filter(
     taken values in the linear domain (the window shrinks at the stream
     start), converts to dB, then adds N(0, sigma^2) noise clipped to
     +/- cutoff * sigma. Each stream draws its noise from its own generator:
-    ``rng`` is one generator for a 1-D stream, or a sequence of them, one per
-    stream in C order, for a stack of streams.
+    ``rng`` holds one generator per stream, in C order (one for a 1-D stream).
     """
     raw = np.asarray(raw_linear, dtype=float)
     if raw.size == 0:
@@ -85,7 +84,7 @@ def l1_filter(
     if cfg.noise_sigma_db > 0.0:
         if rng is None:
             raise ValueError("rng required when noise_sigma_db > 0")
-        generators = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+        generators = list(rng)
         normals = np.empty(out.shape)
         rows = normals.reshape(-1, n)
         if len(generators) != rows.shape[0]:
@@ -111,7 +110,7 @@ def measure_cell(
     raw_linear: np.ndarray,
     l1_cfg: L1Config,
     l3_cfg: L3Config,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    rng: Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
     """Layer-3 series in dB from tick-grid linear SINR streams along the last axis.
 

@@ -420,16 +420,19 @@ class SweepGrid:
             group = [c for c in self._waiting if replace(c, handover=cfg.handover) == cfg]
             self._waiting = [c for c in self._waiting if c not in group]
             group += [] if cfg in group else [cfg]
+            members = {c.handover: c for c in group}  # equal grid points drive one machine
             tables = precompute_tables(cfg)
-            run = partial(simulate_run, cfg, tables=tables, handovers=[c.handover for c in group])
+            run = partial(simulate_run, cfg, tables=tables, handovers=list(members))
             if workers > 1:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
                     results = list(pool.map(run, range(cfg.runs)))
             else:
                 results = [run(i) for i in range(cfg.runs)]
-            for k, member in enumerate(group):
-                records = [rec for result in results for rec in result.per_handover[k]]
-                self._ready.append((member, aggregate_records(records, member)))
+            stats = {
+                ho: aggregate_records([rec for result in results for rec in result.per_handover[k]], member)
+                for k, (ho, member) in enumerate(members.items())
+            }
+            self._ready += [(member, stats[member.handover]) for member in group]
         return self._ready.pop(next(i for i, (c, _) in enumerate(self._ready) if c == cfg))[1]
 
 

@@ -199,6 +199,23 @@ class TestSweepCommand:
             stats.n_records for _, stats in calls
         )
 
+    def test_equal_grid_points_drive_one_machine(self, tiny_config_path, tmp_path, monkeypatch):
+        inner, offsets = simulate.HandoverFsm.run, []
+
+        def counting(fsm, *arrays):
+            offsets.append(fsm.cfg.hysteresis_db)
+            return inner(fsm, *arrays)
+
+        monkeypatch.setattr(simulate.HandoverFsm, "run", counting)
+        argv = ["sweep", "--config", str(tiny_config_path), "--speeds", "300", "--offsets", "0,2,2,6",
+                "--runs", "2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert sorted(offsets) == [0.0, 0.0, 2.0, 2.0, 6.0, 6.0]  # 2 runs x 3 distinct offsets
+        stats_lines = (tmp_path / "sweep_stats.csv").read_text().splitlines()
+        assert len(stats_lines) == 1 + 4 and stats_lines[2] == stats_lines[3]
+        twos = [r for r in csvio.read_records_csv(tmp_path / "sweep_records.csv") if r.offset_db == 2.0]
+        assert twos and twos[: len(twos) // 2] == twos[len(twos) // 2 :]
+
     def test_env_list(self, tiny_config_path, tmp_path):
         out = tmp_path / "sweep"
         code = main(

@@ -26,6 +26,7 @@ from railho.simulate import (
     monte_carlo,
     SweepStatistics,
     precompute_tables,
+    RunTrace,
     simulate_run,
     SweepGrid,
 )
@@ -466,9 +467,31 @@ class TestCsv:
         literal.write_bytes(records_text.encode("utf-8"))
         assert csvio.read_records_csv(literal) == [
             rows[0],
-            dataclasses.replace(rows[1], start_position_m=1234.57),
+            rows[1]._replace(start_position_m=1234.57),
             rows[2],
         ]
+
+    def test_trace_bytes_match_literal_text(self, tmp_path):
+        """Pins the trace columns and number format, numpy scalars included."""
+        trace = RunTrace(
+            run_id=0,
+            tick_snapshots=np.array([0, 11], dtype=np.int64),
+            positions_m=np.array([0.0, 122.25]),
+            p_ici=0.01,
+            snr_db=np.array([[12.3456789, -3.0], [0.1, 1e7]]),
+            effective_snr_db=np.array([[12.0, -3.5], [-0.25, 20.000001]]),
+            serving_cell=np.array([0, -1], dtype=np.int64),
+            interrupted=np.array([False, True]),
+            throughput_bps=np.array([1.5e7, 0.0]),
+        )
+        text = (
+            "tick,snapshot,position_m,snr_db_cell0,snr_db_cell1,eff_snr_db_cell0,eff_snr_db_cell1,"
+            "serving_cell,interrupted,throughput_bps\n"
+            "0,0,0,12.3457,-3,12,-3.5,0,0,1.5e+07\n"
+            "1,11,122.25,0.1,1e+07,-0.25,20,-1,1,0\n"
+        )
+        csvio.write_trace_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == text.encode("utf-8")
 
     def test_trace_csv(self, tiny_cfg, tmp_path):
         res = simulate_run(tiny_cfg, 0, want_trace=True)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from railho.constants import kmh_to_mps
@@ -110,8 +110,13 @@ class TestRssWithIci:
         assert np.allclose(out, [0.0, 10.0])
 
     @given(pr=st.floats(min_value=1e-6, max_value=1e6), p=st.floats(min_value=1e-9, max_value=100.0))
+    @example(pr=1.0000000000000002e-06, p=1e-09)
     def test_ici_strictly_degrades(self, pr, p):
-        assert rss_with_ici(pr, p) < 10.0 * math.log10(pr)
+        # The ICI loss 10 log10(1 + pr p) can be below half an ulp of the SNR (4e-15 dB
+        # against -60 dB here), so strict loss is asserted only when pr p is not negligible.
+        assert rss_with_ici(pr, p) <= 10.0 * math.log10(pr)
+        if pr * p >= 1e-12:
+            assert rss_with_ici(pr, p) < 10.0 * math.log10(pr)
 
     @given(
         pr=st.floats(min_value=1e-3, max_value=1e3),

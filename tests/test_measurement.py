@@ -68,7 +68,7 @@ class TestL1Filter:
     def test_noise_is_clipped(self):
         cfg = L1Config(noise_sigma_db=1.0, noise_cutoff_sigmas=3.0)
         raw = np.full(100_000, 10.0)
-        out = l1_filter(raw, cfg, stride=1, rng=np.random.default_rng(0))
+        out = l1_filter(raw, cfg, stride=1, rng=[np.random.default_rng(0)])
         dev = np.abs(out - 10.0)
         assert dev.max() <= 3.0 + 1e-12
         # noise actually present
@@ -155,8 +155,8 @@ class TestPipeline:
 
     def test_series_lengths_agree(self):
         raw = np.ones(100)
-        l3 = measure_cell(raw[::3], L1Config(), L3Config(), rng=np.random.default_rng(2))
-        l1 = l1_filter(raw, L1Config(), 3, np.random.default_rng(2))
+        l3 = measure_cell(raw[::3], L1Config(), L3Config(), rng=[np.random.default_rng(2)])
+        l1 = l1_filter(raw, L1Config(), 3, [np.random.default_rng(2)])
         assert len(l3) == len(l1) == 34
         np.testing.assert_array_equal(l3, l3_filter(l1, L3Config()))
 
@@ -164,7 +164,7 @@ class TestPipeline:
         raw = np.abs(np.random.default_rng(3).normal(10.0, 3.0, size=(3, 120))) + 0.1
         stacked = measure_cell(raw, L1Config(), L3Config(), [np.random.default_rng(s) for s in range(3)])
         for cell in range(3):
-            one = measure_cell(raw[cell], L1Config(), L3Config(), np.random.default_rng(cell))
+            one = measure_cell(raw[cell], L1Config(), L3Config(), [np.random.default_rng(cell)])
             np.testing.assert_array_equal(stacked[cell], one)
         with pytest.raises(ValueError, match="2 generators for 3 streams"):
             measure_cell(raw, L1Config(), L3Config(), [np.random.default_rng(s) for s in range(2)])
