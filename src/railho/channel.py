@@ -32,7 +32,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 from scipy.signal import lfilter
 
-from .geometry import Environment, RrhSite
+from .geometry import DeploymentLayout, Environment
 
 LosMode = Literal["always", "never", "range"]
 
@@ -162,7 +162,7 @@ def path_loss_db(profile: EnvironmentProfile, distance_m, *, los: bool = False):
     return profile.pathloss_intercept_db + 10.0 * exponent * np.log10(distance_m)
 
 
-def antenna_gain_db(site: RrhSite, bearing_rad):
+def antenna_gain_db(layout: DeploymentLayout, bearing_rad):
     """Parabolic main lobe with a side floor, mirrored for the backward beam.
 
     Accepts a scalar or array bearing.
@@ -170,10 +170,10 @@ def antenna_gain_db(site: RrhSite, bearing_rad):
     b = np.clip(bearing_rad, 0.0, math.pi)
     theta = np.minimum(b, math.pi - b)
     attenuation = np.minimum(
-        12.0 * (theta / site.beamwidth_3db_rad) ** 2,
-        site.pattern_floor_db,
+        12.0 * (theta / layout.beamwidth_3db_rad) ** 2,
+        layout.pattern_floor_db,
     )
-    return site.max_gain_db - attenuation
+    return layout.max_gain_db - attenuation
 
 
 def shadowing_db(state: FadingState, profile: EnvironmentProfile, position_m: float) -> float:

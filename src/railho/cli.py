@@ -16,9 +16,10 @@ from pathlib import Path
 
 from . import csvio
 from .config import ConfigError, RunConfig, apply_overrides, load_config
+from .geometry import Environment
 from .simulate import SweepGrid, monte_carlo, simulate_run
 
-_ENV_CHOICES = ["viaduct", "cutting", "urban", "mixed"]
+_ENV_CHOICES = [env.value for env in Environment] + ["mixed"]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -27,14 +27,7 @@ from typing import Any, Literal
 
 from .channel import EnvironmentProfile, LinkBudget, default_profiles
 from .constants import kmh_to_mps, mps_to_kmh
-from .geometry import (
-    DEFAULT_RRH_SPACING_M,
-    DeploymentLayout,
-    Environment,
-    TrainKinematics,
-    default_layout,
-    span_segments,
-)
+from .geometry import DeploymentLayout, Environment, TrainKinematics, default_layout, span_segments
 from .handover import HandoverConfig
 from .ici import IciParams
 from .measurement import L1Config, L3Config
@@ -87,7 +80,7 @@ class RunConfig:
                 f"kinematics.start_position_m {self.kinematics.start_position_m} is beyond the "
                 f"end of the {self.layout.track_length_m} m track"
             )
-        if any(math.hypot(s.lateral_offset, s.height) < 1.0 for s in self.layout.rrhs):
+        if math.hypot(self.layout.lateral_offset_m, self.layout.rrh_height_m) < 1.0:
             raise ConfigError("RRHs must sit at least the 1 m path-loss reference from the track")
         for _, _, env in self.layout.segments:
             if env not in self.profiles:
@@ -123,7 +116,7 @@ def _config_errors(prefix: str = ""):
     """Re-raise a bad value met while building a configuration as ``ConfigError``."""
     try:
         yield
-    except (TypeError, ValueError, LookupError) as exc:
+    except (TypeError, ValueError, LookupError, ArithmeticError) as exc:
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
@@ -191,38 +184,42 @@ def _is_segments(value: Any) -> bool:
     )
 
 
-# default_layout's parameters, with the beamwidth in degrees, and explicit segments
+# DeploymentLayout's fields, with the beamwidth in degrees, and the environment that tiles the spans
 _LAYOUT_CHECKS = {
-    **_field_checks(default_layout),
+    **_field_checks(DeploymentLayout),
     "beamwidth_3db_deg": _type_check(float),
+    "environment": _type_check(str),
     "segments": (_is_segments, "a non-empty list of [start, end, environment] entries with numeric bounds"),
 }
-del _LAYOUT_CHECKS["beamwidth_3db_rad"], _LAYOUT_CHECKS["return"]
+del _LAYOUT_CHECKS["beamwidth_3db_rad"]
 
 
 def _build_layout(data: Any, base: DeploymentLayout) -> DeploymentLayout:
-    _object(data, _LAYOUT_CHECKS, "layout")
-    if "segments" in data and "environment" in data:
+    """Replace the fields that ``data`` names in ``base`` and tile its spans.
+
+    Explicit ``segments`` tile the track as given; otherwise ``environment``
+    ("mixed" when absent) gives each RRH span one segment.
+    """
+    fields = dict(_object(data, _LAYOUT_CHECKS, "layout"))
+    if "segments" in fields and "environment" in fields:
         raise ConfigError("give layout.segments or layout.environment, not both")
+    if "beamwidth_3db_deg" in fields:
+        fields["beamwidth_3db_rad"] = math.radians(fields.pop("beamwidth_3db_deg"))
+    spacing = fields.get("rrh_spacing_m", base.rrh_spacing_m)
     with _config_errors("bad layout: "):
-        if data.keys() == {"environment"}:
-            # The environment alone keeps the base's sites and track and retiles its spans.
-            segments = span_segments(base.rrhs, base.track_length_m, data["environment"])
-            return dataclasses.replace(base, segments=segments)
-        kwargs = {key: value for key, value in data.items() if key not in ("segments", "beamwidth_3db_deg")}
-        if "beamwidth_3db_deg" in data:
-            kwargs["beamwidth_3db_rad"] = math.radians(data["beamwidth_3db_deg"])
-        if "segments" not in data:
-            return default_layout(**kwargs)
-        if "spans" not in kwargs:
-            # One segment may cover several RRH spans: size the track by its end.
-            spacing = kwargs.get("rrh_spacing_m", DEFAULT_RRH_SPACING_M)
-            end = float(data["segments"][-1][1])
-            kwargs["spans"] = spans = round(end / spacing)
-            if not math.isclose(end, spans * spacing, rel_tol=1e-9, abs_tol=1e-6):
-                raise ConfigError(f"segments end at {end}, not a whole number of {spacing} m RRH spans")
-        segments = tuple((float(s[0]), float(s[1]), Environment(s[2])) for s in data["segments"])
-        return dataclasses.replace(default_layout(**kwargs), segments=segments)
+        if "segments" in fields:
+            segments = tuple((float(a), float(b), Environment(env)) for a, b, env in fields["segments"])
+            fields["segments"] = segments
+            if "spans" not in fields:
+                # One segment may cover several RRH spans: size the track by its end.
+                end = segments[-1][1]
+                fields["spans"] = spans = round(end / spacing)
+                if not math.isclose(end, spans * spacing, rel_tol=1e-9, abs_tol=1e-6):
+                    raise ConfigError(f"segments end at {end}, not a whole number of {spacing} m RRH spans")
+        else:
+            spans = fields.get("spans", base.spans)
+            fields["segments"] = span_segments(spans, spacing, fields.pop("environment", "mixed"))
+        return dataclasses.replace(base, **fields)
 
 
 def _build_profiles(data: Any, base: Mapping[Environment, EnvironmentProfile]) -> dict:

@@ -1,9 +1,11 @@
 """Trackside deployment geometry and train kinematics.
 
-A straight track runs along increasing position. Remote radio heads (RRHs)
-sit at a fixed lateral offset from the track with bidirectional beams turned
-along it, and the track is tiled into propagation-environment segments such
-that a single environment lies between any two neighbouring RRHs.
+A straight track runs along increasing position and is cut into equal RRH
+spans. One remote radio head (RRH) stands at each span boundary: RRH ``i``
+sits at ``i * rrh_spacing_m``, and all RRHs share one mast (lateral offset
+and height) and one bidirectional beam turned along the track. The track is
+tiled into propagation-environment segments such that a single environment
+lies between any two neighbouring RRHs.
 """
 
 from __future__ import annotations
@@ -15,11 +17,6 @@ from enum import Enum
 import numpy as np
 
 DEFAULT_RRH_SPACING_M = 1732.0
-# The paper's abstract fixes neither the RRH's distance from the track nor its
-# height; 100 m and 30 m are this repository's choice. With them the train
-# passes its own RRH off the beam axis, at the pattern floor.
-DEFAULT_LATERAL_OFFSET_M = 100.0
-DEFAULT_RRH_HEIGHT_M = 30.0
 DEFAULT_SNAPSHOT_INTERVAL_M = 1.0
 
 _REL_TOL = 1e-9
@@ -35,26 +32,6 @@ class Environment(str, Enum):
 
 #: Default order in which environments tile a mixed track, one per RRH span.
 MIXED_ENVIRONMENT_ORDER = (Environment.VIADUCT, Environment.CUTTING, Environment.URBAN)
-
-
-@dataclass(frozen=True)
-class RrhSite:
-    """A trackside remote radio head with a bidirectional along-track beam."""
-
-    position_along_track: float
-    lateral_offset: float = DEFAULT_LATERAL_OFFSET_M
-    height: float = DEFAULT_RRH_HEIGHT_M
-    max_gain_db: float = 14.0
-    beamwidth_3db_rad: float = math.radians(30.0)
-    pattern_floor_db: float = 25.0
-
-    def __post_init__(self) -> None:
-        if self.lateral_offset <= 0.0:
-            raise ValueError(f"lateral_offset must be positive, got {self.lateral_offset}")
-        if self.height <= 0.0:
-            raise ValueError(f"height must be positive, got {self.height}")
-        if self.beamwidth_3db_rad <= 0.0:
-            raise ValueError("beamwidth_3db_rad must be positive")
 
 
 @dataclass(frozen=True)
@@ -77,28 +54,37 @@ class TrainKinematics:
 Segment = tuple[float, float, Environment]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DeploymentLayout:
-    """Ordered RRH sites plus the environment tiling of the track."""
+    """Equally spaced RRHs with one mast and beam, and the environment tiling of the track.
 
-    rrhs: tuple[RrhSite, ...]
-    rrh_spacing_m: float
-    track_length_m: float
+    The fields are the keys of a configuration's ``layout`` section, except
+    that the beamwidth is in radians.
+    """
+
+    spans: int = 3
+    rrh_spacing_m: float = DEFAULT_RRH_SPACING_M
+    # The paper's abstract fixes neither the RRH's distance from the track nor its
+    # height; 100 m and 30 m are this repository's choice. With them the train
+    # passes its own RRH off the beam axis, at the pattern floor.
+    lateral_offset_m: float = 100.0
+    rrh_height_m: float = 30.0
+    max_gain_db: float = 14.0
+    beamwidth_3db_rad: float = math.radians(30.0)
+    pattern_floor_db: float = 25.0
     segments: tuple[Segment, ...]
 
     def __post_init__(self) -> None:
-        if len(self.rrhs) < 1:
-            raise ValueError("layout needs at least one RRH")
-        if self.track_length_m <= 0.0:
-            raise ValueError("track_length_m must be positive")
-        positions = [s.position_along_track for s in self.rrhs]
-        if positions != sorted(positions):
-            raise ValueError("rrhs must be sorted by position_along_track")
-        for a, b in zip(positions, positions[1:]):
-            if not math.isclose(b - a, self.rrh_spacing_m, rel_tol=_REL_TOL, abs_tol=1e-6):
-                raise ValueError(
-                    f"consecutive RRH spacing {b - a} differs from rrh_spacing_m {self.rrh_spacing_m}"
-                )
+        if self.spans < 1:
+            raise ValueError("spans must be >= 1")
+        if self.rrh_spacing_m <= 0.0:
+            raise ValueError(f"rrh_spacing_m must be positive, got {self.rrh_spacing_m}")
+        if self.lateral_offset_m <= 0.0:
+            raise ValueError(f"lateral_offset_m must be positive, got {self.lateral_offset_m}")
+        if self.rrh_height_m <= 0.0:
+            raise ValueError(f"rrh_height_m must be positive, got {self.rrh_height_m}")
+        if self.beamwidth_3db_rad <= 0.0:
+            raise ValueError("beamwidth_3db_rad must be positive")
         if not self.segments:
             raise ValueError("layout needs at least one segment")
         cursor = 0.0
@@ -109,17 +95,20 @@ class DeploymentLayout:
                 raise ValueError(f"segment ({start}, {end}) is empty or reversed")
             if not isinstance(env, Environment):
                 raise ValueError(f"segment environment {env!r} is not an Environment")
+            # A single environment must span the gap between any two neighbouring RRHs.
+            if abs(start - round(start / self.rrh_spacing_m) * self.rrh_spacing_m) > 1e-6:
+                raise ValueError(f"environment changes at {start}, inside an RRH span")
             cursor = end
         if not math.isclose(cursor, self.track_length_m, rel_tol=_REL_TOL, abs_tol=1e-6):
             raise ValueError(f"segments end at {cursor}, track length is {self.track_length_m}")
-        # A single environment must span the gap between any two neighbouring RRHs.
-        boundaries = [s[0] for s in self.segments[1:]]
-        for a, b in zip(positions, positions[1:]):
-            inside = [x for x in boundaries if a + 1e-6 < x < b - 1e-6]
-            if inside:
-                raise ValueError(
-                    f"environment changes at {inside} inside the RRH span ({a}, {b})"
-                )
+
+    @property
+    def track_length_m(self) -> float:
+        return self.spans * self.rrh_spacing_m
+
+    def rrh_position_m(self, cell: int) -> float:
+        """Along-track position of RRH ``cell`` (0 to ``spans``)."""
+        return cell * self.rrh_spacing_m
 
     @property
     def environment_label(self) -> str:
@@ -132,71 +121,43 @@ def default_layout(
     environment: str | Environment = "mixed",
     spans: int = 3,
     rrh_spacing_m: float = DEFAULT_RRH_SPACING_M,
-    lateral_offset_m: float = DEFAULT_LATERAL_OFFSET_M,
-    rrh_height_m: float = DEFAULT_RRH_HEIGHT_M,
-    max_gain_db: float = 14.0,
-    beamwidth_3db_rad: float = math.radians(30.0),
-    pattern_floor_db: float = 25.0,
+    **mast_and_beam: float,
 ) -> DeploymentLayout:
-    """Build a linear deployment with one RRH at each span boundary.
+    """A layout with one segment per RRH span, tiled by ``environment``.
 
-    ``environment`` is either a single environment name applied to every span
-    or "mixed", which cycles viaduct/cutting/urban along the track. The
-    default 100 m lateral offset and 30 m height are this repository's
-    choice, not the paper's.
+    ``mast_and_beam`` sets the other ``DeploymentLayout`` fields.
     """
-    if spans < 1:
-        raise ValueError("spans must be >= 1")
-    track_length = spans * rrh_spacing_m
-    rrhs = tuple(
-        RrhSite(
-            position_along_track=i * rrh_spacing_m,
-            lateral_offset=lateral_offset_m,
-            height=rrh_height_m,
-            max_gain_db=max_gain_db,
-            beamwidth_3db_rad=beamwidth_3db_rad,
-            pattern_floor_db=pattern_floor_db,
-        )
-        for i in range(spans + 1)
-    )
-    return DeploymentLayout(
-        rrhs=rrhs,
-        rrh_spacing_m=rrh_spacing_m,
-        track_length_m=track_length,
-        segments=span_segments(rrhs, track_length, environment),
-    )
+    segments = span_segments(spans, rrh_spacing_m, environment)
+    return DeploymentLayout(spans=spans, rrh_spacing_m=rrh_spacing_m, segments=segments, **mast_and_beam)
 
 
 def span_segments(
-    rrhs: tuple[RrhSite, ...], track_length_m: float, environment: str | Environment
+    spans: int, rrh_spacing_m: float, environment: str | Environment
 ) -> tuple[Segment, ...]:
-    """Tile [0, track_length_m] with one segment per RRH span.
+    """Tile ``spans`` RRH spans with one segment each.
 
-    Segment boundaries sit at the RRH positions inside the track.
     ``environment`` is either a single environment name applied to every
     segment or "mixed", which cycles viaduct/cutting/urban along the track.
     """
-    inner = [s.position_along_track for s in rrhs if 0.0 < s.position_along_track < track_length_m]
-    bounds = [0.0, *inner, track_length_m]
-    n = len(bounds) - 1
+    bounds = [i * rrh_spacing_m for i in range(spans + 1)]
     if environment == "mixed":
-        envs = [MIXED_ENVIRONMENT_ORDER[i % 3] for i in range(n)]
+        envs = [MIXED_ENVIRONMENT_ORDER[i % 3] for i in range(spans)]
     else:
-        envs = [Environment(environment)] * n
+        envs = [Environment(environment)] * spans
     return tuple(zip(bounds[:-1], bounds[1:], envs))
 
 
-def link_geometry(site: RrhSite, train_position_m):
-    """3D site-to-train distance and horizontal bearing off the beam axis.
+def link_geometry(layout: DeploymentLayout, cell: int, train_position_m):
+    """3D distance from RRH ``cell`` to the train and horizontal bearing off the beam axis.
 
     Accepts a scalar position or a numpy array of positions and returns
     matching scalars or arrays. The bearing is measured from the forward
     track direction; the antenna pattern handles the bidirectional beam
     symmetry.
     """
-    d_along = np.asarray(train_position_m, dtype=float) - site.position_along_track
-    distance = np.sqrt(d_along * d_along + site.lateral_offset**2 + site.height**2)
-    bearing = np.arctan2(site.lateral_offset, d_along)  # in (0, pi)
+    d_along = np.asarray(train_position_m, dtype=float) - layout.rrh_position_m(cell)
+    distance = np.sqrt(d_along * d_along + layout.lateral_offset_m**2 + layout.rrh_height_m**2)
+    bearing = np.arctan2(layout.lateral_offset_m, d_along)  # in (0, pi)
     return distance, bearing
 
 

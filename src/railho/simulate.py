@@ -176,14 +176,14 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
         return out
 
     site_corr = per_tick(lambda p: p.shadow_site_correlation)
-    n_cells = len(layout.rrhs)
+    n_cells = layout.spans + 1
     penetration = cfg.budget.penetration_loss_db
     base_nlos = np.empty((n_cells, n_ticks))
     base_los = np.empty((n_cells, n_ticks))
     los_threshold = np.empty((n_cells, n_ticks))
-    for c, site in enumerate(layout.rrhs):
-        dist, bearing = link_geometry(site, tick_positions)
-        gain = channel.antenna_gain_db(site, bearing)
+    for c in range(n_cells):
+        dist, bearing = link_geometry(layout, c, tick_positions)
+        gain = channel.antenna_gain_db(layout, bearing)
         for lo, hi, env in tick_runs:
             profile = cfg.profiles[env]
             d = dist[lo:hi]
@@ -199,10 +199,7 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
     fd = ici.doppler_spread_hz(kin.speed_mps, cfg.ici.carrier_frequency_hz)
     tx = cfg.budget.rrh_tx_power_dbm
     start = float(tick_positions[0])
-    initial_serving = min(
-        range(n_cells),
-        key=lambda c: abs(layout.rrhs[c].position_along_track - start),
-    )
+    initial_serving = min(range(n_cells), key=lambda c: abs(layout.rrh_position_m(c) - start))
     return _StaticTables(
         n_snapshots=n_snap,
         shadow_segments=channel.shadowing_segments(
@@ -374,7 +371,7 @@ def aggregate_records(records: Sequence[HandoverRecord], cfg: RunConfig) -> Swee
     snaps = []
     seen: set[tuple[int, int]] = set()
     for rec in successes:
-        offset = rec.start_position_m - layout.rrhs[rec.serving_cell].position_along_track
+        offset = rec.start_position_m - layout.rrh_position_m(rec.serving_cell)
         snap = round(offset / interval)
         key = (rec.run_id, rec.serving_cell)
         if 0 <= snap <= max_snap and key not in seen:

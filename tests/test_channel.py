@@ -20,7 +20,7 @@ from railho.channel import (
     small_scale_series,
 )
 from railho.config import RunConfig, config_from_dict
-from railho.geometry import Environment, RrhSite, default_layout, environment_at, link_geometry
+from railho.geometry import Environment, default_layout, environment_at, link_geometry
 from railho.handover import HandoverFsm
 from railho.ici import IciParams
 from railho.simulate import _downlink_pr_ticks, precompute_tables, simulate_run
@@ -84,7 +84,7 @@ class TestPathLoss:
 
 class TestAntennaGain:
     def site(self):
-        return RrhSite(0.0, max_gain_db=14.0)
+        return default_layout(max_gain_db=14.0)
 
     def test_boresight(self):
         assert antenna_gain_db(self.site(), 0.0) == 14.0
@@ -100,7 +100,7 @@ class TestAntennaGain:
 
     @given(theta=st.floats(min_value=0.0, max_value=math.pi))
     def test_bidirectional_symmetry(self, theta):
-        site = RrhSite(0.0)
+        site = default_layout()
         assert antenna_gain_db(site, theta) == pytest.approx(
             antenna_gain_db(site, math.pi - theta), abs=1e-9
         )
@@ -296,12 +296,12 @@ class TestMeanRxPower:
     def test_db_domain_sum(self):
         cfg = RunConfig()
         tables = precompute_tables(cfg)
-        for c, site in enumerate(cfg.layout.rrhs):
+        for c in range(cfg.layout.spans + 1):
             for t in (0, 866, 1732, 2600, 5196):
                 pos = float(tables.tick_positions[t])
-                dist, bearing = link_geometry(site, pos)
+                dist, bearing = link_geometry(cfg.layout, c, pos)
                 p = cfg.profiles[environment_at(cfg.layout, pos)]
-                gain = antenna_gain_db(site, bearing)
+                gain = antenna_gain_db(cfg.layout, bearing)
                 assert tables.tick_rx_los_dbm[c, t] == pytest.approx(
                     30.0 + gain - path_loss_db(p, dist, los=True) - 20.0, abs=1e-9
                 )
@@ -321,7 +321,7 @@ class TestMeanRxPower:
         monkeypatch.setattr(HandoverFsm, "run", spy)
         simulate_run(cfg, 0)
         [(ul, dl)] = seen
-        assert ul.shape == dl.shape == (len(cfg.layout.rrhs), precompute_tables(cfg).tick_snapshots.size)
+        assert ul.shape == dl.shape == (cfg.layout.spans + 1, precompute_tables(cfg).tick_snapshots.size)
         np.testing.assert_allclose(dl - ul, 7.0, rtol=0.0, atol=1e-9)
 
     def test_identity_link_returns_tx_power(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -120,7 +121,7 @@ class TestJsonLoading:
         assert cfg.handover.hysteresis_db == 3.0
         assert cfg.profiles[Environment.VIADUCT].rician_k_db is None
         assert cfg.profiles[Environment.CUTTING].rician_k_linear() == math.inf
-        assert len(cfg.layout.rrhs) == 3 and cfg.layout.rrhs[0].max_gain_db == 12.0
+        assert cfg.layout.spans == 2 and cfg.layout.max_gain_db == 12.0
 
     @pytest.mark.parametrize(
         "text",
@@ -190,11 +191,11 @@ class TestJsonLoading:
             }
         )
         assert cfg.environment_label == "viaduct"
-        assert len(cfg.layout.rrhs) == 3
+        assert cfg.layout.spans == 2
 
     def test_one_segment_over_several_spans(self):
         cfg = config_from_dict({"layout": {"segments": [[0, 3464, "viaduct"]]}})
-        assert len(cfg.layout.rrhs) == 3
+        assert cfg.layout.spans == 2
         assert cfg.layout.track_length_m == 3464.0
         assert cfg.layout.segments == ((0.0, 3464.0, Environment.VIADUCT),)
 
@@ -202,7 +203,7 @@ class TestJsonLoading:
         cfg = config_from_dict(
             {"layout": {"rrh_spacing_m": 100.0, "spans": 2, "segments": [[0, 200, "urban"]]}}
         )
-        assert len(cfg.layout.rrhs) == 3
+        assert cfg.layout.spans == 2
         with pytest.raises(ConfigError, match="track length"):
             config_from_dict(
                 {"layout": {"rrh_spacing_m": 100.0, "spans": 3, "segments": [[0, 200, "urban"]]}}
@@ -229,6 +230,37 @@ class TestJsonLoading:
     def test_segment_entries_must_be_number_number_environment(self, segments):
         with pytest.raises(ConfigError, match=r"\[start, end, environment\]"):
             config_from_dict({"layout": {"segments": segments}})
+
+    def test_each_layout_key_sets_the_field_of_its_name(self):
+        fields = {f.name for f in dataclasses.fields(DeploymentLayout)} - {"segments", "beamwidth_3db_rad"}
+        # distinct values that keep the RRHs 1 m or more from the track
+        for value, key in enumerate(sorted(fields), start=2):
+            assert getattr(config_from_dict({"layout": {key: value}}).layout, key) == value
+        cfg = config_from_dict({"layout": {"beamwidth_3db_deg": 20.0}})
+        assert cfg.layout.beamwidth_3db_rad == math.radians(20.0)
+        assert config_from_dict({"layout": {"environment": "urban"}}).environment_label == "urban"
+        cfg = config_from_dict({"layout": {"segments": [[0, 3464, "viaduct"], [3464, 5196, "urban"]]}})
+        assert cfg.layout.segments == ((0.0, 3464.0, Environment.VIADUCT), (3464.0, 5196.0, Environment.URBAN))
+        with pytest.raises(ConfigError, match="unknown layout keys"):
+            config_from_dict({"layout": {"beamwidth_3db_rad": 0.5}})
+
+    def test_many_spans_build_in_linear_time(self):
+        start = time.perf_counter()
+        cfg = config_from_dict({"layout": {"spans": 20000}})
+        assert time.perf_counter() - start < 2.0
+        assert len(cfg.layout.segments) == 20000
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            {"rrh_spacing_m": 0, "segments": [[0, 100, "urban"]]},
+            {"rrh_spacing_m": 1e-300, "segments": [[0, 1e10, "urban"]]},
+        ],
+        ids=["zero_spacing", "overflowing_span_count"],
+    )
+    def test_segments_on_degenerate_spacing_rejected(self, layout):
+        with pytest.raises(ConfigError, match="bad layout"):
+            config_from_dict({"layout": layout})
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -268,16 +300,12 @@ class TestOverrides:
 
     def test_environment_override_keeps_sites_and_track(self):
         # four RRHs under one viaduct segment, with a 17 dB peak gain
-        base = default_layout(spans=3)
-        rrhs = tuple(dataclasses.replace(s, max_gain_db=17.0) for s in base.rrhs)
         layout = DeploymentLayout(
-            rrhs=rrhs,
-            rrh_spacing_m=base.rrh_spacing_m,
-            track_length_m=base.track_length_m,
-            segments=((0.0, base.track_length_m, Environment.VIADUCT),),
+            spans=3, max_gain_db=17.0, segments=((0.0, 5196.0, Environment.VIADUCT),)
         )
         cfg = apply_overrides(RunConfig(layout=layout), environment="urban")
-        assert cfg.layout.rrhs == rrhs
+        assert cfg.layout.max_gain_db == 17.0
+        assert (cfg.layout.rrh_spacing_m, cfg.layout.spans) == (1732.0, 3)
         assert cfg.layout.track_length_m == 5196.0
         assert cfg.layout.segments == (
             (0.0, 1732.0, Environment.URBAN),
@@ -288,7 +316,7 @@ class TestOverrides:
         assert [env for _, _, env in mixed.layout.segments] == [
             Environment.VIADUCT, Environment.CUTTING, Environment.URBAN,
         ]
-        assert mixed.layout.rrhs == rrhs
+        assert dataclasses.replace(mixed.layout, segments=layout.segments) == layout
 
     def test_environment_override_of_default_layout_equals_fresh_layout(self):
         for env in ("viaduct", "cutting", "urban", "mixed"):
@@ -325,7 +353,7 @@ def _replace_overrides(cfg, *, speed_kmh=None, environment=None, offset_db=None,
     if environment is not None:
         layout = cfg.layout
         kwargs["layout"] = dataclasses.replace(
-            layout, segments=span_segments(layout.rrhs, layout.track_length_m, environment)
+            layout, segments=span_segments(layout.spans, layout.rrh_spacing_m, environment)
         )
     if offset_db is not None:
         handover["hysteresis_db"] = offset_db

@@ -50,11 +50,11 @@ def _snapshot_tables(cfg):
 
     site_corr = per_snapshot(lambda p: p.shadow_site_correlation)
     pen = cfg.budget.penetration_loss_db
-    shape = (len(layout.rrhs), n_snap)
+    shape = (layout.spans + 1, n_snap)
     base_nlos, base_los, threshold = np.empty(shape), np.empty(shape), np.empty(shape)
-    for c, site in enumerate(layout.rrhs):
-        dist, bearing = link_geometry(site, positions)
-        gain = channel.antenna_gain_db(site, bearing)
+    for c in range(layout.spans + 1):
+        dist, bearing = link_geometry(layout, c, positions)
+        gain = channel.antenna_gain_db(layout, bearing)
         for env in set(envs):
             at = np.array([e is env for e in envs])
             profile = cfg.profiles[env]
@@ -142,7 +142,7 @@ def _downlink_pr_series(cfg, snap, noise_dbm, run_index, cell, common_shadow):
 
 def _reference_run(cfg, run_index, tables):
     snap = _snapshot_tables(cfg)
-    n_cells = len(cfg.layout.rrhs)
+    n_cells = cfg.layout.spans + 1
     n_ticks = snap.tick_snapshots.size
     p = tables.p_ici
     ul_shift = 10.0 ** ((cfg.budget.ue_tx_power_dbm - cfg.budget.rrh_tx_power_dbm) / 10.0)

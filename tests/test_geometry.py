@@ -9,7 +9,6 @@ from railho.constants import kmh_to_mps
 from railho.geometry import (
     DeploymentLayout,
     Environment,
-    RrhSite,
     TrainKinematics,
     default_layout,
     environment_at,
@@ -25,33 +24,36 @@ def kin(speed_kmh: float, interval: float = 1.0, start: float = 0.0) -> TrainKin
 
 
 class TestLinkGeometry:
+    # RRH 0 sits at 0 m and RRH 1 at 1000 m, 100 m beside the track and 30 m up
+    layout = default_layout(spans=1, rrh_spacing_m=1000.0)
+
     def test_abeam(self):
-        site = RrhSite(position_along_track=1000.0)
-        dist, bearing = link_geometry(site, 1000.0)
+        dist, bearing = link_geometry(self.layout, 1, 1000.0)
         assert dist == pytest.approx(104.4030650891055, abs=1e-9)
         assert bearing == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_mid_span(self):
-        site = RrhSite(position_along_track=0.0)
-        dist, _ = link_geometry(site, 866.0)
+        dist, _ = link_geometry(self.layout, 0, 866.0)
         assert dist == pytest.approx(872.270600215323, abs=1e-9)
 
     def test_bearing_vanishes_far_ahead(self):
-        site = RrhSite(position_along_track=0.0)
-        _, bearing = link_geometry(site, 1e7)
+        _, bearing = link_geometry(self.layout, 0, 1e7)
         assert bearing < 1e-4
 
     def test_bearing_folds_behind(self):
-        site = RrhSite(position_along_track=1000.0)
-        _, bearing = link_geometry(site, 0.0)
+        _, bearing = link_geometry(self.layout, 1, 0.0)
         assert math.pi / 2 < bearing <= math.pi
 
     @given(delta=st.floats(min_value=-1e5, max_value=1e5))
     def test_distance_minimised_abeam(self, delta):
-        site = RrhSite(position_along_track=0.0)
-        abeam, _ = link_geometry(site, 0.0)
-        dist, _ = link_geometry(site, delta)
+        abeam, _ = link_geometry(self.layout, 0, 0.0)
+        dist, _ = link_geometry(self.layout, 0, delta)
         assert dist >= abeam
+
+    def test_rrh_at_each_span_boundary(self):
+        layout = default_layout(spans=3)
+        assert [layout.rrh_position_m(c) for c in range(4)] == [0.0, 1732.0, 3464.0, 5196.0]
+        assert layout.rrh_position_m(3) == layout.track_length_m
 
 
 class TestEnvironmentAt:
@@ -128,45 +130,41 @@ class TestSampleStride:
 class TestLayoutValidation:
     def test_default_mixed_layout(self):
         layout = default_layout()
-        assert len(layout.rrhs) == 4
+        assert layout.spans == 3
         assert layout.track_length_m == 3 * 1732.0
         assert layout.environment_label == "mixed"
         assert default_layout(environment="urban").environment_label == "urban"
 
-    def test_uneven_spacing_rejected(self):
-        rrhs = (RrhSite(0.0), RrhSite(1000.0), RrhSite(2500.0))
-        with pytest.raises(ValueError, match="spacing"):
-            DeploymentLayout(
-                rrhs=rrhs,
-                rrh_spacing_m=1000.0,
-                track_length_m=2500.0,
-                segments=((0.0, 2500.0, Environment.VIADUCT),),
-            )
-
     def test_gap_in_segments_rejected(self):
-        rrhs = (RrhSite(0.0), RrhSite(1000.0))
         with pytest.raises(ValueError, match="gap"):
             DeploymentLayout(
-                rrhs=rrhs,
+                spans=1,
                 rrh_spacing_m=1000.0,
-                track_length_m=1000.0,
                 segments=((0.0, 400.0, Environment.VIADUCT), (500.0, 1000.0, Environment.URBAN)),
             )
 
     def test_environment_change_inside_span_rejected(self):
-        rrhs = (RrhSite(0.0), RrhSite(1000.0))
         with pytest.raises(ValueError, match="inside"):
             DeploymentLayout(
-                rrhs=rrhs,
+                spans=1,
                 rrh_spacing_m=1000.0,
-                track_length_m=1000.0,
                 segments=((0.0, 400.0, Environment.VIADUCT), (400.0, 1000.0, Environment.URBAN)),
             )
 
+    def test_environment_change_within_tolerance_of_an_rrh_accepted(self):
+        boundary = 1000.0 + 5e-7
+        layout = DeploymentLayout(
+            spans=2,
+            rrh_spacing_m=1000.0,
+            segments=((0.0, boundary, Environment.VIADUCT), (boundary, 2000.0, Environment.URBAN)),
+        )
+        assert layout.environment_label == "mixed"
+
     def test_invariants_on_sites(self):
+        for field in ("spans", "rrh_spacing_m", "lateral_offset_m", "rrh_height_m", "beamwidth_3db_rad"):
+            with pytest.raises(ValueError, match=field):
+                default_layout(**{field: 0})
         with pytest.raises(ValueError):
-            RrhSite(0.0, lateral_offset=0.0)
-        with pytest.raises(ValueError):
-            RrhSite(0.0, height=-1.0)
+            default_layout(rrh_height_m=-1.0)
         with pytest.raises(ValueError):
             TrainKinematics(speed_mps=0.0)

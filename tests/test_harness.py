@@ -196,16 +196,16 @@ def _literal_tables(cfg: RunConfig):
                 break
         envs.append(env)
     rx_nlos, rx_los, threshold = [], [], []
-    for site in layout.rrhs:
+    for cell in range(layout.spans + 1):
         rows = ([], [], [])
         for x, env in zip(positions, envs):
             p = cfg.profiles[env]
-            d_along = x - site.position_along_track
-            dist = math.sqrt(d_along * d_along + site.lateral_offset**2 + site.height**2)
-            bearing = math.atan2(site.lateral_offset, d_along)
+            d_along = x - cell * layout.rrh_spacing_m
+            dist = math.sqrt(d_along * d_along + layout.lateral_offset_m**2 + layout.rrh_height_m**2)
+            bearing = math.atan2(layout.lateral_offset_m, d_along)
             theta = min(bearing, math.pi - bearing)
-            gain = site.max_gain_db - min(
-                12.0 * (theta / site.beamwidth_3db_rad) ** 2, site.pattern_floor_db
+            gain = layout.max_gain_db - min(
+                12.0 * (theta / layout.beamwidth_3db_rad) ** 2, layout.pattern_floor_db
             )
             n_los = p.pathloss_exponent if p.pathloss_exponent_los is None else p.pathloss_exponent_los
             for row, exponent in ((rows[0], p.pathloss_exponent), (rows[1], n_los)):
@@ -498,7 +498,7 @@ class TestCsv:
         path = tmp_path / "trace.csv"
         csvio.write_trace_csv(res.trace, path)
         lines = path.read_text().splitlines()
-        n_cells = len(tiny_cfg.layout.rrhs)
+        n_cells = tiny_cfg.layout.spans + 1
         assert lines[0].split(",")[:3] == ["tick", "snapshot", "position_m"]
         assert len(lines) == 1 + res.trace.tick_snapshots.size
         assert len(lines[1].split(",")) == 3 + 2 * n_cells + 3
