@@ -107,7 +107,7 @@ def classify_postponement(
     return Postponement.NO_HANDOVER
 
 
-@dataclass
+@dataclass(slots=True)
 class HandoverRecord:
     """Per-attempt outcome record; tick fields are None for phases never reached."""
 

@@ -11,9 +11,9 @@ What runs on snapshots and what on ticks:
 
 * Snapshots: per cell, the draws of every stream and the shadowing and
   LOS-latent recursions, nothing else. The recursions read segment tables
-  that ``precompute_tables`` splits once per config. Only their tick values
-  are kept, in ``(n_cells, n_ticks)`` arrays, so no per-snapshot stack of
-  cells is ever built.
+  that ``precompute_tables`` splits once per config. Only their values at
+  the ticks are kept (in a sweep, the shadowing and fading at every k-th
+  snapshot, see below), so no per-snapshot stack of cells is ever built.
 * Ticks: every link table is evaluated only at the tick positions, once per
   config: geometry, antenna gain, both path losses, the LOS thresholds,
   the shadowing shares and the Rician terms. Everything after the
@@ -26,15 +26,18 @@ Streams drawn only as far as they are read: the LOS latent of a cell stops
 at the last tick whose LOS threshold is finite in some cell, and is not
 drawn at all when none is (single-environment viaduct and urban tracks, the
 urban tail of the mixed track); a threshold of +inf or -inf settles the
-comparison without it. The shadowing and fading streams cover the whole
-snapshot grid, so a value does not depend on the tick stride; the
-measurement noise is drawn once per tick.
+comparison without it. The measurement noise is drawn once per tick.
 
 Runs are reproducible: every random stream is derived from (master_seed,
 run_index, cell, purpose), so results are independent of execution order
-and worker count. Only the state machine reads ``cfg.handover``, so the
-configs of a sweep that differ only in it see the same link in every run:
-``monte_carlo`` computes it once per run for them all (``SweepGrid``).
+and worker count. The shadowing and fading streams are indexed by snapshot,
+not by tick, and their recursion reads only the shadowing segments; so the
+configs of a sweep on one snapshot grid with equal shadowing segments (every
+speed, and every environment when the profiles' shadowing agrees) see the
+same draws in a run, and ``SweepGrid`` draws them once per run for all of
+them, kept at every k-th snapshot with k the gcd of their tick strides. Only
+the state machine reads ``cfg.handover``, so configs that differ only in it
+also share the LOS latent, the L1/L3 measurements and the tables.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -78,7 +80,8 @@ class _StaticTables:
     tick_stride: int               # snapshots per tick: tick_snapshots is [0, n_snapshots) by it
     tick_positions: np.ndarray     # (n_ticks,) train position at each tick
     tick_rx_nlos_dbm: np.ndarray   # (n_cells, n_ticks): tx power + gain - path loss - penetration
-    tick_rx_los_dbm: np.ndarray    # (n_cells, n_ticks): the same with the LOS path loss
+    tick_rx_los_dbm: np.ndarray    # (n_cells, n_ticks): the same with the LOS path loss; the
+                                   # same array when no profile on the track has a LOS exponent
     tick_los_threshold: np.ndarray  # (n_cells, n_ticks): latent threshold ndtri(p_los)
     tick_site_corr_sqrt: np.ndarray  # (n_ticks,) sqrt of the common shadowing share
     tick_site_ind_sqrt: np.ndarray   # (n_ticks,) sqrt of the per-link shadowing share
@@ -178,8 +181,10 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
     site_corr = per_tick(lambda p: p.shadow_site_correlation)
     n_cells = layout.spans + 1
     penetration = cfg.budget.penetration_loss_db
+    # without a LOS exponent on the track both path losses are one table
+    los_exponent = any(cfg.profiles[env].pathloss_exponent_los is not None for _, _, env in runs)
     base_nlos = np.empty((n_cells, n_ticks))
-    base_los = np.empty((n_cells, n_ticks))
+    base_los = np.empty((n_cells, n_ticks)) if los_exponent else base_nlos
     los_threshold = np.empty((n_cells, n_ticks))
     for c in range(n_cells):
         dist, bearing = link_geometry(layout, c, tick_positions)
@@ -188,7 +193,8 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
             profile = cfg.profiles[env]
             d = dist[lo:hi]
             base_nlos[c, lo:hi] = gain[lo:hi] - channel.path_loss_db(profile, d) - penetration
-            base_los[c, lo:hi] = gain[lo:hi] - channel.path_loss_db(profile, d, los=True) - penetration
+            if los_exponent:
+                base_los[c, lo:hi] = gain[lo:hi] - channel.path_loss_db(profile, d, los=True) - penetration
             with np.errstate(divide="ignore"):
                 los_threshold[c, lo:hi] = ndtri(profile.los_probability(d))
 
@@ -198,6 +204,7 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
     profile_runs = [(lo, hi, cfg.profiles[env]) for lo, hi, env in runs]
     fd = ici.doppler_spread_hz(kin.speed_mps, cfg.ici.carrier_frequency_hz)
     tx = cfg.budget.rrh_tx_power_dbm
+    rx_nlos = tx + base_nlos
     start = float(tick_positions[0])
     initial_serving = min(range(n_cells), key=lambda c: abs(layout.rrh_position_m(c) - start))
     return _StaticTables(
@@ -213,8 +220,8 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
         tick_snapshots=tick_snapshots,
         tick_stride=stride,
         tick_positions=tick_positions,
-        tick_rx_nlos_dbm=tx + base_nlos,
-        tick_rx_los_dbm=tx + base_los,
+        tick_rx_nlos_dbm=rx_nlos,
+        tick_rx_los_dbm=tx + base_los if los_exponent else rx_nlos,
         tick_los_threshold=los_threshold,
         tick_site_corr_sqrt=np.sqrt(site_corr),
         tick_site_ind_sqrt=np.sqrt(1.0 - site_corr),
@@ -229,46 +236,82 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
 _RAYLEIGH = channel.rician_coefficients(0.0)
 
 
-def _downlink_pr_ticks(cfg: RunConfig, tables: _StaticTables, run_index: int) -> np.ndarray:
+@dataclass(frozen=True)
+class _Streams:
+    """One run's shadowing and fading draws, kept at every ``stride``-th snapshot.
+
+    They depend on the tables only through ``_stream_family``, so every link
+    group of a family whose ``tick_stride`` is a multiple of ``stride`` reads
+    its ticks from them. Readers take views and never write to them.
+    """
+
+    stride: int
+    own: np.ndarray      # (n_cells, n_kept) per-link shadowing, dB
+    common: np.ndarray   # (n_kept,) UE-local common shadowing, dB
+    normals: np.ndarray  # (n_cells, n_kept, 2) fading normals
+
+
+def _stream_family(tables: _StaticTables) -> tuple:
+    """What a run's shadowing and fading draws depend on besides the seed and run index."""
+    return tables.tick_rx_nlos_dbm.shape[0], tables.n_snapshots, tables.shadow_segments
+
+
+def _draw_streams(seed: int, run_index: int, tables: _StaticTables, stride: int) -> _Streams:
+    """Draw the shadowing and fading streams of one run over the snapshot grid.
+
+    Per cell, the streams are drawn and the recursions run over every
+    snapshot; only every ``stride``-th value is kept.
+    """
+    n_cells, n_snap, segments = _stream_family(tables)
+    kept = slice(None, None, stride)
+    n_kept = -(-n_snap // stride)
+    own = np.empty((n_cells, n_kept))
+    normals = np.empty((n_cells, n_kept, 2))
+    for cell in range(n_cells):
+        eps = _link_streams(seed, run_index, cell, _STREAM_SHADOW).standard_normal(n_snap)
+        own[cell] = channel.shadowing_series_db(eps, segments)[kept]
+        fading = _link_streams(seed, run_index, cell, _STREAM_FADING)
+        normals[cell] = fading.standard_normal((n_snap, 2))[kept]
+    eps = _link_streams(seed, run_index, _COMMON_LINK, _STREAM_SHADOW).standard_normal(n_snap)
+    common = channel.shadowing_series_db(eps, segments)[kept]
+    return _Streams(stride, own, common, normals)
+
+
+def _downlink_pr_ticks(
+    cfg: RunConfig, tables: _StaticTables, run_index: int, streams: _Streams | None = None
+) -> np.ndarray:
     """Noise-normalised downlink power of every link at the tick snapshots, ``(n_cells, n_ticks)``.
 
-    Per cell, the streams are drawn and the recursions run over the snapshot
-    grid; only their tick values are kept. The rest runs once on the stack.
+    The shadowing and fading come from ``streams`` (drawn here at the tick
+    stride when not given); the LOS latent is drawn here, per cell over the
+    snapshot grid up to ``los_ticks``. The rest runs once on the stack.
     """
     seed = cfg.master_seed
-    n_snap = tables.n_snapshots
-    ticks = slice(None, None, tables.tick_stride)
+    if streams is None:
+        streams = _draw_streams(seed, run_index, tables, tables.tick_stride)
+    ticks = slice(None, None, tables.tick_stride // streams.stride)
     n_cells, n_ticks = tables.tick_rx_nlos_dbm.shape
     m = tables.los_ticks
     n_latent = tables.los_segments[-1][1] if tables.los_segments else 0
 
-    own = np.empty((n_cells, n_ticks))
     latent = np.empty((n_cells, n_ticks))
     latent[:, m:] = 0.0  # only an infinite threshold is read there
-    normals = np.empty((n_cells, n_ticks, 2))
-    for cell in range(n_cells):
-        eps = _link_streams(seed, run_index, cell, _STREAM_SHADOW).standard_normal(n_snap)
-        own[cell] = channel.shadowing_series_db(eps, tables.shadow_segments)[ticks]
-        if n_latent:
-            # LOS persistence: threshold a unit-variance correlated latent so the
-            # marginal LOS probability stays exactly distance-dependent.
+    if n_latent:
+        # LOS persistence: threshold a unit-variance correlated latent so the
+        # marginal LOS probability stays exactly distance-dependent.
+        for cell in range(n_cells):
             eps = _link_streams(seed, run_index, cell, _STREAM_LOS).standard_normal(n_latent)
-            latent[cell, :m] = channel.shadowing_series_db(eps, tables.los_segments)[ticks]
-        fading = _link_streams(seed, run_index, cell, _STREAM_FADING)
-        normals[cell] = fading.standard_normal((n_snap, 2))[ticks]
-    eps = _link_streams(seed, run_index, _COMMON_LINK, _STREAM_SHADOW).standard_normal(n_snap)
-    common = channel.shadowing_series_db(eps, tables.shadow_segments)[ticks]
+            latent[cell, :m] = channel.shadowing_series_db(eps, tables.los_segments)[:: tables.tick_stride]
 
     los = latent < tables.tick_los_threshold
     mean, scale = tables.tick_rician
     h2 = channel.small_scale_series(
-        normals, np.where(los, mean, _RAYLEIGH[0]), np.where(los, scale, _RAYLEIGH[1])
+        streams.normals[:, ticks], np.where(los, mean, _RAYLEIGH[0]), np.where(los, scale, _RAYLEIGH[1])
     )
-    # rx = (tx + base) + shadow + 10 log10(h2), in place; the shadow mixes
-    # the per-link and common terms
-    shadow = own
-    shadow *= tables.tick_site_ind_sqrt
-    shadow += tables.tick_site_corr_sqrt * common
+    # rx = (tx + base) + shadow + 10 log10(h2), summed in place; the shadow
+    # mixes the per-link and common terms
+    shadow = streams.own[:, ticks] * tables.tick_site_ind_sqrt
+    shadow += tables.tick_site_corr_sqrt * streams.common[ticks]
     rx_dbm = np.where(los, tables.tick_rx_los_dbm, tables.tick_rx_nlos_dbm)
     rx_dbm += shadow
     fading_db = np.log10(h2)
@@ -277,11 +320,13 @@ def _downlink_pr_ticks(cfg: RunConfig, tables: _StaticTables, run_index: int) ->
     return ici.snr_linear_from_dbm(rx_dbm, tables.noise_dbm)
 
 
-def _link(cfg: RunConfig, tables: _StaticTables, run_index: int) -> tuple[np.ndarray, ...]:
+def _link(
+    cfg: RunConfig, tables: _StaticTables, run_index: int, streams: _Streams | None
+) -> tuple[np.ndarray, ...]:
     """The link part of a run: ``(pr_dl, l3, ul_snr, dl_snr)``, each ``(n_cells, n_ticks)``."""
     p = tables.p_ici
     ul_shift = 10.0 ** ((cfg.budget.ue_tx_power_dbm - cfg.budget.rrh_tx_power_dbm) / 10.0)
-    pr_dl = _downlink_pr_ticks(cfg, tables, run_index)
+    pr_dl = _downlink_pr_ticks(cfg, tables, run_index, streams)
     eff_lin_dl = pr_dl / (pr_dl * p + 1.0)
     meas_rngs = [_link_streams(cfg.master_seed, run_index, c, _STREAM_MEASUREMENT) for c in range(len(pr_dl))]
     l3 = measure_cell(eff_lin_dl, cfg.l1, cfg.l3, meas_rngs)
@@ -313,15 +358,19 @@ def simulate_run(
     tables: _StaticTables | None = None,
     want_trace: bool = False,
     handovers: Sequence[HandoverConfig] | None = None,
+    streams: _Streams | None = None,
 ) -> RunResult:
     """Simulate one seeded run; deterministic given (config, master_seed, run_index).
 
     The link part runs once, the handover part once per entry of ``handovers``
     (default ``(cfg.handover,)``); ``records`` and the trace are the first's.
+    ``streams`` are this run's shadowing and fading draws, shared with the
+    other link groups of its stream family; without them the run draws its
+    own at ``tables.tick_stride``.
     """
     if tables is None:
         tables = precompute_tables(cfg)
-    link = _link(cfg, tables, run_index)
+    link = _link(cfg, tables, run_index, streams)
     drives = [_handover(cfg, ho, tables, run_index, link) for ho in handovers or (cfg.handover,)]
     records, serving_trace = drives[0]
 
@@ -402,46 +451,87 @@ def aggregate_records(records: Sequence[HandoverRecord], cfg: RunConfig) -> Swee
 
 
 class SweepGrid:
-    """The configs of a sweep, run a group at a time for ``monte_carlo``.
+    """The configs of a sweep, run a batch at a time for ``monte_carlo``.
 
-    The first request for a config runs its group, the configs that differ
-    from it only in ``handover``; the others' statistics wait for their requests.
+    The first request for a config runs its batch, every waiting config with
+    the same ``master_seed`` and ``runs``; the others' statistics wait for
+    their requests. In a batch, the configs that differ only in ``handover``
+    form a link group, which shares one set of tables and, per run, one link
+    part that drives one state machine per distinct ``handover``. The link
+    groups whose tables have equal cell counts, snapshot counts and shadowing
+    segments (``_stream_family``) form a stream family, which shares, per run,
+    one draw of the shadowing and fading streams. The streams are kept at
+    every k-th snapshot, k the gcd of the family's tick strides, and each
+    group slices its ticks out of them; so all table sets of a batch are alive
+    while its runs go. The speeds and environments of a sweep with the
+    default profiles form one family. The LOS latent stays per link group.
     """
 
     def __init__(self, cfgs: Sequence[RunConfig]) -> None:
-        self._waiting = list(cfgs)  # configs whose group has not run
+        self._waiting = list(cfgs)  # configs whose batch has not run
         self._ready: list[tuple[RunConfig, SweepStatistics]] = []
 
     def statistics(self, cfg: RunConfig, workers: int) -> SweepStatistics:
         if not any(c == cfg for c, _ in self._ready):
-            group = [c for c in self._waiting if replace(c, handover=cfg.handover) == cfg]
-            self._waiting = [c for c in self._waiting if c not in group]
-            group += [] if cfg in group else [cfg]
-            members = {c.handover: c for c in group}  # equal grid points drive one machine
-            tables = precompute_tables(cfg)
-            run = partial(simulate_run, cfg, tables=tables, handovers=list(members))
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(run, range(cfg.runs)))
-            else:
-                results = [run(i) for i in range(cfg.runs)]
-            stats = {
-                ho: aggregate_records([rec for result in results for rec in result.per_handover[k]], member)
-                for k, (ho, member) in enumerate(members.items())
-            }
-            self._ready += [(member, stats[member.handover]) for member in group]
+            batch = [c for c in self._waiting if (c.master_seed, c.runs) == (cfg.master_seed, cfg.runs)]
+            self._waiting = [c for c in self._waiting if c not in batch]
+            self._ready += _run_batch(batch + ([] if cfg in batch else [cfg]), workers)
         return self._ready.pop(next(i for i, (c, _) in enumerate(self._ready) if c == cfg))[1]
+
+
+def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[tuple[RunConfig, SweepStatistics]]:
+    """Statistics of configs with one ``master_seed`` and ``runs``, sharing what ``SweepGrid`` says."""
+    groups: list[tuple[RunConfig, dict[HandoverConfig, list[RunConfig]]]] = []  # link groups
+    for c in cfgs:
+        group = next((g for g in groups if replace(c, handover=g[0].handover) == g[0]), None)
+        if group is None:
+            groups.append((c, {c.handover: [c]}))
+        else:
+            group[1].setdefault(c.handover, []).append(c)  # equal grid points drive one machine
+    tables = [precompute_tables(rep) for rep, _ in groups]
+    by_family: dict[tuple, list[int]] = {}
+    for g, t in enumerate(tables):
+        by_family.setdefault(_stream_family(t), []).append(g)
+    families = [(math.gcd(*(tables[g].tick_stride for g in family)), family) for family in by_family.values()]
+    seed = cfgs[0].master_seed
+
+    def run(run_index: int) -> list[tuple[tuple[HandoverRecord, ...], ...]]:
+        per_group = [()] * len(groups)
+        for stride, family in families:
+            # a family of one draws inside simulate_run, at its own tick stride
+            streams = _draw_streams(seed, run_index, tables[family[0]], stride) if len(family) > 1 else None
+            for g in family:
+                rep, members = groups[g]
+                result = simulate_run(rep, run_index, tables=tables[g], handovers=list(members), streams=streams)
+                per_group[g] = result.per_handover
+        return per_group
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, range(cfgs[0].runs)))
+    else:
+        results = [run(i) for i in range(cfgs[0].runs)]
+    ready = []
+    for g, (_, members) in enumerate(groups):
+        for k, same in enumerate(members.values()):
+            stats = aggregate_records([rec for result in results for rec in result[g][k]], same[0])
+            ready += [(c, stats) for c in same]
+    return ready
 
 
 def monte_carlo(cfg: RunConfig, *, workers: int = 1, grid: SweepGrid | None = None) -> SweepStatistics:
     """Run ``cfg.runs`` independent seeded runs and aggregate their records.
 
-    The configs of ``grid`` that differ from ``cfg`` only in ``handover`` run
-    with it: one set of tables and, per run, one link part (draws, recursions,
-    L1/L3) that drives one state machine per config. This is exact, since only
-    the state machine reads ``handover`` and every random stream is keyed by
-    (master_seed, run_index, cell, purpose). Runs keep only their records,
-    never the link arrays. Without a grid, ``cfg`` is a grid of one.
+    With a grid, ``cfg`` runs in its batch (see ``SweepGrid``): its link group
+    shares one set of tables and, per run, one link part (draws, recursions,
+    L1/L3) that drives one state machine per distinct ``handover``, and its
+    stream family shares, per run, one draw of the shadowing and fading
+    streams. This is exact: only the state machine reads ``handover``, and
+    every random stream is keyed by (master_seed, run_index, cell, purpose)
+    and indexed by snapshot, not by tick, so its values do not depend on the
+    speed or on the LOS profile. Runs keep only their records, never the link
+    arrays. Without a grid, ``cfg`` is a grid of one, whose run draws and
+    holds only its own streams at its tick stride.
 
     Aggregation is ordered by run index, so the result is identical for any
     worker count.

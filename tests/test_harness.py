@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 from statistics import NormalDist
 
 import numpy as np
@@ -11,7 +12,7 @@ from railho import csvio
 from railho.channel import shadowing_series_db
 from railho.config import RunConfig, apply_overrides
 from railho.constants import kmh_to_mps
-from railho.geometry import TrainKinematics, environment_at, sample_stride
+from railho.geometry import Environment, TrainKinematics, environment_at, sample_stride
 from railho.handover import Outcome
 from railho.ici import IciParams
 from railho import simulate
@@ -70,13 +71,48 @@ class TestSweepGrid:
             for env in ("viaduct", "mixed")
         ]
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_shared_grid_equals_each_config_alone(self, tiny_cfg, workers):
-        cfgs = self.grid(tiny_cfg)
+    @staticmethod
+    def split_shadowing_grid(tiny_cfg):
+        """Viaduct and urban with 8 dB urban shadowing: two stream families, one per environment."""
+        base = dataclasses.replace(tiny_cfg, runs=3)
+        urban = dataclasses.replace(base.profiles[Environment.URBAN], shadow_sigma_db=8.0)
+        base = dataclasses.replace(base, profiles={**base.profiles, Environment.URBAN: urban})
+        return [
+            apply_overrides(base, offset_db=offset, speed_kmh=speed, environment=env)
+            for offset in (0.0, 3.0)
+            for speed in (100.0, 500.0)
+            for env in ("viaduct", "urban")
+        ]
+
+    @staticmethod
+    def fine_grid(tiny_cfg):
+        """A 0.25 m snapshot grid at 250 and 500 km/h: tick strides 11 and 22, streams kept at 11."""
+        kin = dataclasses.replace(tiny_cfg.kinematics, snapshot_interval_m=0.25)
+        base = dataclasses.replace(tiny_cfg, runs=3, kinematics=kin)
+        cfgs = [
+            apply_overrides(base, offset_db=offset, speed_kmh=speed, environment=env)
+            for offset in (0.0, 3.0)
+            for speed in (250.0, 500.0)
+            for env in ("viaduct", "mixed")
+        ]
+        assert {precompute_tables(cfg).tick_stride for cfg in cfgs} == {11, 22}
+        return cfgs
+
+    @staticmethod
+    def assert_grid_equals_each_config_alone(cfgs, workers):
         alone = [monte_carlo(cfg, workers=workers) for cfg in cfgs]
-        assert len({stats.n_records for stats in alone}) > 4  # the handover settings matter
+        assert len({stats.n_records for stats in alone}) > 4  # the configs differ
         grid = SweepGrid(cfgs)
         assert [monte_carlo(cfg, workers=workers, grid=grid) for cfg in cfgs] == alone
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_shared_grid_equals_each_config_alone(self, tiny_cfg, workers):
+        self.assert_grid_equals_each_config_alone(self.grid(tiny_cfg), workers)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("grid_of", ["split_shadowing_grid", "fine_grid"])
+    def test_stream_families_equal_each_config_alone(self, tiny_cfg, grid_of, workers):
+        self.assert_grid_equals_each_config_alone(getattr(self, grid_of)(tiny_cfg), workers)
 
     def test_one_link_per_run_and_group(self, tiny_cfg, monkeypatch):
         cfgs = self.grid(tiny_cfg)
@@ -91,6 +127,24 @@ class TestSweepGrid:
             monte_carlo(cfg, grid=grid)
         groups, runs = 4, 3  # two speeds x two environments
         assert calls == {"precompute_tables": groups, "simulate_run": groups * runs, "measure_cell": groups * runs}
+
+    @pytest.mark.parametrize("grid_of, families", [("grid", 1), ("split_shadowing_grid", 2), ("fine_grid", 1)])
+    def test_one_stream_draw_per_run_and_family(self, tiny_cfg, monkeypatch, grid_of, families):
+        cfgs = getattr(self, grid_of)(tiny_cfg)
+        built = Counter()
+
+        def counted(seed, run_index, cell, purpose):
+            built[run_index, purpose] += 1
+            return _link_streams(seed, run_index, cell, purpose)
+
+        monkeypatch.setattr(simulate, "_link_streams", counted)
+        grid = SweepGrid(cfgs)
+        for cfg in cfgs:
+            monte_carlo(cfg, grid=grid)
+        n_cells = cfgs[0].layout.spans + 1
+        for run in range(cfgs[0].runs):  # four link groups, one per speed and environment
+            assert built[run, _STREAM_SHADOW] == families * (n_cells + 1)  # per cell and the common link
+            assert built[run, _STREAM_FADING] == families * n_cells
 
     def test_config_outside_the_grid_runs_alone(self, tiny_cfg):
         member = apply_overrides(tiny_cfg, offset_db=4.0)
@@ -284,6 +338,12 @@ class TestPrecomputeOracle:
         assert arrays
         for a in arrays:
             assert tables.n_snapshots not in a.shape
+
+    @pytest.mark.parametrize("env, shared", [("viaduct", True), ("urban", True), ("cutting", False), ("mixed", False)])
+    def test_one_path_loss_table_without_a_los_exponent(self, env, shared):
+        # only the cutting profile has a LOS path-loss exponent
+        tables = precompute_tables(apply_overrides(RunConfig(), environment=env))
+        assert (tables.tick_rx_los_dbm is tables.tick_rx_nlos_dbm) == shared
 
 
 class TestIciEffects:
