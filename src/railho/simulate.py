@@ -309,8 +309,9 @@ def _downlink_pr_ticks(
         streams.normals[:, ticks], np.where(los, mean, _RAYLEIGH[0]), np.where(los, scale, _RAYLEIGH[1])
     )
     # rx = (tx + base) + shadow + 10 log10(h2), summed in place; the shadow
-    # mixes the per-link and common terms
-    shadow = streams.own[:, ticks] * tables.tick_site_ind_sqrt
+    # mixes the per-link and common terms in the latent's buffer, which the
+    # LOS decision has read (the streams may be shared, so not in theirs)
+    shadow = np.multiply(streams.own[:, ticks], tables.tick_site_ind_sqrt, out=latent)
     shadow += tables.tick_site_corr_sqrt * streams.common[ticks]
     rx_dbm = np.where(los, tables.tick_rx_los_dbm, tables.tick_rx_nlos_dbm)
     rx_dbm += shadow
