@@ -463,9 +463,10 @@ class SweepGrid:
     segments (``_stream_family``) form a stream family, which shares, per run,
     one draw of the shadowing and fading streams. The streams are kept at
     every k-th snapshot, k the gcd of the family's tick strides, and each
-    group slices its ticks out of them; so all table sets of a batch are alive
-    while its runs go. The speeds and environments of a sweep with the
-    default profiles form one family. The LOS latent stays per link group.
+    group slices its ticks out of them. The LOS latent stays per link group.
+    The speeds and environments of a sweep with the default profiles form
+    one family. Each run goes through every link group of the batch, so all
+    their table sets are alive while the runs go.
     """
 
     def __init__(self, cfgs: Sequence[RunConfig]) -> None:
@@ -523,16 +524,13 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[tuple[RunConfig,
 def monte_carlo(cfg: RunConfig, *, workers: int = 1, grid: SweepGrid | None = None) -> SweepStatistics:
     """Run ``cfg.runs`` independent seeded runs and aggregate their records.
 
-    With a grid, ``cfg`` runs in its batch (see ``SweepGrid``): its link group
-    shares one set of tables and, per run, one link part (draws, recursions,
-    L1/L3) that drives one state machine per distinct ``handover``, and its
-    stream family shares, per run, one draw of the shadowing and fading
-    streams. This is exact: only the state machine reads ``handover``, and
-    every random stream is keyed by (master_seed, run_index, cell, purpose)
-    and indexed by snapshot, not by tick, so its values do not depend on the
-    speed or on the LOS profile. Runs keep only their records, never the link
-    arrays. Without a grid, ``cfg`` is a grid of one, whose run draws and
-    holds only its own streams at its tick stride.
+    With a grid, ``cfg`` runs in its batch and shares tables, link parts and
+    stream draws as ``SweepGrid`` says. This is exact: only the state machine
+    reads ``handover``, and every random stream is keyed by (master_seed,
+    run_index, cell, purpose) and indexed by snapshot, not by tick, so its
+    values depend neither on the speed nor on the LOS profile. Runs keep only
+    their records, never the link arrays. Without a grid, ``cfg`` is a grid of
+    one, whose runs draw and hold only their own streams at its tick stride.
 
     Aggregation is ordered by run index, so the result is identical for any
     worker count.
