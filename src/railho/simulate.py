@@ -34,7 +34,7 @@ and worker count. The shadowing and fading streams are indexed by snapshot,
 not by tick, and their recursion reads only the shadowing segments; so the
 configs of a sweep on one snapshot grid with equal shadowing segments (every
 speed, and every environment when the profiles' shadowing agrees) see the
-same draws in a run, and ``SweepGrid`` draws them once per run for all of
+same draws in a run, and ``_run_batch`` draws them once per run for all of
 them, kept at every k-th snapshot with k the gcd of their tick strides. Only
 the state machine reads ``cfg.handover``, so configs that differ only in it
 also share the LOS latent, the L1/L3 measurements and the tables.
@@ -43,6 +43,7 @@ also share the LOS latent, the L1/L3 measurements and the tables.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -277,18 +278,14 @@ def _draw_streams(seed: int, run_index: int, tables: _StaticTables, stride: int)
     return _Streams(stride, own, common, normals)
 
 
-def _downlink_pr_ticks(
-    cfg: RunConfig, tables: _StaticTables, run_index: int, streams: _Streams | None = None
-) -> np.ndarray:
+def _downlink_pr_ticks(cfg: RunConfig, tables: _StaticTables, run_index: int, streams: _Streams) -> np.ndarray:
     """Noise-normalised downlink power of every link at the tick snapshots, ``(n_cells, n_ticks)``.
 
-    The shadowing and fading come from ``streams`` (drawn here at the tick
-    stride when not given); the LOS latent is drawn here, per cell over the
-    snapshot grid up to ``los_ticks``. The rest runs once on the stack.
+    The shadowing and fading come from ``streams``, whose stride divides the
+    tick stride; the LOS latent is drawn here, per cell over the snapshot
+    grid up to ``los_ticks``. The rest runs once on the stack.
     """
     seed = cfg.master_seed
-    if streams is None:
-        streams = _draw_streams(seed, run_index, tables, tables.tick_stride)
     ticks = slice(None, None, tables.tick_stride // streams.stride)
     n_cells, n_ticks = tables.tick_rx_nlos_dbm.shape
     m = tables.los_ticks
@@ -321,9 +318,7 @@ def _downlink_pr_ticks(
     return ici.snr_linear_from_dbm(rx_dbm, tables.noise_dbm)
 
 
-def _link(
-    cfg: RunConfig, tables: _StaticTables, run_index: int, streams: _Streams | None
-) -> tuple[np.ndarray, ...]:
+def _link(cfg: RunConfig, tables: _StaticTables, run_index: int, streams: _Streams) -> tuple[np.ndarray, ...]:
     """The link part of a run: ``(pr_dl, l3, ul_snr, dl_snr)``, each ``(n_cells, n_ticks)``."""
     p = tables.p_ici
     ul_shift = 10.0 ** ((cfg.budget.ue_tx_power_dbm - cfg.budget.rrh_tx_power_dbm) / 10.0)
@@ -367,10 +362,12 @@ def simulate_run(
     (default ``(cfg.handover,)``); ``records`` and the trace are the first's.
     ``streams`` are this run's shadowing and fading draws, shared with the
     other link groups of its stream family; without them the run draws its
-    own at ``tables.tick_stride``.
+    own at ``tables.tick_stride``, as ``_run_batch`` does for a family of one.
     """
     if tables is None:
         tables = precompute_tables(cfg)
+    if streams is None:
+        streams = _draw_streams(cfg.master_seed, run_index, tables, tables.tick_stride)
     link = _link(cfg, tables, run_index, streams)
     drives = [_handover(cfg, ho, tables, run_index, link) for ho in handovers or (cfg.handover,)]
     records, serving_trace = drives[0]
@@ -431,12 +428,8 @@ def aggregate_records(records: Sequence[HandoverRecord], cfg: RunConfig) -> Swee
     total = len(snaps)
     histogram = {s: counts[s] / total for s in sorted(counts)} if total else {}
     weighted = float(np.mean(snaps)) * interval if snaps else math.nan
-    mean_delay = (
-        float(np.mean([r.total_delay_s for r in successes])) if successes else math.nan
-    )
-    delay_samples = (
-        round(mean_delay / cfg.l1.sample_period_s) if successes else None
-    )
+    mean_delay = float(np.mean([r.total_delay_s for r in successes])) if successes else math.nan
+    delay_samples = round(mean_delay / cfg.l1.sample_period_s) if successes else None
     n_records = len(records)
     return SweepStatistics(
         runs=len({r.run_id for r in records}),
@@ -452,44 +445,49 @@ def aggregate_records(records: Sequence[HandoverRecord], cfg: RunConfig) -> Swee
 
 
 class SweepGrid:
-    """The configs of a sweep, run a batch at a time for ``monte_carlo``.
+    """The configs of a sweep, which need one ``master_seed`` and one ``runs``, for ``monte_carlo``.
 
-    The first request for a config runs its batch, every waiting config with
-    the same ``master_seed`` and ``runs``; the others' statistics wait for
-    their requests. In a batch, the configs that differ only in ``handover``
-    form a link group, which shares one set of tables and, per run, one link
-    part that drives one state machine per distinct ``handover``. The link
-    groups whose tables have equal cell counts, snapshot counts and shadowing
-    segments (``_stream_family``) form a stream family, which shares, per run,
-    one draw of the shadowing and fading streams. The streams are kept at
-    every k-th snapshot, k the gcd of the family's tick strides, and each
-    group slices its ticks out of them. The LOS latent stays per link group.
-    The speeds and environments of a sweep with the default profiles form
-    one family. Each run goes through every link group of the batch, so all
-    their table sets are alive while the runs go.
+    The first request runs them all in one ``_run_batch``; each request takes
+    its config's statistics, and a config outside the grid runs alone.
     """
 
     def __init__(self, cfgs: Sequence[RunConfig]) -> None:
-        self._waiting = list(cfgs)  # configs whose batch has not run
+        self._cfgs = list(cfgs)  # emptied when the batch runs
+        if len({(c.master_seed, c.runs) for c in self._cfgs}) > 1:
+            raise ValueError("the configs of a SweepGrid need one master_seed and one runs")
         self._ready: list[tuple[RunConfig, SweepStatistics]] = []
 
     def statistics(self, cfg: RunConfig, workers: int) -> SweepStatistics:
-        if not any(c == cfg for c, _ in self._ready):
-            batch = [c for c in self._waiting if (c.master_seed, c.runs) == (cfg.master_seed, cfg.runs)]
-            self._waiting = [c for c in self._waiting if c not in batch]
-            self._ready += _run_batch(batch + ([] if cfg in batch else [cfg]), workers)
-        return self._ready.pop(next(i for i, (c, _) in enumerate(self._ready) if c == cfg))[1]
+        if self._cfgs:
+            self._ready = list(zip(self._cfgs, _run_batch(self._cfgs, workers)))
+            self._cfgs = []
+        i = next((i for i, (c, _) in enumerate(self._ready) if c == cfg), None)
+        return _run_batch([cfg], workers)[0] if i is None else self._ready.pop(i)[1]
 
 
-def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[tuple[RunConfig, SweepStatistics]]:
-    """Statistics of configs with one ``master_seed`` and ``runs``, sharing what ``SweepGrid`` says."""
-    groups: list[tuple[RunConfig, dict[HandoverConfig, list[RunConfig]]]] = []  # link groups
-    for c in cfgs:
+def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]:
+    """Statistics of configs with one ``master_seed`` and ``runs``, in the order of ``cfgs``.
+
+    The configs that differ only in ``handover`` form a link group, which
+    shares one set of tables and, per run, one link part that drives one
+    state machine per distinct ``handover``. The link groups whose tables
+    have equal cell counts, snapshot counts and shadowing segments
+    (``_stream_family``) form a stream family, which shares, per run, one
+    draw of the shadowing and fading streams. The streams are kept at every
+    k-th snapshot, k the gcd of the family's tick strides, and each group
+    slices its ticks out of them. The LOS latent stays per link group. The
+    speeds and environments of a sweep with the default profiles form one
+    family. Each run goes through every link group, so all their table sets
+    are alive while the runs go, on up to ``workers`` threads and never more
+    than the CPU count.
+    """
+    groups: list[tuple[RunConfig, dict[HandoverConfig, list[int]]]] = []  # link groups, by config index
+    for i, c in enumerate(cfgs):
         group = next((g for g in groups if replace(c, handover=g[0].handover) == g[0]), None)
         if group is None:
-            groups.append((c, {c.handover: [c]}))
+            groups.append((c, {c.handover: [i]}))
         else:
-            group[1].setdefault(c.handover, []).append(c)  # equal grid points drive one machine
+            group[1].setdefault(c.handover, []).append(i)  # equal grid points drive one machine
     tables = [precompute_tables(rep) for rep, _ in groups]
     by_family: dict[tuple, list[int]] = {}
     for g, t in enumerate(tables):
@@ -500,39 +498,40 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[tuple[RunConfig,
     def run(run_index: int) -> list[tuple[tuple[HandoverRecord, ...], ...]]:
         per_group = [()] * len(groups)
         for stride, family in families:
-            # a family of one draws inside simulate_run, at its own tick stride
-            streams = _draw_streams(seed, run_index, tables[family[0]], stride) if len(family) > 1 else None
+            streams = _draw_streams(seed, run_index, tables[family[0]], stride)
             for g in family:
                 rep, members = groups[g]
                 result = simulate_run(rep, run_index, tables=tables[g], handovers=list(members), streams=streams)
                 per_group[g] = result.per_handover
         return per_group
 
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, range(cfgs[0].runs)))
     else:
         results = [run(i) for i in range(cfgs[0].runs)]
-    ready = []
+    stats: dict[int, SweepStatistics] = {}
     for g, (_, members) in enumerate(groups):
         for k, same in enumerate(members.values()):
-            stats = aggregate_records([rec for result in results for rec in result[g][k]], same[0])
-            ready += [(c, stats) for c in same]
-    return ready
+            records = [rec for result in results for rec in result[g][k]]
+            stats |= dict.fromkeys(same, aggregate_records(records, cfgs[same[0]]))
+    return [stats[i] for i in range(len(cfgs))]
 
 
 def monte_carlo(cfg: RunConfig, *, workers: int = 1, grid: SweepGrid | None = None) -> SweepStatistics:
     """Run ``cfg.runs`` independent seeded runs and aggregate their records.
 
-    With a grid, ``cfg`` runs in its batch and shares tables, link parts and
-    stream draws as ``SweepGrid`` says. This is exact: only the state machine
-    reads ``handover``, and every random stream is keyed by (master_seed,
-    run_index, cell, purpose) and indexed by snapshot, not by tick, so its
-    values depend neither on the speed nor on the LOS profile. Runs keep only
-    their records, never the link arrays. Without a grid, ``cfg`` is a grid of
-    one, whose runs draw and hold only their own streams at its tick stride.
+    With a grid, ``cfg`` runs in the grid's batch and shares tables, link
+    parts and stream draws as ``_run_batch`` says. This is exact: only the
+    state machine reads ``handover``, and every random stream is keyed by
+    (master_seed, run_index, cell, purpose) and indexed by snapshot, not by
+    tick, so its values depend neither on the speed nor on the LOS profile.
+    Runs keep only their records, never the link arrays. Without a grid,
+    ``cfg`` is a batch of one, whose runs draw and hold only their own
+    streams at its tick stride.
 
     Aggregation is ordered by run index, so the result is identical for any
     worker count.
     """
-    return (SweepGrid([cfg]) if grid is None else grid).statistics(cfg, workers)
+    return _run_batch([cfg], workers)[0] if grid is None else grid.statistics(cfg, workers)

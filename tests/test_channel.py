@@ -23,7 +23,7 @@ from railho.config import RunConfig, config_from_dict
 from railho.geometry import Environment, default_layout, environment_at, link_geometry
 from railho.handover import HandoverFsm
 from railho.ici import IciParams
-from railho.simulate import _downlink_pr_ticks, precompute_tables, simulate_run
+from railho.simulate import _downlink_pr_ticks, _draw_streams, precompute_tables, simulate_run
 
 
 def profile(**overrides) -> EnvironmentProfile:
@@ -347,7 +347,8 @@ class TestMeanRxPower:
             budget=LinkBudget(penetration_loss_db=0.0),
         )
         tables = precompute_tables(cfg)
-        pr = _downlink_pr_ticks(cfg, tables, 0)[0]
+        streams = _draw_streams(cfg.master_seed, 0, tables, tables.tick_stride)
+        pr = _downlink_pr_ticks(cfg, tables, 0, streams)[0]
         rx_dbm = tables.noise_dbm + 10.0 * np.log10(pr)
         np.testing.assert_allclose(rx_dbm, 30.0, rtol=0.0, atol=1e-9)
 

@@ -18,6 +18,7 @@ from railho.ici import IciParams
 from railho import simulate
 from railho.simulate import (
     _downlink_pr_ticks,
+    _draw_streams,
     _link_streams,
     _COMMON_LINK,
     _STREAM_FADING,
@@ -55,6 +56,18 @@ class TestDeterminism:
 
     def test_worker_count_does_not_change_results(self, tiny_cfg):
         assert monte_carlo(tiny_cfg, workers=1) == monte_carlo(tiny_cfg, workers=3)
+
+    def test_thread_pool_is_capped_at_the_cpu_count(self, tiny_cfg, monkeypatch):
+        sizes = []
+
+        def recording(max_workers, _pool=simulate.ThreadPoolExecutor):
+            sizes.append(max_workers)
+            return _pool(max_workers=max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        assert monte_carlo(tiny_cfg, workers=64) == monte_carlo(tiny_cfg)
+        assert sizes == [2]
 
 
 class TestSweepGrid:
@@ -128,7 +141,14 @@ class TestSweepGrid:
         groups, runs = 4, 3  # two speeds x two environments
         assert calls == {"precompute_tables": groups, "simulate_run": groups * runs, "measure_cell": groups * runs}
 
-    @pytest.mark.parametrize("grid_of, families", [("grid", 1), ("split_shadowing_grid", 2), ("fine_grid", 1)])
+    @staticmethod
+    def one_config_grid(tiny_cfg):
+        return [dataclasses.replace(tiny_cfg, runs=3)]
+
+    @pytest.mark.parametrize(
+        "grid_of, families",
+        [("grid", 1), ("split_shadowing_grid", 2), ("fine_grid", 1), ("one_config_grid", 1)],
+    )
     def test_one_stream_draw_per_run_and_family(self, tiny_cfg, monkeypatch, grid_of, families):
         cfgs = getattr(self, grid_of)(tiny_cfg)
         built = Counter()
@@ -142,9 +162,14 @@ class TestSweepGrid:
         for cfg in cfgs:
             monte_carlo(cfg, grid=grid)
         n_cells = cfgs[0].layout.spans + 1
-        for run in range(cfgs[0].runs):  # four link groups, one per speed and environment
+        for run in range(cfgs[0].runs):
             assert built[run, _STREAM_SHADOW] == families * (n_cells + 1)  # per cell and the common link
             assert built[run, _STREAM_FADING] == families * n_cells
+
+    @pytest.mark.parametrize("field, other", [("master_seed", 7), ("runs", 5)])
+    def test_grid_needs_one_seed_and_run_count(self, tiny_cfg, field, other):
+        with pytest.raises(ValueError, match="one master_seed and one runs"):
+            SweepGrid([tiny_cfg, dataclasses.replace(tiny_cfg, **{field: other})])
 
     def test_config_outside_the_grid_runs_alone(self, tiny_cfg):
         member = apply_overrides(tiny_cfg, offset_db=4.0)
@@ -171,7 +196,8 @@ class TestChannelSeriesOracle:
         positions = [cfg.kinematics.start_position_m + i * step for i in range(n)]
         profiles = [cfg.profiles[environment_at(cfg.layout, x)] for x in positions]
 
-        fast = _downlink_pr_ticks(cfg, tables, run)[cell]
+        streams = _draw_streams(cfg.master_seed, run, tables, tables.tick_stride)
+        fast = _downlink_pr_ticks(cfg, tables, run, streams)[cell]
 
         # literal scalar recomputation from the same streams
         eps_c = _link_streams(cfg.master_seed, run, _COMMON_LINK, _STREAM_SHADOW).standard_normal(n)
