@@ -134,9 +134,19 @@ class LinkBudget:
             raise ValueError("bandwidth_hz must be positive")
         if self.penetration_loss_db < 0.0:
             raise ValueError("penetration_loss_db must be non-negative")
+        try:
+            in_range = self.ul_shift() > 0.0
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ValueError("ue_tx_power_dbm - rrh_tx_power_dbm leaves the float range of a power ratio")
 
     def noise_dbm(self) -> float:
         return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db
+
+    def ul_shift(self) -> float:
+        """The UE's transmit power over the RRH's, linear: the uplink over the downlink received power."""
+        return 10.0 ** ((self.ue_tx_power_dbm - self.rrh_tx_power_dbm) / 10.0)
 
 
 @dataclass

@@ -24,9 +24,6 @@ _ENV_CHOICES = [env.value for env in Environment] + ["mixed"]
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON run configuration file")
-    parser.add_argument("--speed", type=float, metavar="KMH", help="train speed in km/h")
-    parser.add_argument("--env", choices=_ENV_CHOICES, help="environment along the track")
-    parser.add_argument("--offset-db", type=float, help="A3 hysteresis margin in dB")
     parser.add_argument("--ttt-ms", type=int, help="time-to-trigger in ms (multiple of 40)")
     parser.add_argument("--runs", type=int, help="Monte Carlo runs per configuration")
     parser.add_argument("--seed", type=int, help="master seed (unsigned 64-bit)")
@@ -42,37 +39,41 @@ def _csv_floats(text: str) -> list[float]:
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="railho",
+        prog="railho", allow_abbrev=False,
         description="LTE hard-handover simulator for a high-speed train on a trackside RRH deployment",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run one configuration")
+    p_sim = sub.add_parser("simulate", help="run one configuration", allow_abbrev=False)
     _add_common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_sweep = sub.add_parser("sweep", help="run a speed x offset grid")
+    p_sweep = sub.add_parser("sweep", help="run a speed x offset grid", allow_abbrev=False)
     _add_common(p_sweep)
     p_sweep.add_argument(
         "--speeds", type=_csv_floats, default=[100.0, 300.0, 500.0], metavar="KMH,KMH,...",
-        help="comma-separated speeds in km/h",
+        help="comma-separated speeds in km/h, replacing the configured speed",
     )
     p_sweep.add_argument(
         "--offsets", type=_csv_floats, default=[0.0, 2.0, 4.0], metavar="DB,DB,...",
-        help="comma-separated hysteresis offsets in dB",
+        help="comma-separated hysteresis offsets in dB, replacing the configured offset",
     )
     p_sweep.add_argument(
         "--envs", default=None, metavar="ENV,ENV,...",
         help="comma-separated environments (default: the configured one)",
     )
-    p_sweep.set_defaults(func=_cmd_sweep)
-    for p in (p_sim, p_sweep):
-        p.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p_sweep.set_defaults(func=_cmd_sweep, speed=None, env=None, offset_db=None)
 
-    p_trace = sub.add_parser("trace", help="dump one run's per-tick trace")
+    p_trace = sub.add_parser("trace", help="dump one run's per-tick trace", allow_abbrev=False)
     _add_common(p_trace)
     p_trace.add_argument("--run", type=int, default=0, help="run index to trace")
     p_trace.set_defaults(func=_cmd_trace)
+    for p in (p_sim, p_trace):
+        p.add_argument("--speed", type=float, metavar="KMH", help="train speed in km/h")
+        p.add_argument("--env", choices=_ENV_CHOICES, help="environment along the track")
+        p.add_argument("--offset-db", type=float, help="A3 hysteresis margin in dB")
+    for p in (p_sim, p_sweep):
+        p.add_argument("--workers", type=int, default=1, help="parallel workers")
     return parser
 
 

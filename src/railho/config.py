@@ -256,10 +256,9 @@ def config_from_dict(doc: Any) -> RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     """Load a JSON run configuration, applying defaults for missing keys."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return config_from_dict(doc)
 

@@ -24,17 +24,16 @@ from .constants import SPEED_OF_LIGHT_MPS
 
 @dataclass(frozen=True)
 class IciParams:
-    """Coefficients of the classic ICI power bound plus the OFDM symbol timing."""
+    """Coefficient of the classic ICI power bound plus the OFDM symbol timing."""
 
     alpha1: float = 0.5
-    alpha2: float = 0.375
     symbol_duration_s: float = 1e-3
     carrier_frequency_hz: float = 3.5e9
 
     def __post_init__(self) -> None:
-        # alpha = 0 is permitted so a config can switch ICI off entirely.
-        if self.alpha1 < 0.0 or self.alpha2 < 0.0:
-            raise ValueError("alpha coefficients must be non-negative")
+        # alpha1 = 0 is permitted so a config can switch ICI off entirely.
+        if self.alpha1 < 0.0:
+            raise ValueError("alpha1 must be non-negative")
         if self.symbol_duration_s <= 0.0:
             raise ValueError("symbol_duration_s must be positive")
         if self.carrier_frequency_hz <= 0.0:
@@ -61,9 +60,9 @@ def ici_power_upper(doppler_hz: float, params: IciParams = IciParams()) -> float
 
 
 def ici_power_lower(doppler_hz: float, params: IciParams = IciParams()) -> float:
-    """Lower bound: the upper bound minus (alpha2 / 360) * (2 pi fd Ts)^4, floored at 0."""
+    """Lower bound: the upper bound minus (0.375 / 360) * (2 pi fd Ts)^4, floored at 0."""
     x = _phase(doppler_hz, params)
-    return max(0.0, params.alpha1 / 12.0 * x * x - params.alpha2 / 360.0 * x**4)
+    return max(0.0, params.alpha1 / 12.0 * x * x - 0.375 / 360.0 * x**4)
 
 
 def rss_with_ici(pr_linear, p_ici):

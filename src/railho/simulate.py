@@ -13,7 +13,8 @@ What runs on snapshots and what on ticks:
   LOS-latent recursions, nothing else. The recursions read segment tables
   that ``precompute_tables`` splits once per config. Only their values at
   the ticks are kept (in a sweep, the shadowing and fading at every k-th
-  snapshot, see below), so no per-snapshot stack of cells is ever built.
+  snapshot, see ``_run_batch``), so no per-snapshot stack of cells is ever
+  built.
 * Ticks: every link table is evaluated only at the tick positions, once per
   config: geometry, antenna gain, both path losses, the LOS thresholds,
   the shadowing shares and the Rician terms. Everything after the
@@ -30,14 +31,8 @@ comparison without it. The measurement noise is drawn once per tick.
 
 Runs are reproducible: every random stream is derived from (master_seed,
 run_index, cell, purpose), so results are independent of execution order
-and worker count. The shadowing and fading streams are indexed by snapshot,
-not by tick, and their recursion reads only the shadowing segments; so the
-configs of a sweep on one snapshot grid with equal shadowing segments (every
-speed, and every environment when the profiles' shadowing agrees) see the
-same draws in a run, and ``_run_batch`` draws them once per run for all of
-them, kept at every k-th snapshot with k the gcd of their tick strides. Only
-the state machine reads ``cfg.handover``, so configs that differ only in it
-also share the LOS latent, the L1/L3 measurements and the tables.
+and worker count. What the configs of a sweep share, and why that leaves
+every record unchanged, is stated once, in ``_run_batch``.
 """
 
 from __future__ import annotations
@@ -53,7 +48,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import channel, ici
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .geometry import DeploymentLayout, Environment, environment_at, link_geometry, sample_stride
 from .handover import HandoverConfig, HandoverFsm, HandoverRecord, Outcome, interruption_window
 from .measurement import measure_cell
@@ -204,6 +199,9 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
     n_latent = (los_ticks - 1) * stride + 1 if los_ticks else 0
     profile_runs = [(lo, hi, cfg.profiles[env]) for lo, hi, env in runs]
     fd = ici.doppler_spread_hz(kin.speed_mps, cfg.ici.carrier_frequency_hz)
+    p_ici = ici.ici_power_upper(fd, cfg.ici)
+    if not math.isfinite(p_ici):
+        raise ConfigError(f"the ICI power overflows at {cfg.speed_kmh:g} km/h with {cfg.ici}")
     tx = cfg.budget.rrh_tx_power_dbm
     rx_nlos = tx + base_nlos
     start = float(tick_positions[0])
@@ -228,7 +226,7 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
         tick_site_ind_sqrt=np.sqrt(1.0 - site_corr),
         tick_rician=channel.rician_coefficients(per_tick(lambda p: p.rician_k_linear())),
         los_ticks=los_ticks,
-        p_ici=ici.ici_power_upper(fd, cfg.ici),
+        p_ici=p_ici,
         noise_dbm=cfg.budget.noise_dbm(),
         initial_serving=initial_serving,
     )
@@ -241,9 +239,8 @@ _RAYLEIGH = channel.rician_coefficients(0.0)
 class _Streams:
     """One run's shadowing and fading draws, kept at every ``stride``-th snapshot.
 
-    They depend on the tables only through ``_stream_family``, so every link
-    group of a family whose ``tick_stride`` is a multiple of ``stride`` reads
-    its ticks from them. Readers take views and never write to them.
+    A stream family shares them (see ``_run_batch``). Readers take views and
+    never write to them.
     """
 
     stride: int
@@ -321,13 +318,17 @@ def _downlink_pr_ticks(cfg: RunConfig, tables: _StaticTables, run_index: int, st
 def _link(cfg: RunConfig, tables: _StaticTables, run_index: int, streams: _Streams) -> tuple[np.ndarray, ...]:
     """The link part of a run: ``(pr_dl, l3, ul_snr, dl_snr)``, each ``(n_cells, n_ticks)``."""
     p = tables.p_ici
-    ul_shift = 10.0 ** ((cfg.budget.ue_tx_power_dbm - cfg.budget.rrh_tx_power_dbm) / 10.0)
-    pr_dl = _downlink_pr_ticks(cfg, tables, run_index, streams)
+    with np.errstate(over="ignore", invalid="ignore"):  # a power out of the float range is rejected below
+        pr_dl = _downlink_pr_ticks(cfg, tables, run_index, streams)
+        pr_ul = pr_dl * cfg.budget.ul_shift()
+    # the UL shift is a positive float, so this bounds pr_dl too; NaN fails it
+    if not 0.0 < pr_ul.min() <= pr_ul.max() < math.inf:
+        raise ConfigError(f"run {run_index}: a link's SNR leaves the float range; check budget, gains, profiles")
     eff_lin_dl = pr_dl / (pr_dl * p + 1.0)
     meas_rngs = [_link_streams(cfg.master_seed, run_index, c, _STREAM_MEASUREMENT) for c in range(len(pr_dl))]
     l3 = measure_cell(eff_lin_dl, cfg.l1, cfg.l3, meas_rngs)
     dl_snr = 10.0 * np.log10(eff_lin_dl)  # ici.rss_with_ici(pr_dl, p), from the L1 input
-    ul_snr = ici.rss_with_ici(pr_dl * ul_shift, p)
+    ul_snr = ici.rss_with_ici(pr_ul, p)
     return pr_dl, l3, ul_snr, dl_snr
 
 
@@ -468,18 +469,27 @@ class SweepGrid:
 def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]:
     """Statistics of configs with one ``master_seed`` and ``runs``, in the order of ``cfgs``.
 
-    The configs that differ only in ``handover`` form a link group, which
-    shares one set of tables and, per run, one link part that drives one
-    state machine per distinct ``handover``. The link groups whose tables
-    have equal cell counts, snapshot counts and shadowing segments
-    (``_stream_family``) form a stream family, which shares, per run, one
-    draw of the shadowing and fading streams. The streams are kept at every
-    k-th snapshot, k the gcd of the family's tick strides, and each group
-    slices its ticks out of them. The LOS latent stays per link group. The
-    speeds and environments of a sweep with the default profiles form one
-    family. Each run goes through every link group, so all their table sets
-    are alive while the runs go, on up to ``workers`` threads and never more
-    than the CPU count.
+    This is where the configs of a sweep share work, and the sharing is
+    exact: every record is the one the config would get alone.
+
+    * The configs that differ only in ``handover`` form a link group, which
+      shares one set of tables and, per run, one link part (the LOS latent,
+      the L1/L3 measurements) that drives one state machine per distinct
+      ``handover``. Only the state machine reads ``handover``.
+    * The link groups whose tables have equal cell counts, snapshot counts
+      and shadowing segments (``_stream_family``) form a stream family, which
+      shares, per run, one draw of the shadowing and fading streams. Every
+      random stream is keyed by (master_seed, run_index, cell, purpose) and
+      indexed by snapshot, not by tick, and the shadowing recursion reads
+      only the shadowing segments, so these draws depend neither on the
+      speed nor on the LOS profile. They are kept at every k-th snapshot, k
+      the gcd of the family's tick strides, and each group slices its ticks
+      out of them. The speeds and environments of a sweep with the default
+      profiles form one family.
+
+    Each run goes through every link group, so all their table sets are
+    alive while the runs go, on up to ``workers`` threads and never more
+    than the CPU count. Runs keep only their records, never the link arrays.
     """
     groups: list[tuple[RunConfig, dict[HandoverConfig, list[int]]]] = []  # link groups, by config index
     for i, c in enumerate(cfgs):
@@ -522,14 +532,10 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
 def monte_carlo(cfg: RunConfig, *, workers: int = 1, grid: SweepGrid | None = None) -> SweepStatistics:
     """Run ``cfg.runs`` independent seeded runs and aggregate their records.
 
-    With a grid, ``cfg`` runs in the grid's batch and shares tables, link
-    parts and stream draws as ``_run_batch`` says. This is exact: only the
-    state machine reads ``handover``, and every random stream is keyed by
-    (master_seed, run_index, cell, purpose) and indexed by snapshot, not by
-    tick, so its values depend neither on the speed nor on the LOS profile.
-    Runs keep only their records, never the link arrays. Without a grid,
-    ``cfg`` is a batch of one, whose runs draw and hold only their own
-    streams at its tick stride.
+    With a grid, ``cfg`` runs in the grid's batch, which shares work among
+    the grid's configs without changing a record (see ``_run_batch``).
+    Without a grid, ``cfg`` is a batch of one, whose runs draw and hold only
+    their own streams at its tick stride.
 
     Aggregation is ordered by run index, so the result is identical for any
     worker count.

@@ -310,7 +310,7 @@ class TestMeanRxPower:
                 )
 
     def test_uplink_downlink_differ_by_tx_power(self, tiny_cfg, monkeypatch):
-        cfg = dataclasses.replace(tiny_cfg, ici=IciParams(alpha1=0.0, alpha2=0.0))
+        cfg = dataclasses.replace(tiny_cfg, ici=IciParams(alpha1=0.0))
         seen = []
         run = HandoverFsm.run
 

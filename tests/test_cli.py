@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -83,10 +84,26 @@ class TestSimulateCommand:
             '{"layout": {"pattern_floor_db": Infinity}}',
             '{"l1": {"noise_sigma_db": Infinity}}',
             '{"handover": {"hysteresis_db": 1%s}}' % ("0" * 400),
+            '{"ici": {"alpha2": 5}}',
+            # values that load but take a computed quantity out of the float range
+            '{"ici": {"symbol_duration_s": 1e200}}',
+            '{"ici": {"carrier_frequency_hz": 1e300}}',
+            '{"budget": {"rrh_tx_power_dbm": 1e300}}',
+            '{"budget": {"ue_tx_power_dbm": 1e300}}',
+            '{"budget": {"noise_figure_db": -1e300}}',
+            '{"budget": {"bandwidth_hz": 1e-300}}',
+            '{"profiles": {"viaduct": {"shadow_sigma_db": 1e300}}}',
+            '{"profiles": {"viaduct": {"pathloss_intercept_db": -1e300}}}',
+            '{"layout": {"max_gain_db": 1e300}}',
         ):
             bad.write_text(text)
             assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2, text
             assert capsys.readouterr().err.startswith("configuration error:"), text
+        for data in (b"\xff\xfe{}", b'{"runs": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"):
+            bad.write_bytes(data)  # not UTF-8, and nested beyond the recursion limit
+            assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2, data[:12]
+            assert capsys.readouterr().err.startswith("configuration error:"), data[:12]
+        assert not list(tmp_path.glob("*.csv"))
         assert main(["simulate", "--ttt-ms", "1" + "0" * 400, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("configuration error:")
 
@@ -102,6 +119,7 @@ class TestSimulateCommand:
             ["simulate", "--offset-db=-inf"],
             ["sweep", "--speeds", "100,inf"],
             ["sweep", "--offsets", "inf"],
+            ["simulate", "--speed", "1e160"],  # finite, but the ICI power overflows
         ],
     )
     def test_non_finite_flag_exits_2(self, tiny_config_path, tmp_path, capsys, flags):
@@ -287,3 +305,54 @@ class TestTraceCommand:
         with pytest.raises(SystemExit) as exc:
             main(["trace", "--config", str(tiny_config_path), "--workers", "2", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--speed", "200"],  # a sweep's grid comes only from --speeds, --offsets and --envs
+        ["sweep", "--offset-db", "7"],
+        ["sweep", "--env", "viaduct"],
+        ["simulate", "--spe", "300"],  # no flag may be abbreviated
+    ],
+    ids="_".join,
+)
+def test_flag_the_command_does_not_take_exits_2(tiny_config_path, tmp_path, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(cli, "monte_carlo", lambda cfg, **kwargs: calls.append(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(tiny_config_path), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert calls == []
+
+
+# A valid value of each value flag that differs from the tiny config and from the flag's default.
+# trace reads --runs only as the bound of --run, so its base command traces run 1, not run 0.
+_FLAG_VALUES = {
+    "--speed": "500", "--env": "urban", "--offset-db": "6", "--ttt-ms": "160", "--runs": "1", "--seed": "7",
+    "--speeds": "500", "--offsets": "6", "--envs": "urban", "--run": "2",
+}
+
+
+def _value_flags() -> list[tuple[str, str]]:
+    """Each (subcommand, flag) that takes a value, except the output directory, config file and workers."""
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, flag)
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        for flag in action.option_strings
+        if action.nargs != 0 and flag not in ("--out", "--config", "--workers")
+    ]
+
+
+@pytest.mark.parametrize(("command", "flag"), _value_flags())
+def test_every_value_flag_changes_the_result(tiny_config_path, tmp_path, command, flag):
+    base = ["--run", "1"] if command == "trace" else []
+
+    def result(*flags):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        code = main([command, "--config", str(tiny_config_path), *base, *flags, "--out", str(out)])
+        return code, {path.name: path.read_bytes() for path in out.glob("*.csv")}
+
+    assert result(flag, _FLAG_VALUES[flag]) != result()

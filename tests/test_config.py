@@ -94,7 +94,9 @@ class TestJsonLoading:
             config_from_dict({"speeed": 100})
 
     def test_unknown_nested_key(self):
-        for section, key, value in (("l1", "window_msec", 200), ("budget", "noise_power_dbm", -90)):
+        for section, key, value in (
+            ("l1", "window_msec", 200), ("budget", "noise_power_dbm", -90), ("ici", "alpha2", 0.375),
+        ):
             with pytest.raises(ConfigError, match=f"unknown {section} keys"):
                 config_from_dict({section: {key: value}})
 

@@ -378,7 +378,7 @@ class TestIciEffects:
         assert np.all(trace.effective_snr_db <= trace.snr_db + 1e-12)
 
     def test_zero_ici_config_leaves_snr_untouched(self, tiny_cfg):
-        cfg = dataclasses.replace(tiny_cfg, ici=IciParams(alpha1=0.0, alpha2=0.0))
+        cfg = dataclasses.replace(tiny_cfg, ici=IciParams(alpha1=0.0))
         trace = simulate_run(cfg, 0, want_trace=True).trace
         assert trace.p_ici == 0.0
         np.testing.assert_allclose(trace.effective_snr_db, trace.snr_db, atol=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -49,11 +50,10 @@ class TestDopplerSpread:
 
 class TestIciBounds:
     def test_defaults_match_parameter_table(self):
-        p = IciParams()
-        assert p.alpha1 == 0.5
-        assert p.alpha2 == 0.375
-        assert p.symbol_duration_s == 1e-3
-        assert p.carrier_frequency_hz == 3.5e9
+        # the lower bound's 0.375 is fixed, not a parameter (see test_lower_at_100_kmh)
+        assert dataclasses.asdict(IciParams()) == {
+            "alpha1": 0.5, "symbol_duration_s": 1e-3, "carrier_frequency_hz": 3.5e9,
+        }
 
     def test_upper_zero_doppler(self):
         assert ici_power_upper(0.0) == 0.0
