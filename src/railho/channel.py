@@ -179,11 +179,12 @@ def antenna_gain_db(layout: DeploymentLayout, bearing_rad):
     """
     b = np.clip(bearing_rad, 0.0, math.pi)
     theta = np.minimum(b, math.pi - b)
-    attenuation = np.minimum(
-        12.0 * (theta / layout.beamwidth_3db_rad) ** 2,
-        layout.pattern_floor_db,
-    )
-    return layout.max_gain_db - attenuation
+    floor = layout.pattern_floor_db
+    # The lobe meets the floor at theta / beam = sqrt(floor / 12). Capping the ratio a hair above
+    # that leaves every value as it was and keeps the square finite for a narrow beam.
+    cap = (1.0 + 1e-9) * math.sqrt(max(floor, np.finfo(float).tiny) / 12.0)
+    lobe = 12.0 * np.minimum(theta / math.radians(layout.beamwidth_3db_deg), cap) ** 2
+    return layout.max_gain_db - np.minimum(lobe, floor)
 
 
 def shadowing_db(state: FadingState, profile: EnvironmentProfile, position_m: float) -> float:

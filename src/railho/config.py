@@ -26,8 +26,9 @@ from pathlib import Path
 from typing import Any, Literal
 
 from .channel import EnvironmentProfile, LinkBudget, default_profiles
-from .constants import kmh_to_mps, mps_to_kmh
-from .geometry import DeploymentLayout, Environment, TrainKinematics, default_layout, span_segments
+from .geometry import (
+    DeploymentLayout, Environment, TrainKinematics, default_layout, sample_stride, snapshot_count, span_segments,
+)
 from .handover import HandoverConfig
 from .ici import IciParams
 from .measurement import L1Config, L3Config
@@ -58,9 +59,7 @@ def _is_number(value: Any, infinite_ok: bool = False) -> bool:
 @dataclass(frozen=True)
 class RunConfig:
     layout: DeploymentLayout = field(default_factory=default_layout)
-    kinematics: TrainKinematics = field(
-        default_factory=lambda: TrainKinematics(speed_mps=kmh_to_mps(100.0))
-    )
+    kinematics: TrainKinematics = field(default_factory=lambda: TrainKinematics(speed_kmh=100.0))
     profiles: Mapping[Environment, EnvironmentProfile] = field(default_factory=default_profiles)
     budget: LinkBudget = field(default_factory=LinkBudget)
     ici: IciParams = field(default_factory=IciParams)
@@ -87,10 +86,12 @@ class RunConfig:
                 raise ConfigError(f"no profile for environment {env.value!r}")
         with _config_errors():
             self.handover.ttt_samples(self.l1.sample_period_s)
+            snapshot_count(self.layout, self.kinematics)
+            sample_stride(self.kinematics, self.l1.sample_period_s)
 
     @property
     def speed_kmh(self) -> float:
-        return mps_to_kmh(self.kinematics.speed_mps)
+        return self.kinematics.speed_kmh
 
     @property
     def environment_label(self) -> str:
@@ -167,16 +168,6 @@ def _build(data: Any, base: Any, context: str) -> Any:
         return dataclasses.replace(base, **data)
 
 
-def _build_kinematics(data: Any, base: TrainKinematics) -> TrainKinematics:
-    checks = {**_field_checks(TrainKinematics), "speed_kmh": _type_check(float)}
-    data = dict(_object(data, checks, "kinematics"))
-    if "speed_kmh" in data:
-        if "speed_mps" in data:
-            raise ConfigError("give kinematics.speed_kmh or speed_mps, not both")
-        data["speed_mps"] = kmh_to_mps(data.pop("speed_kmh"))
-    return _build(data, base, "kinematics")
-
-
 def _is_segments(value: Any) -> bool:
     """Whether a JSON value is a non-empty list of ``[number, number, environment]`` entries."""
     return isinstance(value, list) and bool(value) and all(
@@ -184,14 +175,12 @@ def _is_segments(value: Any) -> bool:
     )
 
 
-# DeploymentLayout's fields, with the beamwidth in degrees, and the environment that tiles the spans
+# DeploymentLayout's fields, and the environment that tiles the spans
 _LAYOUT_CHECKS = {
     **_field_checks(DeploymentLayout),
-    "beamwidth_3db_deg": _type_check(float),
     "environment": _type_check(str),
     "segments": (_is_segments, "a non-empty list of [start, end, environment] entries with numeric bounds"),
 }
-del _LAYOUT_CHECKS["beamwidth_3db_rad"]
 
 
 def _build_layout(data: Any, base: DeploymentLayout) -> DeploymentLayout:
@@ -203,8 +192,6 @@ def _build_layout(data: Any, base: DeploymentLayout) -> DeploymentLayout:
     fields = dict(_object(data, _LAYOUT_CHECKS, "layout"))
     if "segments" in fields and "environment" in fields:
         raise ConfigError("give layout.segments or layout.environment, not both")
-    if "beamwidth_3db_deg" in fields:
-        fields["beamwidth_3db_rad"] = math.radians(fields.pop("beamwidth_3db_deg"))
     spacing = fields.get("rrh_spacing_m", base.rrh_spacing_m)
     with _config_errors("bad layout: "):
         if "segments" in fields:
@@ -233,9 +220,9 @@ def _build_profiles(data: Any, base: Mapping[Environment, EnvironmentProfile]) -
 # JSON key -> (RunConfig field, function (JSON value, current field value) -> new field value)
 _SECTIONS: dict[str, tuple[str, Callable[[Any, Any], Any]]] = {
     "layout": ("layout", _build_layout),
-    "kinematics": ("kinematics", _build_kinematics),
     "profiles": ("profiles", _build_profiles),
-    **{k: (k, functools.partial(_build, context=k)) for k in ("budget", "ici", "l1", "l3", "handover")},
+    **{k: (k, functools.partial(_build, context=k))
+       for k in ("kinematics", "budget", "ici", "l1", "l3", "handover")},
     "runs": ("runs", lambda value, base: value),
     "seed": ("master_seed", lambda value, base: value),
 }

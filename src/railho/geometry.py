@@ -20,6 +20,8 @@ DEFAULT_RRH_SPACING_M = 1732.0
 DEFAULT_SNAPSHOT_INTERVAL_M = 1.0
 
 _REL_TOL = 1e-9
+_TINY = np.finfo(float).tiny
+_MAX_SNAPSHOTS = np.iinfo(np.intp).max // 8  # the most 8-byte values a numpy array can hold
 
 
 class Environment(str, Enum):
@@ -38,17 +40,21 @@ MIXED_ENVIRONMENT_ORDER = (Environment.VIADUCT, Environment.CUTTING, Environment
 class TrainKinematics:
     """Constant-speed point train sampled on a fixed spatial grid."""
 
-    speed_mps: float
+    speed_kmh: float
     snapshot_interval_m: float = DEFAULT_SNAPSHOT_INTERVAL_M
     start_position_m: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.speed_mps < math.inf:
-            raise ValueError(f"speed must be finite and positive, got {self.speed_mps}")
+        if not 0.0 < self.speed_mps < math.inf:  # in m/s, so that no speed rounds to a standstill
+            raise ValueError(f"speed must be finite and positive, got {self.speed_kmh} km/h")
         if self.snapshot_interval_m <= 0.0:
             raise ValueError("snapshot_interval_m must be positive")
         if self.start_position_m < 0.0:
             raise ValueError("start_position_m must be non-negative")
+
+    @property
+    def speed_mps(self) -> float:
+        return self.speed_kmh / 3.6
 
 
 Segment = tuple[float, float, Environment]
@@ -58,8 +64,7 @@ Segment = tuple[float, float, Environment]
 class DeploymentLayout:
     """Equally spaced RRHs with one mast and beam, and the environment tiling of the track.
 
-    The fields are the keys of a configuration's ``layout`` section, except
-    that the beamwidth is in radians.
+    The fields are the keys of a configuration's ``layout`` section.
     """
 
     spans: int = 3
@@ -70,7 +75,7 @@ class DeploymentLayout:
     lateral_offset_m: float = 100.0
     rrh_height_m: float = 30.0
     max_gain_db: float = 14.0
-    beamwidth_3db_rad: float = math.radians(30.0)
+    beamwidth_3db_deg: float = 30.0
     pattern_floor_db: float = 25.0
     segments: tuple[Segment, ...]
 
@@ -83,8 +88,8 @@ class DeploymentLayout:
             raise ValueError(f"lateral_offset_m must be positive, got {self.lateral_offset_m}")
         if self.rrh_height_m <= 0.0:
             raise ValueError(f"rrh_height_m must be positive, got {self.rrh_height_m}")
-        if self.beamwidth_3db_rad <= 0.0:
-            raise ValueError("beamwidth_3db_rad must be positive")
+        if not math.radians(self.beamwidth_3db_deg) >= _TINY:  # so that the gain's division cannot overflow
+            raise ValueError(f"beamwidth_3db_deg {self.beamwidth_3db_deg} is below {math.degrees(_TINY):.4g}")
         if not self.segments:
             raise ValueError("layout needs at least one segment")
         cursor = 0.0
@@ -178,6 +183,14 @@ def environment_at(layout: DeploymentLayout, position_m):
     return envs[np.maximum(np.searchsorted(starts, pos, side="right") - 1, 0)]
 
 
+def snapshot_count(layout: DeploymentLayout, kinematics: TrainKinematics) -> int:
+    """Number of snapshots from the start position to the end of the track."""
+    span = (layout.track_length_m - kinematics.start_position_m) / kinematics.snapshot_interval_m
+    if not span < _MAX_SNAPSHOTS:
+        raise ValueError(f"{span:g} snapshots of {kinematics.snapshot_interval_m} m are too many to index")
+    return math.floor(span) + 1
+
+
 def sample_stride(kinematics: TrainKinematics, sample_period_s: float) -> int:
     """Number of spatial snapshots advanced per measurement sample.
 
@@ -187,4 +200,6 @@ def sample_stride(kinematics: TrainKinematics, sample_period_s: float) -> int:
     if sample_period_s <= 0.0:
         raise ValueError("sample_period_s must be positive")
     ratio = kinematics.speed_mps * sample_period_s / kinematics.snapshot_interval_m
+    if ratio == math.inf:
+        raise ValueError(f"a {sample_period_s} s tick spans more snapshots than a float can count")
     return max(1, math.floor(ratio + 1e-9))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT_MPS
+SPEED_OF_LIGHT_MPS = 3.0e8  # matches the precision of every other model parameter
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from scipy.special import ndtri
 
 from . import channel, ici
 from .config import ConfigError, RunConfig
-from .geometry import DeploymentLayout, Environment, environment_at, link_geometry, sample_stride
+from .geometry import DeploymentLayout, Environment, environment_at, link_geometry, sample_stride, snapshot_count
 from .handover import HandoverConfig, HandoverFsm, HandoverRecord, Outcome, interruption_window
 from .measurement import measure_cell
 
@@ -159,7 +159,7 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
     kin = cfg.kinematics
     layout = cfg.layout
     step = kin.snapshot_interval_m
-    n_snap = math.floor((layout.track_length_m - kin.start_position_m) / step) + 1
+    n_snap = snapshot_count(layout, kin)
     runs = _environment_runs(layout, kin.start_position_m + np.arange(n_snap) * step)
     stride = sample_stride(kin, cfg.l1.sample_period_s)
     tick_snapshots = np.arange(0, n_snap, stride)

@@ -4,7 +4,6 @@ import pytest
 
 from railho.config import RunConfig
 from railho.geometry import default_layout, TrainKinematics
-from railho.constants import kmh_to_mps
 
 
 @pytest.fixture
@@ -12,7 +11,7 @@ def tiny_cfg() -> RunConfig:
     """Two short spans at 300 km/h: fast enough for per-test Monte Carlo."""
     return RunConfig(
         layout=default_layout(environment="viaduct", spans=2, rrh_spacing_m=400.0),
-        kinematics=TrainKinematics(speed_mps=kmh_to_mps(300.0)),
+        kinematics=TrainKinematics(speed_kmh=300.0),
         runs=4,
         master_seed=1234,
     )

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,23 @@ class TestAntennaGain:
 
     def test_floor_abeam(self):
         assert antenna_gain_db(self.site(), math.pi / 2) == pytest.approx(-11.0, abs=1e-12)
+
+    @pytest.mark.parametrize("floor_db", [25.0, 0.0, -3.0, 1e-320, 1e300])
+    @pytest.mark.parametrize("beamwidth_deg", [30.0, 1e-3, 1e-300, 1.3e-306])
+    def test_narrow_beam_takes_the_floor_without_overflow(self, beamwidth_deg, floor_db):
+        site = default_layout(beamwidth_3db_deg=beamwidth_deg, pattern_floor_db=floor_db)
+        beam = math.radians(beamwidth_deg)
+        bearing = np.linspace(0.0, math.pi, 10_001)
+        if floor_db > 0.0:  # and around the angle where the lobe meets the floor
+            edge = beam * math.sqrt(floor_db / 12.0)
+            bearing = np.concatenate([bearing, edge * (1.0 + np.linspace(-1e-8, 1e-8, 2001))])
+            bearing = bearing[bearing <= math.pi]
+        theta = np.minimum(bearing, math.pi - bearing)
+        with np.errstate(all="ignore"):  # the literal pattern, whose square may overflow
+            expected = 14.0 - np.minimum(12.0 * (theta / beam) ** 2, floor_db)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(antenna_gain_db(site, bearing), expected)
 
     @given(theta=st.floats(min_value=0.0, max_value=math.pi))
     def test_bidirectional_symmetry(self, theta):

@@ -95,6 +95,14 @@ class TestSimulateCommand:
             '{"profiles": {"viaduct": {"shadow_sigma_db": 1e300}}}',
             '{"profiles": {"viaduct": {"pathloss_intercept_db": -1e300}}}',
             '{"layout": {"max_gain_db": 1e300}}',
+            # sampling grids that cannot be indexed
+            '{"kinematics": {"snapshot_interval_m": 5e-324}}',
+            '{"kinematics": {"snapshot_interval_m": 1e-300}}',
+            '{"layout": {"rrh_spacing_m": 1e300}}',
+            '{"l1": {"sample_period_s": 1e307, "window_s": 1e307}, "handover": {"ttt_s": 1e307},'
+            ' "kinematics": {"speed_kmh": 1e10}}',
+            '{"kinematics": {"speed_mps": 27.0}}',
+            '{"layout": {"beamwidth_3db_deg": 1e-320}}',  # no normal float in radians
         ):
             bad.write_text(text)
             assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2, text
@@ -297,8 +305,15 @@ class TestTraceCommand:
         assert path.exists()
         assert "run 1:" in capsys.readouterr().out
 
-    def test_run_index_validated(self, tiny_config_path):
-        assert main(["trace", "--config", str(tiny_config_path), "--run", "99"]) == 2
+    def test_run_index_validated(self, tiny_config_path, tmp_path):
+        out = tmp_path / "out"
+        assert main(["trace", "--config", str(tiny_config_path), "--run", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_run_index_beyond_the_configured_runs(self, tiny_config_path, tmp_path):
+        # a run is a function of the seed and its index alone, so any index can be traced
+        assert main(["trace", "--config", str(tiny_config_path), "--run", "99", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "trace_run99.csv").exists()
 
     def test_workers_flag_rejected(self, tiny_config_path, tmp_path):
         # trace runs one simulate_run: a worker count would have no effect
@@ -314,6 +329,7 @@ class TestTraceCommand:
         ["sweep", "--offset-db", "7"],
         ["sweep", "--env", "viaduct"],
         ["simulate", "--spe", "300"],  # no flag may be abbreviated
+        ["trace", "--runs", "2"],  # trace runs one run, whatever the run count
     ],
     ids="_".join,
 )
@@ -327,7 +343,6 @@ def test_flag_the_command_does_not_take_exits_2(tiny_config_path, tmp_path, monk
 
 
 # A valid value of each value flag that differs from the tiny config and from the flag's default.
-# trace reads --runs only as the bound of --run, so its base command traces run 1, not run 0.
 _FLAG_VALUES = {
     "--speed": "500", "--env": "urban", "--offset-db": "6", "--ttt-ms": "160", "--runs": "1", "--seed": "7",
     "--speeds": "500", "--offsets": "6", "--envs": "urban", "--run": "2",
@@ -348,11 +363,9 @@ def _value_flags() -> list[tuple[str, str]]:
 
 @pytest.mark.parametrize(("command", "flag"), _value_flags())
 def test_every_value_flag_changes_the_result(tiny_config_path, tmp_path, command, flag):
-    base = ["--run", "1"] if command == "trace" else []
-
     def result(*flags):
         out = tmp_path / str(len(list(tmp_path.iterdir())))
-        code = main([command, "--config", str(tiny_config_path), *base, *flags, "--out", str(out)])
+        code = main([command, "--config", str(tiny_config_path), *flags, "--out", str(out)])
         return code, {path.name: path.read_bytes() for path in out.glob("*.csv")}
 
     assert result(flag, _FLAG_VALUES[flag]) != result()

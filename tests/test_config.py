@@ -2,14 +2,19 @@ import dataclasses
 import json
 import math
 import time
+from collections.abc import Mapping
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from railho.channel import EnvironmentProfile, LinkBudget
 from railho.config import ConfigError, RunConfig, apply_overrides, config_from_dict, load_config
-from railho.constants import kmh_to_mps
-from railho.geometry import DeploymentLayout, Environment, default_layout, span_segments
+from railho.geometry import DeploymentLayout, Environment, TrainKinematics, default_layout, span_segments
+from railho.handover import HandoverConfig
+from railho.ici import IciParams
+from railho.measurement import L1Config, L3Config
 
 
 class TestDefaults:
@@ -20,6 +25,13 @@ class TestDefaults:
         assert cfg.environment_label == "mixed"
         assert cfg.budget.noise_dbm() == pytest.approx(-87.0)
         assert cfg.layout.track_length_m == pytest.approx(3 * 1732.0)
+
+    def test_config_reports_back_the_values_it_was_given(self):
+        assert RunConfig().speed_kmh == 100.0
+        assert RunConfig().layout.beamwidth_3db_deg == 30.0
+        for speed in (7.5, 15.0, 123.4):
+            assert apply_overrides(RunConfig(), speed_kmh=speed).speed_kmh == speed
+        assert config_from_dict({"layout": {"beamwidth_3db_deg": 12.5}}).layout.beamwidth_3db_deg == 12.5
 
     def test_runs_lower_bound(self):
         for runs in (0, 2.5, True):
@@ -96,6 +108,7 @@ class TestJsonLoading:
     def test_unknown_nested_key(self):
         for section, key, value in (
             ("l1", "window_msec", 200), ("budget", "noise_power_dbm", -90), ("ici", "alpha2", 0.375),
+            ("kinematics", "speed_mps", 27.0),
         ):
             with pytest.raises(ConfigError, match=f"unknown {section} keys"):
                 config_from_dict({section: {key: value}})
@@ -173,10 +186,6 @@ class TestJsonLoading:
         assert cfg.kinematics.snapshot_interval_m == 0.25
         assert apply_overrides(cfg, speed_kmh=500.0).kinematics.snapshot_interval_m == 0.25
 
-    def test_speed_given_twice(self):
-        with pytest.raises(ConfigError):
-            config_from_dict({"kinematics": {"speed_kmh": 100, "speed_mps": 27.0}})
-
     def test_segments_and_environment_conflict(self):
         with pytest.raises(ConfigError):
             config_from_dict(
@@ -234,12 +243,10 @@ class TestJsonLoading:
             config_from_dict({"layout": {"segments": segments}})
 
     def test_each_layout_key_sets_the_field_of_its_name(self):
-        fields = {f.name for f in dataclasses.fields(DeploymentLayout)} - {"segments", "beamwidth_3db_rad"}
+        fields = {f.name for f in dataclasses.fields(DeploymentLayout)} - {"segments"}
         # distinct values that keep the RRHs 1 m or more from the track
         for value, key in enumerate(sorted(fields), start=2):
             assert getattr(config_from_dict({"layout": {key: value}}).layout, key) == value
-        cfg = config_from_dict({"layout": {"beamwidth_3db_deg": 20.0}})
-        assert cfg.layout.beamwidth_3db_rad == math.radians(20.0)
         assert config_from_dict({"layout": {"environment": "urban"}}).environment_label == "urban"
         cfg = config_from_dict({"layout": {"segments": [[0, 3464, "viaduct"], [3464, 5196, "urban"]]}})
         assert cfg.layout.segments == ((0.0, 3464.0, Environment.VIADUCT), (3464.0, 5196.0, Environment.URBAN))
@@ -351,7 +358,7 @@ def _replace_overrides(cfg, *, speed_kmh=None, environment=None, offset_db=None,
     kwargs = {}
     handover = {}
     if speed_kmh is not None:
-        kwargs["kinematics"] = dataclasses.replace(cfg.kinematics, speed_mps=kmh_to_mps(speed_kmh))
+        kwargs["kinematics"] = dataclasses.replace(cfg.kinematics, speed_kmh=speed_kmh)
     if environment is not None:
         layout = cfg.layout
         kwargs["layout"] = dataclasses.replace(
@@ -373,8 +380,7 @@ def _replace_overrides(cfg, *, speed_kmh=None, environment=None, offset_db=None,
 _SEGMENT_LAYOUT = {"layout": {"segments": [[0, 3464, "viaduct"], [3464, 5196, "urban"]]}}
 
 
-@given(
-    base_doc=st.sampled_from([{}, _SEGMENT_LAYOUT]),
+_OVERRIDES = dict(
     speed_kmh=st.none() | st.floats(min_value=1e-3, max_value=1e300),
     environment=st.none() | st.sampled_from(["viaduct", "cutting", "urban", "mixed"]),
     offset_db=st.none() | st.floats(allow_nan=False, allow_infinity=False),
@@ -382,7 +388,79 @@ _SEGMENT_LAYOUT = {"layout": {"segments": [[0, 3464, "viaduct"], [3464, 5196, "u
     runs=st.none() | st.integers(min_value=1, max_value=10**6),
     seed=st.none() | st.integers(min_value=0, max_value=2**64 - 1),
 )
+
+
+@given(base_doc=st.sampled_from([{}, _SEGMENT_LAYOUT]), **_OVERRIDES)
 @settings(max_examples=200, deadline=None)
 def test_overrides_match_field_replacement(base_doc, **overrides):
     base = config_from_dict(base_doc)
     assert apply_overrides(base, **overrides) == _replace_overrides(base, **overrides)
+
+
+def _dump(value):
+    """A configuration value as JSON: dataclasses field by field, enums as values, tuples as lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _dump(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    if isinstance(value, Mapping):
+        return {_dump(k): _dump(v) for k, v in value.items()}
+    return value
+
+
+@given(
+    base_doc=st.sampled_from([{}, _SEGMENT_LAYOUT, {"profiles": {"viaduct": {"rician_k_db": math.inf}}}]),
+    **_OVERRIDES,
+)
+@settings(max_examples=200, deadline=None)
+def test_field_dump_loads_back_equal(base_doc, **overrides):
+    cfg = apply_overrides(config_from_dict(base_doc), **overrides)
+    doc = _dump(cfg)
+    doc["seed"] = doc.pop("master_seed")
+    assert config_from_dict(json.loads(json.dumps(doc))) == cfg
+
+
+# Each section of a configuration document and the dataclass whose fields are its keys
+_SECTIONS = {
+    "layout": DeploymentLayout, "kinematics": TrainKinematics, "budget": LinkBudget, "ici": IciParams,
+    "l1": L1Config, "l3": L3Config, "handover": HandoverConfig, "profiles.urban": EnvironmentProfile,
+    "": RunConfig,  # the top level
+}
+# The keys that name no field: the environment that tiles the layout's spans, and the top-level
+# "seed", which sets master_seed
+_SHORTHANDS = {"layout": {"environment"}, "": {"seed"}}
+_OTHER_UNITS = {
+    "kmh": "mps", "mps": "kmh", "deg": "rad", "rad": "deg", "s": "ms", "ms": "s", "m": "km", "db": "linear",
+    "dbm": "mw", "hz": "ghz",
+}
+
+
+def _respelled(name: str) -> str:
+    """``name`` with its unit suffix swapped for another unit of the same quantity."""
+    stem, _, unit = name.rpartition("_")
+    return f"{stem}_{_OTHER_UNITS[unit]}" if stem and unit in _OTHER_UNITS else name
+
+
+def _accepts(section: str, key: str) -> bool:
+    """Whether ``section`` of a configuration document knows ``key``: a bad value is all it may reject."""
+    doc = {key: 1}
+    for name in reversed(section.split(".") if section else []):
+        doc = {name: doc}
+    try:
+        config_from_dict(doc)
+    except ConfigError as exc:
+        return "unknown" not in str(exc)
+    return True
+
+
+def test_the_keys_of_each_section_are_its_fields():
+    fields = {section: {f.name for f in dataclasses.fields(cls)} for section, cls in _SECTIONS.items()}
+    names = set().union(*fields.values(), *_SHORTHANDS.values())
+    candidates = names | {_respelled(name) for name in names}
+    for section in _SECTIONS:
+        expected = fields[section] | _SHORTHANDS.get(section, set())
+        if section == "":
+            expected -= {"master_seed"}
+        assert {key for key in candidates if _accepts(section, key)} == expected, section

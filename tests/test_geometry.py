@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from railho.constants import kmh_to_mps
 from railho.geometry import (
     DeploymentLayout,
     Environment,
@@ -18,9 +17,7 @@ from railho.geometry import (
 
 
 def kin(speed_kmh: float, interval: float = 1.0, start: float = 0.0) -> TrainKinematics:
-    return TrainKinematics(
-        speed_mps=kmh_to_mps(speed_kmh), snapshot_interval_m=interval, start_position_m=start
-    )
+    return TrainKinematics(speed_kmh=speed_kmh, snapshot_interval_m=interval, start_position_m=start)
 
 
 class TestLinkGeometry:
@@ -161,10 +158,12 @@ class TestLayoutValidation:
         assert layout.environment_label == "mixed"
 
     def test_invariants_on_sites(self):
-        for field in ("spans", "rrh_spacing_m", "lateral_offset_m", "rrh_height_m", "beamwidth_3db_rad"):
+        for field in ("spans", "rrh_spacing_m", "lateral_offset_m", "rrh_height_m", "beamwidth_3db_deg"):
             with pytest.raises(ValueError, match=field):
                 default_layout(**{field: 0})
         with pytest.raises(ValueError):
             default_layout(rrh_height_m=-1.0)
+        with pytest.raises(ValueError, match="beamwidth_3db_deg 1e-320 is below 1.275e-306"):
+            default_layout(beamwidth_3db_deg=1e-320)
         with pytest.raises(ValueError):
-            TrainKinematics(speed_mps=0.0)
+            TrainKinematics(speed_kmh=0.0)

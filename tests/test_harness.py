@@ -11,7 +11,6 @@ from scipy.special import ndtr
 from railho import csvio
 from railho.channel import shadowing_series_db
 from railho.config import RunConfig, apply_overrides
-from railho.constants import kmh_to_mps
 from railho.geometry import Environment, TrainKinematics, environment_at, sample_stride
 from railho.handover import Outcome
 from railho.ici import IciParams
@@ -285,7 +284,7 @@ def _literal_tables(cfg: RunConfig):
             bearing = math.atan2(layout.lateral_offset_m, d_along)
             theta = min(bearing, math.pi - bearing)
             gain = layout.max_gain_db - min(
-                12.0 * (theta / layout.beamwidth_3db_rad) ** 2, layout.pattern_floor_db
+                12.0 * (theta / math.radians(layout.beamwidth_3db_deg)) ** 2, layout.pattern_floor_db
             )
             n_los = p.pathloss_exponent if p.pathloss_exponent_los is None else p.pathloss_exponent_los
             for row, exponent in ((rows[0], p.pathloss_exponent), (rows[1], n_los)):
@@ -320,11 +319,11 @@ class TestPrecomputeOracle:
         [
             RunConfig(),
             RunConfig(
-                kinematics=TrainKinematics(speed_mps=kmh_to_mps(500.0), snapshot_interval_m=0.25)
+                kinematics=TrainKinematics(speed_kmh=500.0, snapshot_interval_m=0.25)
             ),
             RunConfig(
                 kinematics=TrainKinematics(
-                    speed_mps=kmh_to_mps(300.0), snapshot_interval_m=0.5, start_position_m=123.4
+                    speed_kmh=300.0, snapshot_interval_m=0.5, start_position_m=123.4
                 )
             ),
         ],
@@ -352,7 +351,7 @@ class TestPrecomputeOracle:
         # 500 km/h on a 0.25 m grid reads one snapshot in 22: only the
         # recursions may run on the snapshot grid, through their segments
         cfg = RunConfig(
-            kinematics=TrainKinematics(speed_mps=kmh_to_mps(500.0), snapshot_interval_m=0.25)
+            kinematics=TrainKinematics(speed_kmh=500.0, snapshot_interval_m=0.25)
         )
         tables = precompute_tables(cfg)
         assert tables.tick_stride == 22
