@@ -2,8 +2,11 @@
 
 All files are UTF-8 with LF line endings and '.' decimal separators. Rows go
 to ``csv.writer`` as they are built; only floats are rendered first, to 6
-significant digits. ``csv`` writes ``None`` as an empty field (a missing
-value) and every other value with ``str``.
+significant digits, by ``_fmt``: in ``_write_csv`` every cell of the stats,
+histogram and trace rows, in ``write_records_csv`` only the four float columns
+(``speed_kmh`` and ``offset_db`` once per run of rows sharing their objects,
+as the rows of one ``config_columns`` do). ``csv`` writes ``None`` as an
+empty field (a missing value) and every other value with ``str``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .config import RunConfig
-from .handover import HandoverRecord
+from .handover import HandoverRecord, Outcome
 from .simulate import RunTrace, SweepStatistics
 
 
@@ -71,17 +74,25 @@ def _fmt(value):
     return format(value, ".6g") if isinstance(value, float) else value
 
 
-def _write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write ``columns`` and then ``rows``, each cell passed through ``_fmt``."""
+def _write_rows(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``columns`` and then ``rows`` as they are."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        writer.writerows(rows)
+
+
+def _write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``columns`` and then ``rows``, each cell passed through ``_fmt``."""
+    _write_rows(path, columns, ([_fmt(v) for v in row] for row in rows))
 
 
 def config_columns(cfg: RunConfig) -> tuple[float, str, float]:
     """The speed_kmh, environment and offset_db columns that ``cfg`` stamps on its rows."""
     return cfg.speed_kmh, cfg.environment_label, cfg.handover.hysteresis_db
+
+
+_OUTCOME_TEXT = {outcome: outcome.value for outcome in Outcome}
 
 
 def record_row(record: HandoverRecord, columns: tuple[float, str, float]) -> RecordRow:
@@ -96,12 +107,20 @@ def record_row(record: HandoverRecord, columns: tuple[float, str, float]) -> Rec
         record.completion_tick,
         record.start_position_m,
         delay_ms,
-        record.outcome.value,
+        _OUTCOME_TEXT[record.outcome],
     )
 
 
 def write_records_csv(rows: Iterable[RecordRow], path: str | Path) -> None:
-    _write_csv(path, RECORD_COLUMNS, rows)
+    """Write the records CSV; see the module docstring for which cells are formatted."""
+    cells = []
+    speed = env = offset = object()  # no row's value
+    for run_id, s, e, o, *ticks, start, delay, outcome in rows:
+        if s is not speed or e is not env or o is not offset:
+            speed, env, offset = s, e, o
+            config = (_fmt(s), e, _fmt(o))
+        cells.append((run_id, *config, *ticks, _fmt(start), _fmt(delay), outcome))
+    _write_rows(path, RECORD_COLUMNS, cells)
 
 
 def read_records_csv(path: str | Path) -> list[RecordRow]:

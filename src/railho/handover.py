@@ -167,14 +167,15 @@ class HandoverFsm:
 
     ``run`` drives a whole trace one attempt per iteration and calls
     ``step`` on no tick. Every transition is due on a tick known in
-    advance: TTT starts on the next A3 entering tick ``e`` (looked up in the
-    entering runs of the serving cell) and resets on the first tick after
-    ``e`` that is not entering; the report is due on ``e + n_ttt - 1``, the
-    command and the RACH check at their offsets from the report, and the
-    reconnection at the end of re-establishment. ``run`` reads the gates
-    there and nowhere else. ``step`` is the per-tick form that ``run`` must
-    equal; both apply the same transition methods, so each record and each
-    event is built in one place.
+    advance: TTT starts on the next A3 entering tick ``e`` (from the entering
+    runs of the serving cell, found once per cell by ``_entering_runs``) and
+    resets on the first tick after ``e`` that is not entering; the report is
+    due on ``e + n_ttt - 1``, the command and the RACH check at their offsets
+    from the report, and the reconnection at the end of re-establishment.
+    ``run`` reads the gates there and nowhere else. ``step`` is the per-tick
+    form that ``run`` must equal; both apply the same transition methods and
+    ``_best_non_serving`` (the lowest cell id wins a tie), so each record and
+    each event is built in one place.
     """
 
     def __init__(
@@ -210,8 +211,12 @@ class HandoverFsm:
         self._next_tick = 0
 
     def _best_non_serving(self, l3_db: Sequence[float]) -> int | None:
-        others = (cell for cell in range(self.n_cells) if cell != self.serving_cell)
-        return max(others, key=l3_db.__getitem__, default=None)
+        s = self.serving_cell
+        others = [*l3_db[:s], *l3_db[s + 1 :]]
+        if not others:
+            return None
+        best = others.index(max(others))  # the first maximum: the lowest cell id wins a tie
+        return best + (best >= s)
 
     def _strongest(self, l3_db: Sequence[float]) -> int:
         return max(range(self.n_cells), key=l3_db.__getitem__)
@@ -223,15 +228,12 @@ class HandoverFsm:
         self._report_tick = None
         self._command_tick = None
 
-    def _record(self, outcome: Outcome, **fields) -> HandoverRecord:
+    def _record(
+        self, outcome: Outcome, command_tick=None, completion_tick=None, until_tick=None, delay_s=None
+    ) -> HandoverRecord:
         return HandoverRecord(
-            run_id=self.run_id,
-            serving_cell=self.serving_cell,
-            target_cell=self.target_cell,
-            outcome=outcome,
-            trigger_tick=self._trigger_tick,
-            report_tick=self._report_tick,
-            **fields,
+            self.run_id, self.serving_cell, self.target_cell, outcome, self._trigger_tick,
+            self._report_tick, command_tick, completion_tick, until_tick, None, delay_s,
         )
 
     # Transitions, shared by ``step`` and ``run``; records are appended to ``out``.
@@ -259,7 +261,7 @@ class HandoverFsm:
     def _command(self, tick: int, dl_serving_db: float, out: list[HandoverRecord]) -> None:
         """Receive the handover command, gated on the serving cell's downlink SNR."""
         if dl_serving_db < self.cfg.snr_gate_db:
-            out.append(self._record(Outcome.FAIL_DOWNLINK_COMMAND, command_tick=tick))
+            out.append(self._record(Outcome.FAIL_DOWNLINK_COMMAND, tick))
             self.events.append(("command_blocked", tick))
             self._reset_monitoring()
         else:
@@ -274,15 +276,9 @@ class HandoverFsm:
         target = self.target_cell
         connected = ul_target_db >= self.cfg.snr_gate_db and dl_target_db >= self.cfg.snr_gate_db
         until = None if connected else tick + self._reestablish_ticks
-        out.append(
-            self._record(
-                Outcome.SUCCESS if connected else Outcome.FAIL_RACH,
-                command_tick=self._command_tick,
-                completion_tick=tick,
-                reestablish_until_tick=until,
-                total_delay_s=(tick - self._report_tick) * self.sample_period_s,
-            )
-        )
+        outcome = Outcome.SUCCESS if connected else Outcome.FAIL_RACH
+        delay_s = (tick - self._report_tick) * self.sample_period_s
+        out.append(self._record(outcome, self._command_tick, tick, until, delay_s))
         if connected:
             self.serving_cell = target
             self.events.append(("connected", tick))
@@ -306,9 +302,10 @@ class HandoverFsm:
         """
         if self.n_cells == 1:
             return []
-        best_other = np.delete(l3_db, serving, axis=0).max(axis=0)
-        entering = a3_condition(best_other, l3_db[serving], self.cfg.hysteresis_db)
-        return np.flatnonzero(np.diff(entering, prepend=False, append=False)).tolist()
+        best_other = l3_db[[c for c in range(self.n_cells) if c != serving]].max(axis=0)
+        entering = np.zeros(l3_db.shape[1] + 2, dtype=bool)  # padded with a non-entering tick each side
+        entering[1:-1] = a3_condition(best_other, l3_db[serving], self.cfg.hysteresis_db)
+        return np.flatnonzero(entering[1:] != entering[:-1]).tolist()
 
     def run(
         self,

@@ -160,7 +160,11 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
     layout = cfg.layout
     step = kin.snapshot_interval_m
     n_snap = snapshot_count(layout, kin)
-    runs = _environment_runs(layout, kin.start_position_m + np.arange(n_snap) * step)
+    try:
+        grid = np.arange(n_snap)
+    except MemoryError as exc:
+        raise ConfigError(f"the grid of {n_snap} snapshots does not fit in memory") from exc
+    runs = _environment_runs(layout, kin.start_position_m + grid * step)
     stride = sample_stride(kin, cfg.l1.sample_period_s)
     tick_snapshots = np.arange(0, n_snap, stride)
     tick_positions = kin.start_position_m + tick_snapshots * step
@@ -340,9 +344,9 @@ def _handover(
     n_cells, period = l3.shape[0], cfg.l1.sample_period_s
     fsm = HandoverFsm(handover, period, n_cells, serving_cell=tables.initial_serving, run_id=run_index)
     records, serving_trace = fsm.run(l3, ul_snr, dl_snr)
-    for rec in records:
-        if rec.command_tick is not None:
-            rec.start_position_m = float(tables.tick_positions[rec.command_tick])
+    placed = [rec for rec in records if rec.command_tick is not None]
+    for rec, x in zip(placed, tables.tick_positions[[rec.command_tick for rec in placed]].tolist()):
+        rec.start_position_m = x
     if not records:
         records.append(HandoverRecord(run_index, fsm.serving_cell, None, Outcome.NOT_TRIGGERED))
     return records, serving_trace

@@ -115,6 +115,17 @@ class TestSimulateCommand:
         assert main(["simulate", "--ttt-ms", "1" + "0" * 400, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("configuration error:")
 
+    def test_grid_that_cannot_be_allocated_exits_2(self, tmp_path, capsys):
+        # 8.1e17 snapshots can be indexed, but numpy refuses the 5.6 EiB grid at once,
+        # allocating nothing
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"kinematics": {"snapshot_interval_m": 6.4e-15}}')
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "does not fit in memory" in err
+        assert not list(out.glob("*.csv"))
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -565,3 +565,70 @@ class TestAttemptDriveEdgeCases:
             zero["reestablish"] += fast._reestablish_ticks == 1
         assert min(cut_in.values()) > 100, cut_in
         assert min(zero.values()) > 100, zero
+
+
+def literal_best_non_serving(l3_column, n_cells, serving):
+    """The strongest non-serving cell as a keyed ``max``; ties go to the lowest cell id."""
+    others = (cell for cell in range(n_cells) if cell != serving)
+    return max(others, key=l3_column.__getitem__, default=None)
+
+
+def literal_entering_runs(l3_db, serving, hysteresis_db):
+    """Flattened half-open bounds of the A3 entering runs, through ``np.delete`` and ``np.diff``."""
+    if l3_db.shape[0] == 1:
+        return []
+    best_other = np.delete(l3_db, serving, axis=0).max(axis=0)
+    entering = a3_condition(best_other, l3_db[serving], hysteresis_db)
+    return np.flatnonzero(np.diff(entering, prepend=False, append=False)).tolist()
+
+
+class TestFastHelpersMatchLiteralForms:
+    """``_best_non_serving`` and ``_entering_runs`` against their literal forms.
+
+    L3 values and hysteresis sit on a 0.5 dB grid, so ties between cells and
+    margins equal to the hysteresis are common; some L3 values are -inf (an
+    A3 margin of -inf - -inf is NaN, which never enters, so numpy's warning
+    about it is silenced).
+    """
+
+    @staticmethod
+    def traces(rng, trials):
+        for trial in range(trials):
+            n_cells = (1, 2, 4)[trial % 3]
+            serving = (0, n_cells // 2, n_cells - 1)[trial // 3 % 3]  # first, middle and last
+            n = int(rng.integers(1, 40))
+            l3 = rng.integers(-4, 5, size=(n_cells, n)) * 0.5
+            l3[rng.random((n_cells, n)) < 0.1] = -np.inf
+            h0 = float(rng.integers(-4, 7)) * 0.5
+            yield n_cells, serving, l3, h0
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    def test_target_and_entering_runs_match(self):
+        rng = np.random.default_rng(20170328)
+        ties = inf_columns = 0
+        for n_cells, serving, l3, h0 in self.traces(rng, 900):
+            machine = HandoverFsm(HandoverConfig(hysteresis_db=h0), PERIOD, n_cells, serving)
+            for column in l3.T.tolist():
+                expected = literal_best_non_serving(column, n_cells, serving)
+                assert machine._best_non_serving(column) == expected, (column, serving)
+                others = column[:serving] + column[serving + 1 :]
+                ties += others.count(max(others, default=None)) > 1
+                inf_columns += -math.inf in others
+            assert machine._entering_runs(l3, serving) == literal_entering_runs(l3, serving, h0)
+        assert ties > 500 and inf_columns > 1000, (ties, inf_columns)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    def test_run_matches_step_on_tied_traces(self):
+        rng = np.random.default_rng(1703)
+        for n_cells, serving, l3, h0 in self.traces(rng, 900):
+            cfg = HandoverConfig(hysteresis_db=h0, ttt_s=int(rng.integers(1, 3)) * PERIOD)
+            ul = np.where(rng.random(l3.shape) < 0.2, -20.0, 30.0)
+            dl = np.where(rng.random(l3.shape) < 0.2, -20.0, 30.0)
+            fast = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
+            slow = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
+            fast_records, fast_serving = fast.run(l3, ul, dl)
+            slow_records, slow_serving = literal_run(slow, l3, ul, dl)
+            assert fast_records == slow_records
+            assert fast.events == slow.events
+            np.testing.assert_array_equal(fast_serving, slow_serving)
+            assert final_state(fast) == final_state(slow)

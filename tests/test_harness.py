@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import json
 import math
 from collections import Counter
 from statistics import NormalDist
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
-from railho import csvio
+from railho import cli, csvio
 from railho.channel import shadowing_series_db
 from railho.config import RunConfig, apply_overrides
 from railho.geometry import Environment, TrainKinematics, environment_at, sample_stride
@@ -459,7 +461,75 @@ record_rows = st.builds(
 )
 
 
+def literal_fmt(value):
+    return format(value, ".6g") if isinstance(value, float) else value
+
+
+def literal_record_row(record, cfg) -> list:
+    """A records-CSV row as the literal reference builds it, the outcome text from ``.value``."""
+    delay_ms = None if record.total_delay_s is None else record.total_delay_s * 1000.0
+    return [
+        record.run_id, cfg.speed_kmh, cfg.environment_label, cfg.handover.hysteresis_db,
+        record.trigger_tick, record.report_tick, record.command_tick, record.completion_tick,
+        record.start_position_m, delay_ms, record.outcome.value,
+    ]
+
+
+def literal_write_records_csv(rows, path) -> None:
+    """The records writer as the literal reference: ``literal_fmt`` on every cell of every row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(csvio.RECORD_COLUMNS)
+        writer.writerows([literal_fmt(v) for v in row] for row in rows)
+
+
 class TestCsv:
+    @given(
+        rows=st.lists(record_rows, max_size=25),
+        configs=st.lists(record_rows, min_size=1, max_size=3),
+        picks=st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=25, max_size=25),
+    )
+    @settings(max_examples=60)
+    def test_records_bytes_match_literal_writer(self, tmp_path_factory, rows, configs, picks):
+        # Rows take config column objects of ``configs``, as the rows of one config share them.
+        # Each column is picked on its own, so neighbours may share only some of them; a pick
+        # beyond ``configs`` keeps the row's own object.
+        columns = [c[1:4] for c in configs]
+        for i, pick in enumerate(picks[: len(rows)]):
+            own = rows[i][1:4]
+            speed, env, offset = (columns[k][j] if k < len(columns) else own[j] for j, k in enumerate(pick))
+            rows[i] = rows[i]._replace(speed_kmh=speed, environment=env, offset_db=offset)
+        folder = tmp_path_factory.mktemp("csv")
+        csvio.write_records_csv(rows, folder / "fast.csv")
+        literal_write_records_csv(rows, folder / "literal.csv")
+        assert (folder / "fast.csv").read_bytes() == (folder / "literal.csv").read_bytes()
+
+    def test_sweep_records_bytes_match_literal_writer(self, tmp_path, monkeypatch):
+        config = {
+            "layout": {"environment": "viaduct", "spans": 2, "rrh_spacing_m": 400.0},
+            "runs": 4,
+            "seed": 1234,
+        }
+        (tmp_path / "tiny.json").write_text(json.dumps(config))
+        ran = []
+        inner = cli.monte_carlo
+
+        def capture(cfg, **kwargs):
+            stats = inner(cfg, **kwargs)
+            ran.append((cfg, stats))
+            return stats
+
+        monkeypatch.setattr(cli, "monte_carlo", capture)
+        argv = ["sweep", "--config", str(tmp_path / "tiny.json"), "--envs", "viaduct,mixed",
+                "--speeds", "100,300", "--offsets=-1.5,0,-0,12", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        rows = [literal_record_row(rec, cfg) for cfg, stats in ran for rec in stats.records]
+        literal_write_records_csv(rows, tmp_path / "literal.csv")
+        assert (tmp_path / "sweep_records.csv").read_bytes() == (tmp_path / "literal.csv").read_bytes()
+        outcomes = Counter(row[-1] for row in rows)
+        assert outcomes[Outcome.NOT_TRIGGERED.value] > 5 and len(outcomes) == len(Outcome), outcomes
+        assert {format(row[3], "g") for row in rows} == {"-1.5", "0", "-0", "12"}
+
     @given(rows=st.lists(record_rows, max_size=25))
     @settings(max_examples=60)
     def test_records_round_trip(self, tmp_path_factory, rows):
