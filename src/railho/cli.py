@@ -94,7 +94,6 @@ def _run_configs(args: argparse.Namespace, cfgs: list[RunConfig], names: tuple[s
     """Run each config, print its summary line and write the records, stats and histogram CSVs."""
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    args.out.mkdir(parents=True, exist_ok=True)
     stats_rows, record_rows, hist_rows = [], [], []
     grid = SweepGrid(cfgs)  # configs that differ only in handover share each run's link
     for cfg in cfgs:
@@ -109,6 +108,7 @@ def _run_configs(args: argparse.Namespace, cfgs: list[RunConfig], names: tuple[s
             f"weighted start point {stats.weighted_start_point_m:.1f} m, "
             f"delay {stats.delay_in_samples} samples"
         )
+    args.out.mkdir(parents=True, exist_ok=True)  # only once every config has run
     records_path, stats_path, hist_path = (args.out / name for name in names)
     csvio.write_records_csv(record_rows, records_path)
     csvio.write_stats_csv(stats_rows, stats_path)
@@ -139,8 +139,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     cfg = _load(args)
     if args.run < 0:
         raise ConfigError(f"run index {args.run} is negative")
-    args.out.mkdir(parents=True, exist_ok=True)
     result = simulate_run(cfg, args.run, want_trace=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"trace_run{args.run}.csv"
     csvio.write_trace_csv(result.trace, path)
     outcomes = ", ".join(rec.outcome.value for rec in result.records)

@@ -90,9 +90,8 @@ class _StaticTables:
 
 @dataclass
 class RunTrace:
-    """Per-tick signal quality of one run, for trace CSV output and analysis."""
+    """Per-tick signal quality of one ``simulate_run``, for trace CSV output and analysis."""
 
-    run_id: int
     tick_snapshots: np.ndarray
     positions_m: np.ndarray
     p_ici: float
@@ -105,12 +104,10 @@ class RunTrace:
 
 @dataclass(frozen=True)
 class RunResult:
-    per_handover: tuple[tuple[HandoverRecord, ...], ...]  # each handover setting's records
-    trace: RunTrace | None = None
+    """One ``simulate_run``: its records and, when asked for, its trace."""
 
-    @property
-    def records(self) -> tuple[HandoverRecord, ...]:
-        return self.per_handover[0]
+    records: tuple[HandoverRecord, ...]
+    trace: RunTrace | None = None
 
 
 @dataclass(frozen=True)
@@ -353,29 +350,19 @@ def _handover(
 
 
 def simulate_run(
-    cfg: RunConfig,
-    run_index: int,
-    *,
-    tables: _StaticTables | None = None,
-    want_trace: bool = False,
-    handovers: Sequence[HandoverConfig] | None = None,
-    streams: _Streams | None = None,
+    cfg: RunConfig, run_index: int, *, tables: _StaticTables | None = None, want_trace: bool = False
 ) -> RunResult:
     """Simulate one seeded run; deterministic given (config, master_seed, run_index).
 
-    The link part runs once, the handover part once per entry of ``handovers``
-    (default ``(cfg.handover,)``); ``records`` and the trace are the first's.
-    ``streams`` are this run's shadowing and fading draws, shared with the
-    other link groups of its stream family; without them the run draws its
-    own at ``tables.tick_stride``, as ``_run_batch`` does for a family of one.
+    The run draws its own streams at ``tables.tick_stride``, runs the link part
+    (``_link``) and drives ``cfg.handover`` over it once (``_handover``). The
+    runs of ``monte_carlo`` do not come here: ``_run_batch`` calls those two.
     """
     if tables is None:
         tables = precompute_tables(cfg)
-    if streams is None:
-        streams = _draw_streams(cfg.master_seed, run_index, tables, tables.tick_stride)
+    streams = _draw_streams(cfg.master_seed, run_index, tables, tables.tick_stride)
     link = _link(cfg, tables, run_index, streams)
-    drives = [_handover(cfg, ho, tables, run_index, link) for ho in handovers or (cfg.handover,)]
-    records, serving_trace = drives[0]
+    records, serving_trace = _handover(cfg, cfg.handover, tables, run_index, link)
 
     trace = None
     if want_trace:
@@ -385,15 +372,11 @@ def simulate_run(
         for rec in records:
             if rec.outcome in (Outcome.SUCCESS, Outcome.FAIL_RACH):
                 lo, hi = interruption_window(rec)
-                interrupted[lo : min(hi, n_ticks)] = True
-        eff_db_serving = np.where(
-            serving_trace >= 0,
-            dl_snr[np.maximum(serving_trace, 0), np.arange(n_ticks)],
-            -np.inf,
-        )
+                interrupted[lo:hi] = True
+        # serving cell -1 only inside a FailRach window, which zeroes the throughput
+        eff_db_serving = dl_snr[serving_trace, np.arange(n_ticks)]
         throughput = np.where(interrupted, 0.0, ici.throughput_bps(eff_db_serving, cfg.budget.bandwidth_hz))
         trace = RunTrace(
-            run_id=run_index,
             tick_snapshots=tables.tick_snapshots.copy(),
             positions_m=tables.tick_positions.copy(),
             p_ici=tables.p_ici,
@@ -403,7 +386,7 @@ def simulate_run(
             interrupted=interrupted,
             throughput_bps=throughput,
         )
-    return RunResult(tuple(tuple(r) for r, _ in drives), trace)
+    return RunResult(tuple(records), trace)
 
 
 def aggregate_records(records: Sequence[HandoverRecord], cfg: RunConfig) -> SweepStatistics:
@@ -477,9 +460,10 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
     exact: every record is the one the config would get alone.
 
     * The configs that differ only in ``handover`` form a link group, which
-      shares one set of tables and, per run, one link part (the LOS latent,
-      the L1/L3 measurements) that drives one state machine per distinct
-      ``handover``. Only the state machine reads ``handover``.
+      shares one set of tables and, per run, one link part (``_link``: the
+      LOS latent, the L1/L3 measurements) that drives one state machine per
+      distinct ``handover`` (``_handover``). Only the state machine reads
+      ``handover``. The runs call these two directly, not ``simulate_run``.
     * The link groups whose tables have equal cell counts, snapshot counts
       and shadowing segments (``_stream_family``) form a stream family, which
       shares, per run, one draw of the shadowing and fading streams. Every
@@ -509,14 +493,14 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
     families = [(math.gcd(*(tables[g].tick_stride for g in family)), family) for family in by_family.values()]
     seed = cfgs[0].master_seed
 
-    def run(run_index: int) -> list[tuple[tuple[HandoverRecord, ...], ...]]:
+    def run(run_index: int) -> list[list[list[HandoverRecord]]]:
         per_group = [()] * len(groups)
         for stride, family in families:
             streams = _draw_streams(seed, run_index, tables[family[0]], stride)
             for g in family:
                 rep, members = groups[g]
-                result = simulate_run(rep, run_index, tables=tables[g], handovers=list(members), streams=streams)
-                per_group[g] = result.per_handover
+                link = _link(rep, tables[g], run_index, streams)
+                per_group[g] = [_handover(rep, ho, tables[g], run_index, link)[0] for ho in members]
         return per_group
 
     workers = min(workers, os.cpu_count() or 1)

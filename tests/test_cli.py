@@ -117,14 +117,15 @@ class TestSimulateCommand:
 
     def test_grid_that_cannot_be_allocated_exits_2(self, tmp_path, capsys):
         # 8.1e17 snapshots can be indexed, but numpy refuses the 5.6 EiB grid at once,
-        # allocating nothing
+        # allocating nothing; the error is raised while the run goes, so no --out is made
         bad = tmp_path / "bad.json"
         bad.write_text('{"kinematics": {"snapshot_interval_m": 6.4e-15}}')
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and "does not fit in memory" in err
-        assert not list(out.glob("*.csv"))
+        for flags in (["simulate"], ["sweep", "--speeds", "100", "--offsets", "0", "--runs", "1"], ["trace"]):
+            out = tmp_path / flags[0]
+            assert main([*flags, "--config", str(bad), "--out", str(out)]) == 2, flags
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and "does not fit in memory" in err, flags
+            assert not out.exists(), flags
 
     @pytest.mark.parametrize(
         "flags",
@@ -138,13 +139,18 @@ class TestSimulateCommand:
             ["simulate", "--offset-db=-inf"],
             ["sweep", "--speeds", "100,inf"],
             ["sweep", "--offsets", "inf"],
-            ["simulate", "--speed", "1e160"],  # finite, but the ICI power overflows
+            # finite, but the ICI power overflows while the run goes
+            ["simulate", "--speed", "1e160"],
+            ["sweep", "--speeds", "100,1e160", "--offsets", "0", "--runs", "1"],
+            ["trace", "--speed", "1e160"],
         ],
     )
     def test_non_finite_flag_exits_2(self, tiny_config_path, tmp_path, capsys, flags):
-        code = main([*flags, "--config", str(tiny_config_path), "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        code = main([*flags, "--config", str(tiny_config_path), "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("workers", ["0", "-2"])

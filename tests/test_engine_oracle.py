@@ -192,7 +192,6 @@ def _reference_run(cfg, run_index, tables):
         interrupted, 0.0, ici.throughput_bps(eff_db_serving, cfg.budget.bandwidth_hz)
     )
     trace = RunTrace(
-        run_id=run_index,
         tick_snapshots=snap.tick_snapshots.copy(),
         positions_m=snap.positions[snap.tick_snapshots],
         p_ici=p,

@@ -446,6 +446,20 @@ class TestEventDrivenRun:
         assert outcomes == set(Outcome) - {Outcome.NOT_TRIGGERED}
         assert reestablished > 10
 
+    def test_no_serving_cell_only_inside_a_fail_rach_window(self):
+        """A tick without a serving cell lies in a FailRach window, where the trace zeroes throughput."""
+        rng = np.random.default_rng(20170329)
+        dark_ticks = cut = 0
+        for _ in range(3000):
+            cfg, n_cells, serving, l3, ul, dl = fuzzed_trace(rng)
+            records, serving_trace = HandoverFsm(cfg, PERIOD, n_cells, serving).run(l3, ul, dl)
+            windows = [interruption_window(r) for r in records if r.outcome is Outcome.FAIL_RACH]
+            for t in np.flatnonzero(serving_trace < 0).tolist():
+                assert any(lo <= t < hi for lo, hi in windows), (t, records)
+                dark_ticks += 1
+            cut += any(hi > l3.shape[1] for _, hi in windows) and serving_trace[-1] < 0
+        assert dark_ticks > 100 and cut > 10
+
     def test_simulate_run_equals_literal_drive(self, tiny_cfg, monkeypatch):
         def run(cfg, index):
             return simulate_run(cfg, index, want_trace=True)

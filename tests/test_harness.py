@@ -130,7 +130,7 @@ class TestSweepGrid:
 
     def test_one_link_per_run_and_group(self, tiny_cfg, monkeypatch):
         cfgs = self.grid(tiny_cfg)
-        calls = {"precompute_tables": 0, "simulate_run": 0, "measure_cell": 0}
+        calls = {"precompute_tables": 0, "_link": 0, "measure_cell": 0}
         for name in calls:
             def counted(*args, _fn=getattr(simulate, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -140,7 +140,7 @@ class TestSweepGrid:
         for cfg in cfgs:
             monte_carlo(cfg, grid=grid)
         groups, runs = 4, 3  # two speeds x two environments
-        assert calls == {"precompute_tables": groups, "simulate_run": groups * runs, "measure_cell": groups * runs}
+        assert calls == {"precompute_tables": groups, "_link": groups * runs, "measure_cell": groups * runs}
 
     @staticmethod
     def one_config_grid(tiny_cfg):
@@ -177,14 +177,6 @@ class TestSweepGrid:
         grid = SweepGrid([member])
         assert monte_carlo(tiny_cfg, grid=grid) == monte_carlo(tiny_cfg)
         assert monte_carlo(member, grid=grid) == monte_carlo(member)
-
-    def test_per_handover_records_match_single_runs(self, tiny_cfg):
-        other = apply_overrides(tiny_cfg, offset_db=0.0, ttt_ms=80)
-        result = simulate_run(tiny_cfg, 1, want_trace=True, handovers=[tiny_cfg.handover, other.handover])
-        assert result.per_handover == (simulate_run(tiny_cfg, 1).records, simulate_run(other, 1).records)
-        alone = simulate_run(tiny_cfg, 1, want_trace=True).trace
-        for field in dataclasses.fields(alone):
-            np.testing.assert_array_equal(getattr(result.trace, field.name), getattr(alone, field.name))
 
 
 class TestChannelSeriesOracle:
@@ -629,7 +621,6 @@ class TestCsv:
     def test_trace_bytes_match_literal_text(self, tmp_path):
         """Pins the trace columns and number format, numpy scalars included."""
         trace = RunTrace(
-            run_id=0,
             tick_snapshots=np.array([0, 11], dtype=np.int64),
             positions_m=np.array([0.0, 122.25]),
             p_ici=0.01,
