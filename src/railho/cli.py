@@ -90,17 +90,26 @@ def _load(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _check_out(out: Path) -> None:
+    """Raise NotADirectoryError, creating nothing, if the nearest existing ancestor of ``out`` is no directory."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise NotADirectoryError(f"cannot make --out {out}: {path} is not a directory")
+            return
+
+
 def _run_configs(args: argparse.Namespace, cfgs: list[RunConfig], names: tuple[str, str, str]) -> int:
     """Run each config, print its summary line and write the records, stats and histogram CSVs."""
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    stats_rows, record_rows, hist_rows = [], [], []
+    _check_out(args.out)  # --out itself is made only once every config has run
+    stats_rows, record_groups, hist_rows = [], [], []
     grid = SweepGrid(cfgs)  # configs that differ only in handover share each run's link
     for cfg in cfgs:
         stats = monte_carlo(cfg, workers=args.workers, grid=grid)
         stats_rows.append(csvio.stats_csv_row(stats, cfg))
-        columns = csvio.config_columns(cfg)
-        record_rows.extend(csvio.record_row(rec, columns) for rec in stats.records)
+        record_groups.append((csvio.config_columns(cfg), stats.records))
         hist_rows.extend(csvio.histogram_csv_rows(stats, cfg))
         print(
             f"{cfg.speed_kmh:g} km/h {cfg.environment_label} offset {cfg.handover.hysteresis_db:g} dB: "
@@ -108,9 +117,9 @@ def _run_configs(args: argparse.Namespace, cfgs: list[RunConfig], names: tuple[s
             f"weighted start point {stats.weighted_start_point_m:.1f} m, "
             f"delay {stats.delay_in_samples} samples"
         )
-    args.out.mkdir(parents=True, exist_ok=True)  # only once every config has run
+    args.out.mkdir(parents=True, exist_ok=True)
     records_path, stats_path, hist_path = (args.out / name for name in names)
-    csvio.write_records_csv(record_rows, records_path)
+    csvio.write_records_csv(record_groups, records_path)
     csvio.write_stats_csv(stats_rows, stats_path)
     csvio.write_histogram_csv(hist_rows, hist_path)
     print(f"wrote {records_path}, {stats_path}, {hist_path}")
@@ -139,6 +148,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     cfg = _load(args)
     if args.run < 0:
         raise ConfigError(f"run index {args.run} is negative")
+    _check_out(args.out)
     result = simulate_run(cfg, args.run, want_trace=True)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"trace_run{args.run}.csv"

@@ -1,17 +1,20 @@
 """CSV writers and readers for records, sweep statistics and per-tick traces.
 
-All files are UTF-8 with LF line endings and '.' decimal separators. Rows go
-to ``csv.writer`` as they are built; only floats are rendered first, to 6
-significant digits, by ``_fmt``: in ``_write_csv`` every cell of the stats,
-histogram and trace rows, in ``write_records_csv`` only the four float columns
-(``speed_kmh`` and ``offset_db`` once per run of rows sharing their objects,
-as the rows of one ``config_columns`` do). ``csv`` writes ``None`` as an
-empty field (a missing value) and every other value with ``str``.
+All files are UTF-8 with LF line endings and '.' decimal separators. Floats are
+written to 6 significant digits (``format(x, ".6g")``), ``None`` as an empty
+field, every other value with ``str``, and a str cell is quoted as ``csv``
+quotes it. The stats, histogram and trace rows go to ``csv.writer`` with
+``_fmt`` on every cell. The records CSV is written as text, one line per
+``HandoverRecord``: ``write_records_csv`` renders the speed_kmh, environment and
+offset_db cells once per configuration (``_fmt`` on the floats, ``csv`` quoting
+for the label), and ``record_row`` writes the rest of each line, with ``.6g``
+on the start position and the delay in ms.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import typing
 from pathlib import Path
@@ -23,7 +26,7 @@ from .simulate import RunTrace, SweepStatistics
 
 
 class RecordRow(NamedTuple):
-    """One records-CSV row: a handover record stamped with its configuration.
+    """One records-CSV row as ``read_records_csv`` parses it.
 
     The fields, in order, are the records-CSV columns.
     """
@@ -95,32 +98,38 @@ def config_columns(cfg: RunConfig) -> tuple[float, str, float]:
 _OUTCOME_TEXT = {outcome: outcome.value for outcome in Outcome}
 
 
-def record_row(record: HandoverRecord, columns: tuple[float, str, float]) -> RecordRow:
-    """Records-CSV row of ``record``; ``columns`` is ``config_columns`` of its configuration."""
-    delay_ms = None if record.total_delay_s is None else record.total_delay_s * 1000.0
-    return RecordRow(
-        record.run_id,
-        *columns,
-        record.trigger_tick,
-        record.report_tick,
-        record.command_tick,
-        record.completion_tick,
-        record.start_position_m,
-        delay_ms,
-        _OUTCOME_TEXT[record.outcome],
+def _config_cells(columns: tuple[float, str, float]) -> str:
+    """The speed_kmh, environment and offset_db cells of ``columns``, as ``csv.writer`` writes them."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow([_fmt(value) for value in columns])
+    return line.getvalue()[:-1]
+
+
+def record_row(record: HandoverRecord, config_cells: str) -> str:
+    """Records-CSV line of ``record``, newline included; ``config_cells`` from ``_config_cells``."""
+    trigger, report, command, completion = (
+        record.trigger_tick, record.report_tick, record.command_tick, record.completion_tick
+    )
+    start, delay_s = record.start_position_m, record.total_delay_s
+    return (
+        f"{record.run_id},{config_cells},"
+        f"{'' if trigger is None else trigger},{'' if report is None else report},"
+        f"{'' if command is None else command},{'' if completion is None else completion},"
+        f"{'' if start is None else format(start, '.6g')},"
+        f"{'' if delay_s is None else format(delay_s * 1000.0, '.6g')},"
+        f"{_OUTCOME_TEXT[record.outcome]}\n"
     )
 
 
-def write_records_csv(rows: Iterable[RecordRow], path: str | Path) -> None:
-    """Write the records CSV; see the module docstring for which cells are formatted."""
-    cells = []
-    speed = env = offset = object()  # no row's value
-    for run_id, s, e, o, *ticks, start, delay, outcome in rows:
-        if s is not speed or e is not env or o is not offset:
-            speed, env, offset = s, e, o
-            config = (_fmt(s), e, _fmt(o))
-        cells.append((run_id, *config, *ticks, _fmt(start), _fmt(delay), outcome))
-    _write_rows(path, RECORD_COLUMNS, cells)
+def write_records_csv(
+    groups: Iterable[tuple[tuple[float, str, float], Iterable[HandoverRecord]]], path: str | Path
+) -> None:
+    """Write the records CSV from ``(config_columns(cfg), records)`` groups, in order."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(RECORD_COLUMNS) + "\n")
+        for columns, records in groups:
+            cells = _config_cells(columns)
+            fh.writelines([record_row(rec, cells) for rec in records])
 
 
 def read_records_csv(path: str | Path) -> list[RecordRow]:

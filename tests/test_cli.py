@@ -259,6 +259,22 @@ class TestSweepCommand:
         twos = [r for r in csvio.read_records_csv(tmp_path / "sweep_records.csv") if r.offset_db == 2.0]
         assert twos and twos[: len(twos) // 2] == twos[len(twos) // 2 :]
 
+    def test_one_record_row_call_per_records_line(self, tiny_config_path, tmp_path, monkeypatch):
+        # the benchmark's span tracer times csvio.record_row per call, as the cost of one record
+        inner, calls = csvio.record_row, []
+
+        def counting(record, config_cells):
+            calls.append(record)
+            return inner(record, config_cells)
+
+        monkeypatch.setattr(csvio, "record_row", counting)
+        argv = ["sweep", "--config", str(tiny_config_path), "--speeds", "100,300", "--offsets", "0,2",
+                "--envs", "viaduct,mixed", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rows = csvio.read_records_csv(tmp_path / "sweep_records.csv")
+        assert len(calls) == len(rows) > 0
+        assert [(rec.run_id, rec.outcome.value) for rec in calls] == [(row.run_id, row.outcome) for row in rows]
+
     def test_env_list(self, tiny_config_path, tmp_path):
         out = tmp_path / "sweep"
         code = main(
@@ -357,6 +373,24 @@ def test_flag_the_command_does_not_take_exits_2(tiny_config_path, tmp_path, monk
         main([*argv, "--config", str(tiny_config_path), "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "trace"])
+def test_out_under_a_file_exits_3_before_any_run(tiny_config_path, tmp_path, monkeypatch, capsys, command):
+    calls = []
+    for name in ("monte_carlo", "simulate_run"):
+        def counting(*args, _fn=getattr(cli, name), **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    blocker = tmp_path / "blocked"
+    blocker.write_text("a file, not a directory")
+    assert main([command, "--config", str(tiny_config_path), "--out", str(blocker / "sub" / "dir")]) == 3
+    assert calls == []
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.startswith("i/o error:")
+    assert sorted(tmp_path.iterdir()) == [blocker, tiny_config_path]  # nothing made
 
 
 # A valid value of each value flag that differs from the tiny config and from the flag's default.

@@ -14,7 +14,7 @@ from railho import cli, csvio
 from railho.channel import shadowing_series_db
 from railho.config import RunConfig, apply_overrides
 from railho.geometry import Environment, TrainKinematics, environment_at, sample_stride
-from railho.handover import Outcome
+from railho.handover import HandoverRecord, Outcome
 from railho.ici import IciParams
 from railho import simulate
 from railho.simulate import (
@@ -437,31 +437,60 @@ def _q(x: float) -> float:
     return float(format(x, ".6g"))
 
 
-record_rows = st.builds(
-    csvio.RecordRow,
-    run_id=st.integers(min_value=0, max_value=10_000),
-    speed_kmh=st.floats(min_value=1.0, max_value=600.0).map(_q),
-    environment=st.sampled_from(["viaduct", "cutting", "urban", "mixed"]),
-    offset_db=st.floats(min_value=-5.0, max_value=10.0).map(_q),
-    trigger_tick=st.one_of(st.none(), st.integers(min_value=0, max_value=10_000)),
-    report_tick=st.one_of(st.none(), st.integers(min_value=0, max_value=10_000)),
-    command_tick=st.one_of(st.none(), st.integers(min_value=0, max_value=10_000)),
-    completion_tick=st.one_of(st.none(), st.integers(min_value=0, max_value=10_000)),
-    start_position_m=st.one_of(st.none(), st.floats(min_value=0.0, max_value=6000.0).map(_q)),
-    delay_ms=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1000.0).map(_q)),
-    outcome=st.sampled_from([o.value for o in Outcome]),
+def _or_none(values):
+    return st.one_of(st.none(), values)
+
+
+# Floats that the CSV writes with ``.6g``: signed zeros, -1.5, values that 6 digits round
+# (1234.5678901 -> 1234.57, 999999.5 -> 1e+06) and whatever hypothesis draws.
+_six_g_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.5, 0.1, 2.5, 1234.5678901, 999999.5, 1.23456789e-05]),
+    st.floats(min_value=-10.0, max_value=6000.0),
 )
+_ticks = _or_none(st.integers(min_value=0, max_value=10_000))
+handover_records = st.builds(
+    HandoverRecord,
+    run_id=st.integers(min_value=0, max_value=10_000),
+    serving_cell=st.integers(min_value=0, max_value=8),
+    target_cell=_or_none(st.integers(min_value=0, max_value=8)),
+    outcome=st.sampled_from(list(Outcome)),
+    trigger_tick=_ticks,
+    report_tick=_ticks,
+    command_tick=_ticks,
+    completion_tick=_ticks,
+    reestablish_until_tick=_ticks,
+    start_position_m=_or_none(_six_g_floats),
+    total_delay_s=_or_none(st.one_of(st.sampled_from([0.12, -0.04, 0.1234567]), _six_g_floats)),
+)
+# config_columns values; the labels beyond the environments need csv quoting
+config_column_values = st.tuples(
+    st.one_of(st.sampled_from([100.0, 300.0, 500.0, 123.4567891]), st.floats(min_value=1.0, max_value=600.0)),
+    st.sampled_from(["viaduct", "cutting", "urban", "mixed", "a,b", 'say "hi"']),
+    _six_g_floats,
+)
+
+
+@st.composite
+def record_groups(draw) -> list:
+    """``(columns, records)`` groups as ``write_records_csv`` takes them.
+
+    Groups take their columns from a pool of at most three, so neighbours often have equal
+    columns, and a group may hold no record.
+    """
+    pool = draw(st.lists(config_column_values, min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), max_size=5))
+    return [(pool[k], draw(st.lists(handover_records, max_size=6))) for k in picks]
 
 
 def literal_fmt(value):
     return format(value, ".6g") if isinstance(value, float) else value
 
 
-def literal_record_row(record, cfg) -> list:
+def literal_record_row(record, speed_kmh, environment, offset_db) -> list:
     """A records-CSV row as the literal reference builds it, the outcome text from ``.value``."""
     delay_ms = None if record.total_delay_s is None else record.total_delay_s * 1000.0
     return [
-        record.run_id, cfg.speed_kmh, cfg.environment_label, cfg.handover.hysteresis_db,
+        record.run_id, speed_kmh, environment, offset_db,
         record.trigger_tick, record.report_tick, record.command_tick, record.completion_tick,
         record.start_position_m, delay_ms, record.outcome.value,
     ]
@@ -475,24 +504,19 @@ def literal_write_records_csv(rows, path) -> None:
         writer.writerows([literal_fmt(v) for v in row] for row in rows)
 
 
+def parsed_record_row(record, speed_kmh, environment, offset_db) -> csvio.RecordRow:
+    """The row ``read_records_csv`` should give back for ``record``: each float at 6 digits."""
+    row = literal_record_row(record, speed_kmh, environment, offset_db)
+    return csvio.RecordRow(*(None if v is None else _q(v) if isinstance(v, float) else v for v in row))
+
+
 class TestCsv:
-    @given(
-        rows=st.lists(record_rows, max_size=25),
-        configs=st.lists(record_rows, min_size=1, max_size=3),
-        picks=st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=25, max_size=25),
-    )
-    @settings(max_examples=60)
-    def test_records_bytes_match_literal_writer(self, tmp_path_factory, rows, configs, picks):
-        # Rows take config column objects of ``configs``, as the rows of one config share them.
-        # Each column is picked on its own, so neighbours may share only some of them; a pick
-        # beyond ``configs`` keeps the row's own object.
-        columns = [c[1:4] for c in configs]
-        for i, pick in enumerate(picks[: len(rows)]):
-            own = rows[i][1:4]
-            speed, env, offset = (columns[k][j] if k < len(columns) else own[j] for j, k in enumerate(pick))
-            rows[i] = rows[i]._replace(speed_kmh=speed, environment=env, offset_db=offset)
+    @given(groups=record_groups())
+    @settings(max_examples=100)
+    def test_records_bytes_match_literal_writer(self, tmp_path_factory, groups):
         folder = tmp_path_factory.mktemp("csv")
-        csvio.write_records_csv(rows, folder / "fast.csv")
+        csvio.write_records_csv(groups, folder / "fast.csv")
+        rows = [literal_record_row(rec, *columns) for columns, records in groups for rec in records]
         literal_write_records_csv(rows, folder / "literal.csv")
         assert (folder / "fast.csv").read_bytes() == (folder / "literal.csv").read_bytes()
 
@@ -515,19 +539,25 @@ class TestCsv:
         argv = ["sweep", "--config", str(tmp_path / "tiny.json"), "--envs", "viaduct,mixed",
                 "--speeds", "100,300", "--offsets=-1.5,0,-0,12", "--out", str(tmp_path)]
         assert cli.main(argv) == 0
-        rows = [literal_record_row(rec, cfg) for cfg, stats in ran for rec in stats.records]
+        rows = [
+            literal_record_row(rec, cfg.speed_kmh, cfg.environment_label, cfg.handover.hysteresis_db)
+            for cfg, stats in ran
+            for rec in stats.records
+        ]
         literal_write_records_csv(rows, tmp_path / "literal.csv")
         assert (tmp_path / "sweep_records.csv").read_bytes() == (tmp_path / "literal.csv").read_bytes()
         outcomes = Counter(row[-1] for row in rows)
         assert outcomes[Outcome.NOT_TRIGGERED.value] > 5 and len(outcomes) == len(Outcome), outcomes
         assert {format(row[3], "g") for row in rows} == {"-1.5", "0", "-0", "12"}
 
-    @given(rows=st.lists(record_rows, max_size=25))
+    @given(groups=record_groups())
     @settings(max_examples=60)
-    def test_records_round_trip(self, tmp_path_factory, rows):
+    def test_records_round_trip(self, tmp_path_factory, groups):
         path = tmp_path_factory.mktemp("csv") / "records.csv"
-        csvio.write_records_csv(rows, path)
-        assert csvio.read_records_csv(path) == rows
+        csvio.write_records_csv(groups, path)
+        assert csvio.read_records_csv(path) == [
+            parsed_record_row(rec, *columns) for columns, records in groups for rec in records
+        ]
 
     def test_empty_records_give_header_only(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -536,9 +566,8 @@ class TestCsv:
 
     def test_success_row_format(self, tiny_cfg, tmp_path):
         stats = monte_carlo(tiny_cfg)
-        rows = [csvio.record_row(r, csvio.config_columns(tiny_cfg)) for r in stats.records]
         path = tmp_path / "records.csv"
-        csvio.write_records_csv(rows, path)
+        csvio.write_records_csv([(csvio.config_columns(tiny_cfg), stats.records)], path)
         text = path.read_text(encoding="utf-8")
         assert "\r" not in text
         lines = text.splitlines()
@@ -548,12 +577,13 @@ class TestCsv:
 
     def test_written_records_parse_back(self, tiny_cfg, tmp_path):
         stats = monte_carlo(tiny_cfg)
-        rows = [csvio.record_row(r, csvio.config_columns(tiny_cfg)) for r in stats.records]
         path = tmp_path / "records.csv"
-        csvio.write_records_csv(rows, path)
+        csvio.write_records_csv([(csvio.config_columns(tiny_cfg), stats.records)], path)
         parsed = csvio.read_records_csv(path)
-        assert [p.outcome for p in parsed] == [r.outcome for r in rows]
-        assert [p.start_position_m for p in parsed] == [r.start_position_m for r in rows]
+        assert [p.outcome for p in parsed] == [r.outcome.value for r in stats.records]
+        assert [p.start_position_m for p in parsed] == [
+            None if r.start_position_m is None else _q(r.start_position_m) for r in stats.records
+        ]
 
     def test_stats_and_histogram_writers(self, tiny_cfg, tmp_path):
         stats = monte_carlo(tiny_cfg)
@@ -570,10 +600,14 @@ class TestCsv:
 
     def test_bytes_match_literal_text(self, tmp_path):
         """Pins column order and number format on both the writer and the reader."""
-        rows = [
-            csvio.RecordRow(0, 100.0, "viaduct", 2.0, None, None, None, None, None, None, "NotTriggered"),
-            csvio.RecordRow(3, 300.0, "cutting", 0.1, 1, 2, 4, 5, 1234.5678901, 120.0, "Success"),
-            csvio.RecordRow(12, 500.0, "urban", -1.5, 7, 8, 10, 11, 0.1, -40.0, "FailRach"),
+        not_triggered = HandoverRecord(0, 1, None, Outcome.NOT_TRIGGERED)
+        success = HandoverRecord(3, 0, 1, Outcome.SUCCESS, 1, 2, 4, 5, None, 1234.5678901, 0.12)
+        fail_rach = HandoverRecord(12, 1, 2, Outcome.FAIL_RACH, 7, 8, 10, 11, 30, 0.1, -0.04)
+        groups = [
+            ((100.0, "viaduct", 2.0), [not_triggered]),
+            ((300.0, "cutting", 0.1), [success]),
+            ((300.0, "cutting", 0.1), []),
+            ((500.0, "urban", -1.5), [fail_rach]),
         ]
         records_text = (
             "run_id,speed_kmh,environment,offset_db,trigger_tick,report_tick,command_tick,"
@@ -604,7 +638,7 @@ class TestCsv:
             "300,urban,-1.5,-12,0.75\n"
             "300,urban,-1.5,40,0.25\n"
         )
-        csvio.write_records_csv(rows, tmp_path / "records.csv")
+        csvio.write_records_csv(groups, tmp_path / "records.csv")
         csvio.write_stats_csv([csvio.stats_csv_row(stats, cfg)], tmp_path / "stats.csv")
         csvio.write_histogram_csv(csvio.histogram_csv_rows(stats, cfg), tmp_path / "hist.csv")
         for name, text in (("records", records_text), ("stats", stats_text), ("hist", hist_text)):
@@ -613,9 +647,9 @@ class TestCsv:
         literal = tmp_path / "literal.csv"
         literal.write_bytes(records_text.encode("utf-8"))
         assert csvio.read_records_csv(literal) == [
-            rows[0],
-            rows[1]._replace(start_position_m=1234.57),
-            rows[2],
+            csvio.RecordRow(0, 100.0, "viaduct", 2.0, None, None, None, None, None, None, "NotTriggered"),
+            csvio.RecordRow(3, 300.0, "cutting", 0.1, 1, 2, 4, 5, 1234.57, 120.0, "Success"),
+            csvio.RecordRow(12, 500.0, "urban", -1.5, 7, 8, 10, 11, 0.1, -40.0, "FailRach"),
         ]
 
     def test_trace_bytes_match_literal_text(self, tmp_path):
