@@ -14,9 +14,11 @@ quantised up to the measurement sample grid, so the default
 report.
 
 ``HandoverFsm`` has two drives that must agree on every record, event and
-final state: ``step`` consumes one tick at a time, and ``run`` resolves a
-whole trace attempt by attempt, reading each gate only at the tick on which
-it is due.
+final state: ``run`` is the attempt loop, which resolves a whole trace one
+attempt per iteration and reads each gate only at the tick on which it is
+due, and ``step`` is the per-tick literal form, which consumes one tick at a
+time. ``run`` builds no per-tick array: the serving cell after each tick is
+derived from the records by ``serving_trace``.
 """
 
 from __future__ import annotations
@@ -151,6 +153,68 @@ def _delay_ticks(delay_s: float, sample_period_s: float) -> int:
     return max(0, math.ceil(delay_s / sample_period_s - 1e-9))
 
 
+def _best_other(l3_db: Sequence[float], serving: int) -> int | None:
+    """The strongest cell other than ``serving``; the first maximum, so the lowest cell id wins a tie."""
+    best = None
+    for cell, value in enumerate(l3_db):
+        if cell != serving and (best is None or value > top):
+            best, top = cell, value
+    return best
+
+
+def _strongest(l3_db: Sequence[float]) -> int:
+    """The strongest cell, by the tie rule of ``_best_other``."""
+    return _best_other(l3_db, -1)
+
+
+def a3_margins(l3_db: np.ndarray) -> list[np.ndarray]:
+    """Per serving cell s, the A3 margin ``max_{c != s} L3[c] - L3[s]`` on every tick.
+
+    ``l3_db`` is ``(n_cells, n_ticks)``; one cell has no margin, so the list
+    is empty. The margins depend on no handover setting, so the machines of
+    one link can share them.
+    """
+    l3 = np.asarray(l3_db, dtype=float)
+    if np.isnan(l3).any():
+        raise ValueError("l3_db contains NaN")
+    n_cells = l3.shape[0]
+    if n_cells == 1:
+        return []
+    return [l3[[c for c in range(n_cells) if c != s]].max(axis=0) - l3[s] for s in range(n_cells)]
+
+
+def _entering_bounds(margin_db: np.ndarray, hysteresis_db: float) -> list[int]:
+    """Runs of ticks on which the A3 margin reaches the hysteresis.
+
+    The runs' half-open bounds come flattened, in tick order:
+    ``[start_0, end_0, start_1, end_1, ...]``.
+    """
+    entering = np.zeros(margin_db.size + 2, dtype=bool)  # padded with a non-entering tick each side
+    entering[1:-1] = margin_db >= hysteresis_db
+    return np.flatnonzero(entering[1:] != entering[:-1]).tolist()
+
+
+def serving_trace(records: Sequence[HandoverRecord], final_serving: int | None, n_ticks: int) -> np.ndarray:
+    """The serving cell after each tick of a run, -1 while re-establishing.
+
+    The serving cell changes only where an attempt completes: a record's
+    ``serving_cell`` holds until its ``completion_tick`` for a success, and
+    up to its ``FailRach`` window ``[completion, reestablish_until)``, which
+    reads -1. After the last change it is the machine's final serving cell.
+    """
+    out = np.empty(n_ticks, dtype=int)
+    since = 0
+    for rec in records:
+        if rec.outcome is Outcome.SUCCESS or rec.outcome is Outcome.FAIL_RACH:
+            out[since : rec.completion_tick] = rec.serving_cell
+            since = rec.completion_tick
+            if rec.outcome is Outcome.FAIL_RACH:
+                out[since : rec.reestablish_until_tick] = -1
+                since = rec.reestablish_until_tick
+    out[since:] = -1 if final_serving is None else final_serving
+    return out
+
+
 class HandoverFsm:
     """Handover state machine of a single UE on the measurement tick grid.
 
@@ -165,17 +229,18 @@ class HandoverFsm:
     the RACH check after prep + cmd + SIB/RACH, each rounded up to whole
     ticks; re-establishment ends its own delay after a failed RACH check.
 
-    ``run`` drives a whole trace one attempt per iteration and calls
-    ``step`` on no tick. Every transition is due on a tick known in
-    advance: TTT starts on the next A3 entering tick ``e`` (from the entering
-    runs of the serving cell, found once per cell by ``_entering_runs``) and
-    resets on the first tick after ``e`` that is not entering; the report is
-    due on ``e + n_ttt - 1``, the command and the RACH check at their offsets
-    from the report, and the reconnection at the end of re-establishment.
-    ``run`` reads the gates there and nowhere else. ``step`` is the per-tick
-    form that ``run`` must equal; both apply the same transition methods and
-    ``_best_non_serving`` (the lowest cell id wins a tie), so each record and
-    each event is built in one place.
+    ``run`` is the attempt loop: it drives a whole trace one attempt per
+    iteration, inline, and calls neither ``step`` nor its transition
+    methods. Every transition is due on a tick known in advance: TTT starts
+    on the next A3 entering tick ``e`` (from the entering runs of the serving
+    cell, found once per cell from its ``a3_margins``) and resets on the
+    first tick after ``e`` that is not entering; the report is due on
+    ``e + n_ttt - 1``, the command and the RACH check at their offsets from
+    the report, and the reconnection at the end of re-establishment. ``run``
+    reads the gates there and nowhere else. ``step`` is the per-tick literal
+    form, and the two must agree on every record, every event and the final
+    state. Both pick cells with ``_best_other`` and ``_strongest``, the one
+    tie rule (the lowest cell id wins).
     """
 
     def __init__(
@@ -210,16 +275,103 @@ class HandoverFsm:
         self._reestablish_until: int | None = None
         self._next_tick = 0
 
-    def _best_non_serving(self, l3_db: Sequence[float]) -> int | None:
-        s = self.serving_cell
-        others = [*l3_db[:s], *l3_db[s + 1 :]]
-        if not others:
-            return None
-        best = others.index(max(others))  # the first maximum: the lowest cell id wins a tie
-        return best + (best >= s)
+    def run(
+        self,
+        l3_db: np.ndarray,
+        ul_snr_db: np.ndarray,
+        dl_snr_db: np.ndarray,
+        margins: Sequence[np.ndarray] | None = None,
+    ) -> list[HandoverRecord]:
+        """Drive a fresh machine over ``(n_cells, n_ticks)`` arrays.
 
-    def _strongest(self, l3_db: Sequence[float]) -> int:
-        return max(range(self.n_cells), key=l3_db.__getitem__)
+        Returns the records of every terminated attempt, in tick order.
+        ``margins`` are the ``a3_margins`` of ``l3_db``, computed here when
+        not given. The records, the events and the final state equal calling
+        ``step`` on every tick; ``serving_trace`` of the records gives the
+        serving cell after each tick.
+        """
+        l3 = np.asarray(l3_db, dtype=float)
+        ul = np.asarray(ul_snr_db, dtype=float)
+        dl = np.asarray(dl_snr_db, dtype=float)
+        if l3.ndim != 2 or l3.shape[0] != self.n_cells or ul.shape != l3.shape or dl.shape != l3.shape:
+            raise ValueError(f"expected three ({self.n_cells}, n_ticks) arrays")
+        if self._next_tick != 0:
+            raise ValueError("run needs a machine that has not been stepped yet")
+        if margins is None:
+            margins = a3_margins(l3)
+        n_ticks = l3.shape[1]
+        n_ttt, h, gate = self._n_ttt, self.cfg.hysteresis_db, self.cfg.snr_gate_db
+        command_ticks, completion_ticks = self._command_ticks, self._completion_ticks
+        reestablish_ticks = self._reestablish_ticks
+        run_id, period = self.run_id, self.sample_period_s
+        columns = l3.T  # a row of it is the L3 of every cell on one tick
+        add = self.events.append
+        records: list[HandoverRecord] = []
+        entering: dict[int, list[int]] = {}
+        until = self._reestablish_until
+        s = self.serving_cell
+        t = 0  # first tick on which an attempt may start
+        # the loop ends with state = (phase, target, trigger, report, command) of the last tick
+        while True:
+            bounds = entering.get(s)
+            if bounds is None:
+                bounds = entering[s] = _entering_bounds(margins[s], h) if margins else []
+            j = bisect_right(bounds, t)
+            if j == len(bounds):
+                state = Phase.MONITORING, None, None, None, None
+                break
+            # An odd count of bounds up to t puts t inside an entering run.
+            e, end = (t, bounds[j]) if j % 2 else (bounds[j], bounds[j + 1])
+            add(("ttt_start", e))
+            if end - e < n_ttt:  # the run ends before TTT does
+                if end == n_ticks:
+                    state = Phase.TTT_RUNNING, _best_other(columns[end - 1].tolist(), s), e, None, None
+                    break
+                add(("ttt_reset", end))
+                t = end + 1
+                continue
+            r = e + n_ttt - 1
+            target = _best_other(columns[r].tolist(), s)
+            if ul.item(s, r) < gate:
+                records.append(HandoverRecord(run_id, s, target, Outcome.FAIL_UPLINK_REPORT, e, r))
+                add(("report_blocked", r))
+                t = r + 1
+                continue
+            add(("report", r))
+            c = r + command_ticks
+            if c >= n_ticks:
+                state = Phase.PREPARING, target, e, r, None
+                break
+            if dl.item(s, c) < gate:
+                records.append(HandoverRecord(run_id, s, target, Outcome.FAIL_DOWNLINK_COMMAND, e, r, c))
+                add(("command_blocked", c))
+                t = c + 1
+                continue
+            add(("command", c))
+            d = r + completion_ticks
+            if d >= n_ticks:
+                state = Phase.RACH_IN_PROGRESS, target, e, r, c
+                break
+            delay_s = (d - r) * period
+            if ul.item(target, d) >= gate and dl.item(target, d) >= gate:
+                records.append(HandoverRecord(run_id, s, target, Outcome.SUCCESS, e, r, c, d, None, None, delay_s))
+                add(("connected", d))
+                s, t = target, d + 1
+                continue
+            until = d + reestablish_ticks
+            records.append(HandoverRecord(run_id, s, target, Outcome.FAIL_RACH, e, r, c, d, until, None, delay_s))
+            add(("rach_failed", d))
+            if until >= n_ticks:
+                s, state = None, (Phase.REESTABLISHING, target, e, r, c)
+                break
+            s = _strongest(columns[until].tolist())
+            add(("reestablished", until))
+            t = until
+        self.phase, self.target_cell, self._trigger_tick, self._report_tick, self._command_tick = state
+        self.serving_cell, self._reestablish_until, self._next_tick = s, until, n_ticks
+        return records
+
+    # The transitions of ``step``; records are appended to ``out``.
 
     def _reset_monitoring(self) -> None:
         self.phase = Phase.MONITORING
@@ -235,8 +387,6 @@ class HandoverFsm:
             self.run_id, self.serving_cell, self.target_cell, outcome, self._trigger_tick,
             self._report_tick, command_tick, completion_tick, until_tick, None, delay_s,
         )
-
-    # Transitions, shared by ``step`` and ``run``; records are appended to ``out``.
 
     def _start_ttt(self, tick: int) -> None:
         self.phase = Phase.TTT_RUNNING
@@ -290,102 +440,9 @@ class HandoverFsm:
             self.phase = Phase.REESTABLISHING
 
     def _reconnect(self, tick: int, l3_db: Sequence[float]) -> None:
-        self.serving_cell = self._strongest(l3_db)
+        self.serving_cell = _strongest(l3_db)
         self.events.append(("reestablished", tick))
         self._reset_monitoring()
-
-    def _entering_runs(self, l3_db: np.ndarray, serving: int) -> list[int]:
-        """Runs of ticks on which max_{c != serving} L3[c] - L3[serving] >= hysteresis.
-
-        The runs' half-open bounds come flattened, in tick order:
-        ``[start_0, end_0, start_1, end_1, ...]``.
-        """
-        if self.n_cells == 1:
-            return []
-        best_other = l3_db[[c for c in range(self.n_cells) if c != serving]].max(axis=0)
-        entering = np.zeros(l3_db.shape[1] + 2, dtype=bool)  # padded with a non-entering tick each side
-        entering[1:-1] = a3_condition(best_other, l3_db[serving], self.cfg.hysteresis_db)
-        return np.flatnonzero(entering[1:] != entering[:-1]).tolist()
-
-    def run(
-        self,
-        l3_db: np.ndarray,
-        ul_snr_db: np.ndarray,
-        dl_snr_db: np.ndarray,
-    ) -> tuple[list[HandoverRecord], np.ndarray]:
-        """Drive a fresh machine over ``(n_cells, n_ticks)`` arrays.
-
-        Returns the records of every terminated attempt, in tick order, and
-        the serving cell after each tick (-1 while re-establishing). The
-        result, the events and the final state equal calling ``step`` on
-        every tick.
-        """
-        l3 = np.asarray(l3_db, dtype=float)
-        ul = np.asarray(ul_snr_db, dtype=float)
-        dl = np.asarray(dl_snr_db, dtype=float)
-        if l3.ndim != 2 or l3.shape[0] != self.n_cells or ul.shape != l3.shape or dl.shape != l3.shape:
-            raise ValueError(f"expected three ({self.n_cells}, n_ticks) arrays")
-        if np.isnan(l3).any():
-            raise ValueError("l3_db contains NaN")
-        if self._next_tick != 0:
-            raise ValueError("run needs a machine that has not been stepped yet")
-        n_ticks = l3.shape[1]
-        n_ttt = self._n_ttt
-        serving = np.empty(n_ticks, dtype=int)
-        records: list[HandoverRecord] = []
-        entering: dict[int, list[int]] = {}
-        s = self.serving_cell
-        since = 0  # first tick served by s
-        t = 0  # first tick on which an attempt may start
-        while True:
-            bounds = entering.get(s)
-            if bounds is None:
-                bounds = entering[s] = self._entering_runs(l3, s)
-            j = bisect_right(bounds, t)
-            if j == len(bounds):
-                break
-            # An odd count of bounds up to t puts t inside an entering run.
-            e, end = (t, bounds[j]) if j % 2 else (bounds[j], bounds[j + 1])
-            self._start_ttt(e)
-            if end - e < n_ttt:  # the run ends before TTT does
-                if end == n_ticks:
-                    self.target_cell = self._best_non_serving(l3[:, end - 1].tolist())
-                    break
-                self._reset_ttt(end)
-                t = end + 1
-                continue
-            r = e + n_ttt - 1
-            self.target_cell = self._best_non_serving(l3[:, r].tolist())
-            self._report(r, ul[s, r], records)
-            if self.phase is not Phase.PREPARING:
-                t = r + 1
-                continue
-            c = r + self._command_ticks
-            if c >= n_ticks:
-                break
-            self._command(c, dl[s, c], records)
-            if self.phase is not Phase.RACH_IN_PROGRESS:
-                t = c + 1
-                continue
-            d = r + self._completion_ticks
-            if d >= n_ticks:
-                break
-            target = self.target_cell
-            self._complete(d, ul[target, d], dl[target, d], records)
-            serving[since:d] = s
-            if self.phase is Phase.MONITORING:
-                s, since, t = target, d, d + 1
-                continue
-            u = self._reestablish_until
-            serving[d:u] = -1
-            since = u
-            if u >= n_ticks:
-                break
-            self._reconnect(u, l3[:, u].tolist())
-            s, t = self.serving_cell, u
-        serving[since:] = s
-        self._next_tick = n_ticks
-        return records, serving
 
     def step(
         self,
@@ -405,7 +462,7 @@ class HandoverFsm:
             self._reconnect(tick, l3_db)
 
         if self.phase in (Phase.MONITORING, Phase.TTT_RUNNING):
-            target = self._best_non_serving(l3_db)
+            target = _best_other(l3_db, self.serving_cell)
             entered = target is not None and a3_condition(
                 l3_db[target], l3_db[self.serving_cell], self.cfg.hysteresis_db
             )

@@ -5,7 +5,9 @@ over the configured snapshot grid, draws the per-cell downlink power (path
 loss + antenna pattern + correlated shadowing + fast fading), degrades it with
 the worst-case ICI power for the configured speed and feeds the L1/L3
 measurement pipeline on the 40 ms tick grid. The handover part drives the
-handover state machine over it attempt by attempt (``HandoverFsm.run``).
+handover state machine over it attempt by attempt (``HandoverFsm.run``),
+from the link's A3 margins (``a3_margins``), which every handover setting
+of the link shares.
 
 What runs on snapshots and what on ticks:
 
@@ -50,7 +52,8 @@ from scipy.special import ndtri
 from . import channel, ici
 from .config import ConfigError, RunConfig
 from .geometry import DeploymentLayout, Environment, environment_at, link_geometry, sample_stride, snapshot_count
-from .handover import HandoverConfig, HandoverFsm, HandoverRecord, Outcome, interruption_window
+from .handover import HandoverConfig, HandoverFsm, HandoverRecord, Outcome
+from .handover import a3_margins, interruption_window, serving_trace
 from .measurement import measure_cell
 
 _STREAM_SHADOW = 0
@@ -334,19 +337,50 @@ def _link(cfg: RunConfig, tables: _StaticTables, run_index: int, streams: _Strea
 
 
 def _handover(
-    cfg: RunConfig, handover: HandoverConfig, tables: _StaticTables, run_index: int, link: tuple
-) -> tuple[list[HandoverRecord], np.ndarray]:
-    """The handover part of a run: one state machine over the link, its records and serving trace."""
+    cfg: RunConfig, handover: HandoverConfig, tables: _StaticTables, run_index: int, link: tuple, margins: list
+) -> tuple[list[HandoverRecord], int | None]:
+    """The handover part of a run: one state machine over the link, its records and final serving cell.
+
+    ``margins`` are the link's ``a3_margins``, which every handover setting
+    of the link shares.
+    """
     _, l3, ul_snr, dl_snr = link
     n_cells, period = l3.shape[0], cfg.l1.sample_period_s
     fsm = HandoverFsm(handover, period, n_cells, serving_cell=tables.initial_serving, run_id=run_index)
-    records, serving_trace = fsm.run(l3, ul_snr, dl_snr)
+    records = fsm.run(l3, ul_snr, dl_snr, margins)
     placed = [rec for rec in records if rec.command_tick is not None]
     for rec, x in zip(placed, tables.tick_positions[[rec.command_tick for rec in placed]].tolist()):
         rec.start_position_m = x
     if not records:
         records.append(HandoverRecord(run_index, fsm.serving_cell, None, Outcome.NOT_TRIGGERED))
-    return records, serving_trace
+    return records, fsm.serving_cell
+
+
+def _run_trace(
+    cfg: RunConfig, tables: _StaticTables, link: tuple, records: Sequence[HandoverRecord], final_serving: int | None
+) -> RunTrace:
+    """The per-tick trace of a run, from its link part and the records of its handover part."""
+    pr_dl, _, _, dl_snr = link
+    n_ticks = tables.tick_snapshots.size
+    serving = serving_trace(records, final_serving, n_ticks)
+    interrupted = np.zeros(n_ticks, dtype=bool)
+    for rec in records:
+        if rec.outcome in (Outcome.SUCCESS, Outcome.FAIL_RACH):
+            lo, hi = interruption_window(rec)
+            interrupted[lo:hi] = True
+    # serving cell -1 only inside a FailRach window, which zeroes the throughput
+    eff_db_serving = dl_snr[serving, np.arange(n_ticks)]
+    throughput = np.where(interrupted, 0.0, ici.throughput_bps(eff_db_serving, cfg.budget.bandwidth_hz))
+    return RunTrace(
+        tick_snapshots=tables.tick_snapshots.copy(),
+        positions_m=tables.tick_positions.copy(),
+        p_ici=tables.p_ici,
+        snr_db=(10.0 * np.log10(pr_dl)).T,
+        effective_snr_db=dl_snr.T.copy(),
+        serving_cell=serving,
+        interrupted=interrupted,
+        throughput_bps=throughput,
+    )
 
 
 def simulate_run(
@@ -355,37 +389,17 @@ def simulate_run(
     """Simulate one seeded run; deterministic given (config, master_seed, run_index).
 
     The run draws its own streams at ``tables.tick_stride``, runs the link part
-    (``_link``) and drives ``cfg.handover`` over it once (``_handover``). The
-    runs of ``monte_carlo`` do not come here: ``_run_batch`` calls those two.
+    (``_link``) and drives ``cfg.handover`` over it once (``_handover``); with
+    ``want_trace``, ``_run_trace`` builds its trace. The runs of
+    ``monte_carlo`` do not come here: ``_run_batch`` calls the link and
+    handover parts.
     """
     if tables is None:
         tables = precompute_tables(cfg)
     streams = _draw_streams(cfg.master_seed, run_index, tables, tables.tick_stride)
     link = _link(cfg, tables, run_index, streams)
-    records, serving_trace = _handover(cfg, cfg.handover, tables, run_index, link)
-
-    trace = None
-    if want_trace:
-        pr_dl, _, _, dl_snr = link
-        n_ticks = tables.tick_snapshots.size
-        interrupted = np.zeros(n_ticks, dtype=bool)
-        for rec in records:
-            if rec.outcome in (Outcome.SUCCESS, Outcome.FAIL_RACH):
-                lo, hi = interruption_window(rec)
-                interrupted[lo:hi] = True
-        # serving cell -1 only inside a FailRach window, which zeroes the throughput
-        eff_db_serving = dl_snr[serving_trace, np.arange(n_ticks)]
-        throughput = np.where(interrupted, 0.0, ici.throughput_bps(eff_db_serving, cfg.budget.bandwidth_hz))
-        trace = RunTrace(
-            tick_snapshots=tables.tick_snapshots.copy(),
-            positions_m=tables.tick_positions.copy(),
-            p_ici=tables.p_ici,
-            snr_db=(10.0 * np.log10(pr_dl)).T,
-            effective_snr_db=dl_snr.T.copy(),
-            serving_cell=serving_trace,
-            interrupted=interrupted,
-            throughput_bps=throughput,
-        )
+    records, final_serving = _handover(cfg, cfg.handover, tables, run_index, link, a3_margins(link[1]))
+    trace = _run_trace(cfg, tables, link, records, final_serving) if want_trace else None
     return RunResult(tuple(records), trace)
 
 
@@ -461,9 +475,10 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
 
     * The configs that differ only in ``handover`` form a link group, which
       shares one set of tables and, per run, one link part (``_link``: the
-      LOS latent, the L1/L3 measurements) that drives one state machine per
-      distinct ``handover`` (``_handover``). Only the state machine reads
-      ``handover``. The runs call these two directly, not ``simulate_run``.
+      LOS latent, the L1/L3 measurements) and one set of A3 margins
+      (``a3_margins``), which drive one state machine per distinct
+      ``handover`` (``_handover``). Only the state machine reads
+      ``handover``. The runs call these directly, not ``simulate_run``.
     * The link groups whose tables have equal cell counts, snapshot counts
       and shadowing segments (``_stream_family``) form a stream family, which
       shares, per run, one draw of the shadowing and fading streams. Every
@@ -500,7 +515,8 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
             for g in family:
                 rep, members = groups[g]
                 link = _link(rep, tables[g], run_index, streams)
-                per_group[g] = [_handover(rep, ho, tables[g], run_index, link)[0] for ho in members]
+                margins = a3_margins(link[1])
+                per_group[g] = [_handover(rep, ho, tables[g], run_index, link, margins)[0] for ho in members]
         return per_group
 
     workers = min(workers, os.cpu_count() or 1)

@@ -5,9 +5,12 @@ literally: it builds its own link tables on every snapshot, runs the
 recursions with a per-snapshot parameter split, and per cell draws every
 stream and reads every table at the tick snapshots by fancy indexing; the
 fading power comes from the Rician K factor directly, L1/L3 run one cell at
-a time, and both SINRs come from ``rss_with_ici``. ``simulate_run``, whose
-tables exist only on the ticks and whose recursions read segment tables,
-must reproduce its records and every ``RunTrace`` array bit for bit.
+a time, and both SINRs come from ``rss_with_ici``; the handover state
+machine is driven with ``step`` on every tick, and the serving cell is read
+after each. ``simulate_run``, whose tables exist only on the ticks, whose
+recursions read segment tables and whose state machine resolves one attempt
+per iteration, must reproduce its records and every ``RunTrace`` array bit
+for bit.
 """
 
 import dataclasses
@@ -165,7 +168,11 @@ def _reference_run(cfg, run_index, tables):
         cfg.handover, cfg.l1.sample_period_s, n_cells,
         serving_cell=tables.initial_serving, run_id=run_index,
     )
-    records, serving_trace = fsm.run(l3, ul_snr, dl_snr)
+    records = []
+    serving_trace = np.empty(n_ticks, dtype=int)
+    for t in range(n_ticks):
+        records.extend(fsm.step(t, l3[:, t].tolist(), ul_snr[:, t].tolist(), dl_snr[:, t].tolist()))
+        serving_trace[t] = -1 if fsm.serving_cell is None else fsm.serving_cell
     for rec in records:
         if rec.command_tick is not None:
             rec.start_position_m = float(snap.positions[snap.tick_snapshots[rec.command_tick]])

@@ -16,9 +16,14 @@ from railho.handover import (
     Outcome,
     Phase,
     Postponement,
+    _best_other,
+    _entering_bounds,
+    _strongest,
     a3_condition,
+    a3_margins,
     classify_postponement,
     interruption_window,
+    serving_trace,
 )
 from railho.simulate import RunTrace, simulate_run
 
@@ -433,18 +438,35 @@ class TestEventDrivenRun:
             cfg, n_cells, serving, l3, ul, dl = fuzzed_trace(rng)
             fast = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=7)
             slow = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=7)
-            fast_records, fast_serving = fast.run(l3, ul, dl)
+            fast_records = fast.run(l3, ul, dl)
             slow_records, slow_serving = literal_run(slow, l3, ul, dl)
             assert fast_records == slow_records
             assert fast.events == slow.events
-            np.testing.assert_array_equal(fast_serving, slow_serving)
-            assert fast.phase is slow.phase
-            assert fast.serving_cell == slow.serving_cell
-            assert fast.target_cell == slow.target_cell
+            np.testing.assert_array_equal(derived_serving(fast, fast_records, l3), slow_serving)
+            assert final_state(fast) == final_state(slow)
             outcomes.update(r.outcome for r in slow_records)
             reestablished += any(name == "reestablished" for name, _ in slow.events)
         assert outcomes == set(Outcome) - {Outcome.NOT_TRIGGERED}
         assert reestablished > 10
+
+    def test_shared_margins_change_nothing(self):
+        """``run`` given the ``a3_margins`` of its L3 equals ``run`` computing them itself."""
+        rng = np.random.default_rng(20170330)
+        for _ in range(3000):
+            cfg, n_cells, serving, l3, ul, dl = fuzzed_trace(rng)
+            own = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=5)
+            shared = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=5)
+            assert shared.run(l3, ul, dl, a3_margins(l3)) == own.run(l3, ul, dl)
+            assert shared.events == own.events
+            assert final_state(shared) == final_state(own)
+
+    def test_a3_margins_reject_nan(self):
+        l3 = np.zeros((3, 4))
+        l3[1, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            a3_margins(l3)
+        with pytest.raises(ValueError, match="NaN"):
+            fsm(n_cells=3).run(l3, np.zeros((3, 4)), np.zeros((3, 4)))
 
     def test_no_serving_cell_only_inside_a_fail_rach_window(self):
         """A tick without a serving cell lies in a FailRach window, where the trace zeroes throughput."""
@@ -452,33 +474,44 @@ class TestEventDrivenRun:
         dark_ticks = cut = 0
         for _ in range(3000):
             cfg, n_cells, serving, l3, ul, dl = fuzzed_trace(rng)
-            records, serving_trace = HandoverFsm(cfg, PERIOD, n_cells, serving).run(l3, ul, dl)
+            machine = HandoverFsm(cfg, PERIOD, n_cells, serving)
+            records = machine.run(l3, ul, dl)
+            trace = derived_serving(machine, records, l3)
             windows = [interruption_window(r) for r in records if r.outcome is Outcome.FAIL_RACH]
-            for t in np.flatnonzero(serving_trace < 0).tolist():
+            for t in np.flatnonzero(trace < 0).tolist():
                 assert any(lo <= t < hi for lo, hi in windows), (t, records)
                 dark_ticks += 1
-            cut += any(hi > l3.shape[1] for _, hi in windows) and serving_trace[-1] < 0
+            cut += any(hi > l3.shape[1] for _, hi in windows) and trace[-1] < 0
         assert dark_ticks > 100 and cut > 10
 
     def test_simulate_run_equals_literal_drive(self, tiny_cfg, monkeypatch):
+        """Records and traces of ``run`` equal those of ``step``; the derived serving trace equals the stepped one."""
         def run(cfg, index):
             return simulate_run(cfg, index, want_trace=True)
 
+        stepped = []
+
+        def literal(machine, l3_db, ul_snr_db, dl_snr_db, margins=None):
+            records, serving = literal_run(machine, l3_db, ul_snr_db, dl_snr_db)
+            stepped.append(serving)
+            return records
+
         configs = [apply_overrides(tiny_cfg, speed_kmh=v) for v in (100.0, 500.0)]
         fast = [run(cfg, i) for cfg in configs for i in range(3)]
-        monkeypatch.setattr(HandoverFsm, "run", literal_run)
+        monkeypatch.setattr(HandoverFsm, "run", literal)
         slow = [run(cfg, i) for cfg in configs for i in range(3)]
         assert sum(len(r.records) for r in slow) > 6
-        for a, b in zip(fast, slow):
+        for a, b, serving in zip(fast, slow, stepped, strict=True):
             assert a.records == b.records
             for f in dataclasses.fields(RunTrace):
                 np.testing.assert_array_equal(getattr(a.trace, f.name), getattr(b.trace, f.name))
+            np.testing.assert_array_equal(a.trace.serving_cell, serving)
 
     def test_one_cell_never_triggers(self):
         machine = fsm(n_cells=1)
-        records, serving = machine.run(np.zeros((1, 5)), np.full((1, 5), LOW), np.full((1, 5), LOW))
+        records = machine.run(np.zeros((1, 5)), np.full((1, 5), LOW), np.full((1, 5), LOW))
         assert records == [] and machine.events == []
-        np.testing.assert_array_equal(serving, [0] * 5)
+        np.testing.assert_array_equal(derived_serving(machine, records, np.zeros((1, 5))), [0] * 5)
 
     def test_run_rejects_a_stepped_machine(self):
         machine = fsm()
@@ -505,6 +538,11 @@ FINAL_STATE = (
 
 def final_state(machine):
     return {name: getattr(machine, name) for name in FINAL_STATE}
+
+
+def derived_serving(machine, records, l3_db):
+    """The serving cell after each tick, derived from the records of ``run`` and its final state."""
+    return serving_trace(records, machine.serving_cell, l3_db.shape[1])
 
 
 def edge_config(rng):
@@ -556,11 +594,11 @@ class TestAttemptDriveEdgeCases:
 
             fast = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
             slow = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
-            fast_records, fast_serving = fast.run(l3[:, :cut], ul[:, :cut], dl[:, :cut])
+            fast_records = fast.run(l3[:, :cut], ul[:, :cut], dl[:, :cut])
             slow_records, slow_serving = literal_run(slow, l3[:, :cut], ul[:, :cut], dl[:, :cut])
             assert fast_records == slow_records
             assert fast.events == slow.events
-            np.testing.assert_array_equal(fast_serving, slow_serving)
+            np.testing.assert_array_equal(derived_serving(fast, fast_records, l3[:, :cut]), slow_serving)
             assert final_state(fast) == final_state(slow)
             for rec in fast_records:
                 for name in ("trigger_tick", "report_tick", "command_tick", "completion_tick"):
@@ -587,6 +625,11 @@ def literal_best_non_serving(l3_column, n_cells, serving):
     return max(others, key=l3_column.__getitem__, default=None)
 
 
+def literal_strongest(l3_column):
+    """The strongest cell as a keyed ``max``; ties go to the lowest cell id."""
+    return max(range(len(l3_column)), key=l3_column.__getitem__)
+
+
 def literal_entering_runs(l3_db, serving, hysteresis_db):
     """Flattened half-open bounds of the A3 entering runs, through ``np.delete`` and ``np.diff``."""
     if l3_db.shape[0] == 1:
@@ -597,7 +640,7 @@ def literal_entering_runs(l3_db, serving, hysteresis_db):
 
 
 class TestFastHelpersMatchLiteralForms:
-    """``_best_non_serving`` and ``_entering_runs`` against their literal forms.
+    """``_best_other``, ``_strongest`` and ``_entering_bounds`` of ``a3_margins`` against their literal forms.
 
     L3 values and hysteresis sit on a 0.5 dB grid, so ties between cells and
     margins equal to the hysteresis are common; some L3 values are -inf (an
@@ -621,14 +664,17 @@ class TestFastHelpersMatchLiteralForms:
         rng = np.random.default_rng(20170328)
         ties = inf_columns = 0
         for n_cells, serving, l3, h0 in self.traces(rng, 900):
-            machine = HandoverFsm(HandoverConfig(hysteresis_db=h0), PERIOD, n_cells, serving)
             for column in l3.T.tolist():
                 expected = literal_best_non_serving(column, n_cells, serving)
-                assert machine._best_non_serving(column) == expected, (column, serving)
+                assert _best_other(column, serving) == expected, (column, serving)
+                assert _strongest(column) == literal_strongest(column), column
                 others = column[:serving] + column[serving + 1 :]
                 ties += others.count(max(others, default=None)) > 1
                 inf_columns += -math.inf in others
-            assert machine._entering_runs(l3, serving) == literal_entering_runs(l3, serving, h0)
+            margins = a3_margins(l3)
+            assert len(margins) == (n_cells if n_cells > 1 else 0)
+            bounds = _entering_bounds(margins[serving], h0) if margins else []
+            assert bounds == literal_entering_runs(l3, serving, h0)
         assert ties > 500 and inf_columns > 1000, (ties, inf_columns)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
@@ -640,9 +686,9 @@ class TestFastHelpersMatchLiteralForms:
             dl = np.where(rng.random(l3.shape) < 0.2, -20.0, 30.0)
             fast = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
             slow = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
-            fast_records, fast_serving = fast.run(l3, ul, dl)
+            fast_records = fast.run(l3, ul, dl)
             slow_records, slow_serving = literal_run(slow, l3, ul, dl)
             assert fast_records == slow_records
             assert fast.events == slow.events
-            np.testing.assert_array_equal(fast_serving, slow_serving)
+            np.testing.assert_array_equal(derived_serving(fast, fast_records, l3), slow_serving)
             assert final_state(fast) == final_state(slow)
