@@ -65,6 +65,11 @@ def ici_power_lower(doppler_hz: float, params: IciParams = IciParams()) -> float
     return max(0.0, params.alpha1 / 12.0 * x * x - 0.375 / 360.0 * x**4)
 
 
+def effective_sinr_linear(pr_linear, p_ici):
+    """Linear effective SINR ``pr / (pr * p_ici + 1)`` of a link with normalised noise, unchecked."""
+    return pr_linear / (pr_linear * p_ici + 1.0)
+
+
 def rss_with_ici(pr_linear, p_ici):
     """Effective SINR in dB of a link with normalised noise and ICI power ``p_ici``.
 
@@ -77,7 +82,7 @@ def rss_with_ici(pr_linear, p_ici):
         raise ValueError("pr_linear must be strictly positive")
     if np.any(p < 0.0):
         raise ValueError("p_ici must be non-negative")
-    out = 10.0 * np.log10(pr / (pr * p + 1.0))
+    out = 10.0 * np.log10(effective_sinr_linear(pr, p))
     return float(out) if out.ndim == 0 else out
 
 

@@ -11,7 +11,6 @@ run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -52,19 +51,14 @@ class L3Config:
             raise ValueError("filter_coefficient_a must be in (0, 1]")
 
 
-def l1_filter(
-    raw_linear: np.ndarray,
-    cfg: L1Config,
-    stride: int,
-    rng: Sequence[np.random.Generator] | None = None,
-) -> np.ndarray:
+def l1_filter(raw_linear: np.ndarray, cfg: L1Config, stride: int, normals: np.ndarray | None = None) -> np.ndarray:
     """Layer-1 series in dB from per-snapshot linear SINR streams along the last axis.
 
     Takes every ``stride``-th snapshot, averages the last ``window_samples``
     taken values in the linear domain (the window shrinks at the stream
     start), converts to dB, then adds N(0, sigma^2) noise clipped to
-    +/- cutoff * sigma. Each stream draws its noise from its own generator:
-    ``rng`` holds one generator per stream, in C order (one for a 1-D stream).
+    +/- cutoff * sigma. ``normals`` are the noise's standard normals, one per
+    output value; they are not read when sigma is 0.
     """
     raw = np.asarray(raw_linear, dtype=float)
     if raw.size == 0:
@@ -82,15 +76,10 @@ def l1_filter(
     sums /= np.minimum(np.arange(1, n + 1), w)
     out = 10.0 * np.log10(sums)
     if cfg.noise_sigma_db > 0.0:
-        if rng is None:
-            raise ValueError("rng required when noise_sigma_db > 0")
-        generators = list(rng)
-        normals = np.empty(out.shape)
-        rows = normals.reshape(-1, n)
-        if len(generators) != rows.shape[0]:
-            raise ValueError(f"{len(generators)} generators for {rows.shape[0]} streams")
-        for row, generator in zip(rows, generators):
-            generator.standard_normal(out=row)
+        if normals is None:
+            raise ValueError("normals required when noise_sigma_db > 0")
+        if normals.shape != out.shape:
+            raise ValueError(f"noise normals of shape {normals.shape} for a series of shape {out.shape}")
         bound = cfg.noise_cutoff_sigmas * cfg.noise_sigma_db
         out = out + np.clip(normals * cfg.noise_sigma_db, -bound, bound)
     return out
@@ -107,14 +96,11 @@ def l3_filter(l1_db: np.ndarray, cfg: L3Config) -> np.ndarray:
 
 
 def measure_cell(
-    raw_linear: np.ndarray,
-    l1_cfg: L1Config,
-    l3_cfg: L3Config,
-    rng: Sequence[np.random.Generator] | None = None,
+    raw_linear: np.ndarray, l1_cfg: L1Config, l3_cfg: L3Config, normals: np.ndarray | None = None
 ) -> np.ndarray:
     """Layer-3 series in dB from tick-grid linear SINR streams along the last axis.
 
     ``raw_linear`` is one cell's stream or a ``(n_cells, n_ticks)`` stack;
-    ``rng`` is as in ``l1_filter``.
+    ``normals`` are as in ``l1_filter``, of the same shape.
     """
-    return l3_filter(l1_filter(raw_linear, l1_cfg, 1, rng), l3_cfg)
+    return l3_filter(l1_filter(raw_linear, l1_cfg, 1, normals), l3_cfg)

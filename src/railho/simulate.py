@@ -15,8 +15,8 @@ What runs on snapshots and what on ticks:
   LOS-latent recursions, nothing else. The recursions read segment tables
   that ``precompute_tables`` splits once per config. Only their values at
   the ticks are kept (in a sweep, the shadowing and fading at every k-th
-  snapshot, see ``_run_batch``), so no per-snapshot stack of cells is ever
-  built.
+  snapshot, see ``_run_batch``), so no per-snapshot stack of cells is built
+  except the LOS latent's, which a sweep's link groups share.
 * Ticks: every link table is evaluated only at the tick positions, once per
   config: geometry, antenna gain, both path losses, the LOS thresholds,
   the shadowing shares and the Rician terms. Everything after the
@@ -29,12 +29,15 @@ Streams drawn only as far as they are read: the LOS latent of a cell stops
 at the last tick whose LOS threshold is finite in some cell, and is not
 drawn at all when none is (single-environment viaduct and urban tracks, the
 urban tail of the mixed track); a threshold of +inf or -inf settles the
-comparison without it. The measurement noise is drawn once per tick.
+comparison without it. The measurement noise is drawn once per tick, and
+not at all when ``l1.noise_sigma_db`` is 0.
 
 Runs are reproducible: every random stream is derived from (master_seed,
 run_index, cell, purpose), so results are independent of execution order
-and worker count. What the configs of a sweep share, and why that leaves
-every record unchanged, is stated once, in ``_run_batch``.
+and worker count. Every run draws through one path, ``_links`` under a
+``_DrawPlan``; a single config is a batch of one. What the configs of a
+sweep share, and why that leaves every record unchanged, is stated once, in
+``_run_batch``.
 """
 
 from __future__ import annotations
@@ -279,27 +282,43 @@ def _draw_streams(seed: int, run_index: int, tables: _StaticTables, stride: int)
     return _Streams(stride, own, common, normals)
 
 
-def _downlink_pr_ticks(cfg: RunConfig, tables: _StaticTables, run_index: int, streams: _Streams) -> np.ndarray:
+def _draw_los_latent(seed: int, run_index: int, n_cells: int, segments: tuple) -> np.ndarray:
+    """One run's LOS latent, ``(n_cells, n)``: per cell, drawn and filtered over the ``n`` snapshots of ``segments``."""
+    n = segments[-1][1]
+    latent = np.empty((n_cells, n))
+    for cell in range(n_cells):
+        eps = _link_streams(seed, run_index, cell, _STREAM_LOS).standard_normal(n)
+        latent[cell] = channel.shadowing_series_db(eps, segments)
+    return latent
+
+
+def _draw_measurement_noise(seed: int, run_index: int, n_cells: int, n_ticks: int) -> np.ndarray:
+    """The standard normals of one run's L1 measurement noise, ``(n_cells, n_ticks)``, one stream per cell."""
+    normals = np.empty((n_cells, n_ticks))
+    for cell, row in enumerate(normals):
+        _link_streams(seed, run_index, cell, _STREAM_MEASUREMENT).standard_normal(out=row)
+    return normals
+
+
+def _downlink_pr_ticks(tables: _StaticTables, streams: _Streams, los_latent: np.ndarray | None) -> np.ndarray:
     """Noise-normalised downlink power of every link at the tick snapshots, ``(n_cells, n_ticks)``.
 
     The shadowing and fading come from ``streams``, whose stride divides the
-    tick stride; the LOS latent is drawn here, per cell over the snapshot
-    grid up to ``los_ticks``. The rest runs once on the stack.
+    tick stride. The LOS latent is read from the leading rows and snapshots
+    of ``los_latent`` (``_draw_los_latent``), up to ``los_ticks``; it is
+    ``None`` when ``los_ticks`` is 0. The rest runs once on the stack.
     """
-    seed = cfg.master_seed
     ticks = slice(None, None, tables.tick_stride // streams.stride)
     n_cells, n_ticks = tables.tick_rx_nlos_dbm.shape
     m = tables.los_ticks
-    n_latent = tables.los_segments[-1][1] if tables.los_segments else 0
 
     latent = np.empty((n_cells, n_ticks))
     latent[:, m:] = 0.0  # only an infinite threshold is read there
-    if n_latent:
+    if m:
         # LOS persistence: threshold a unit-variance correlated latent so the
         # marginal LOS probability stays exactly distance-dependent.
-        for cell in range(n_cells):
-            eps = _link_streams(seed, run_index, cell, _STREAM_LOS).standard_normal(n_latent)
-            latent[cell, :m] = channel.shadowing_series_db(eps, tables.los_segments)[:: tables.tick_stride]
+        stride = tables.tick_stride
+        latent[:, :m] = los_latent[:n_cells, : m * stride : stride]
 
     los = latent < tables.tick_los_threshold
     mean, scale = tables.tick_rician
@@ -319,21 +338,83 @@ def _downlink_pr_ticks(cfg: RunConfig, tables: _StaticTables, run_index: int, st
     return ici.snr_linear_from_dbm(rx_dbm, tables.noise_dbm)
 
 
-def _link(cfg: RunConfig, tables: _StaticTables, run_index: int, streams: _Streams) -> tuple[np.ndarray, ...]:
-    """The link part of a run: ``(pr_dl, l3, ul_snr, dl_snr)``, each ``(n_cells, n_ticks)``."""
+def _link(
+    cfg: RunConfig,
+    tables: _StaticTables,
+    run_index: int,
+    streams: _Streams,
+    los_latent: np.ndarray | None,
+    noise: np.ndarray | None,
+) -> tuple[np.ndarray, ...]:
+    """The link part of a run: ``(pr_dl, l3, ul_snr, dl_snr)``, each ``(n_cells, n_ticks)``.
+
+    ``noise`` holds the run's measurement-noise normals
+    (``_draw_measurement_noise``), of which the link reads the leading rows
+    and ticks when ``cfg.l1`` adds noise; it is ``None`` when no link group
+    of the run adds any.
+    """
     p = tables.p_ici
     with np.errstate(over="ignore", invalid="ignore"):  # a power out of the float range is rejected below
-        pr_dl = _downlink_pr_ticks(cfg, tables, run_index, streams)
+        pr_dl = _downlink_pr_ticks(tables, streams, los_latent)
         pr_ul = pr_dl * cfg.budget.ul_shift()
     # the UL shift is a positive float, so this bounds pr_dl too; NaN fails it
     if not 0.0 < pr_ul.min() <= pr_ul.max() < math.inf:
         raise ConfigError(f"run {run_index}: a link's SNR leaves the float range; check budget, gains, profiles")
-    eff_lin_dl = pr_dl / (pr_dl * p + 1.0)
-    meas_rngs = [_link_streams(cfg.master_seed, run_index, c, _STREAM_MEASUREMENT) for c in range(len(pr_dl))]
-    l3 = measure_cell(eff_lin_dl, cfg.l1, cfg.l3, meas_rngs)
+    eff_lin_dl = ici.effective_sinr_linear(pr_dl, p)
+    n_cells, n_ticks = pr_dl.shape
+    normals = noise[:n_cells, :n_ticks] if cfg.l1.noise_sigma_db > 0.0 else None
+    l3 = measure_cell(eff_lin_dl, cfg.l1, cfg.l3, normals)
     dl_snr = 10.0 * np.log10(eff_lin_dl)  # ici.rss_with_ici(pr_dl, p), from the L1 input
-    ul_snr = ici.rss_with_ici(pr_ul, p)
+    ul_snr = 10.0 * np.log10(ici.effective_sinr_linear(pr_ul, p))
     return pr_dl, l3, ul_snr, dl_snr
+
+
+@dataclass(frozen=True)
+class _DrawPlan:
+    """Which draws the link groups of a batch share in every run (see ``_run_batch``); built once per batch."""
+
+    families: tuple[tuple[int, tuple[int, ...]], ...]  # (stride, groups): one shadowing and fading draw each
+    los: tuple[tuple[int, tuple], ...]  # (cells, segments): one LOS latent draw each
+    los_of: tuple[int | None, ...]      # per group, its LOS latent draw; None when it reads none
+    noise: tuple[int, int] | None       # (cells, ticks) of the measurement noise; None when no group adds any
+
+
+def _clip_segments(segments: tuple, n: int) -> tuple:
+    """The recursion segments of the first ``n`` snapshots of ``segments``."""
+    return tuple((i, min(j, n), rho, scale) for i, j, rho, scale in segments if i < n)
+
+
+def _draw_plan(reps: Sequence[RunConfig], tables: Sequence[_StaticTables]) -> _DrawPlan:
+    """The draws that link groups ``reps`` (with their ``tables``) share in every run."""
+    by_family: dict[tuple, list[int]] = {}
+    for g, t in enumerate(tables):
+        by_family.setdefault(_stream_family(t), []).append(g)
+    families = tuple((math.gcd(*(tables[g].tick_stride for g in fam)), tuple(fam)) for fam in by_family.values())
+    n_cells = [t.tick_rx_nlos_dbm.shape[0] for t in tables]
+    n_latent = [t.los_segments[-1][1] if t.los_segments else 0 for t in tables]
+    los: list[list] = []  # [cells, segments], longest recursion first
+    los_of: list[int | None] = [None] * len(tables)
+    for g in sorted((g for g in range(len(tables)) if n_latent[g]), key=lambda g: -n_latent[g]):
+        own = tables[g].los_segments
+        k = next((k for k, (_, longer) in enumerate(los) if _clip_segments(longer, n_latent[g]) == own), len(los))
+        if k == len(los):
+            los.append([0, own])
+        los[k][0] = max(los[k][0], n_cells[g])
+        los_of[g] = k
+    noisy = [t.tick_rx_nlos_dbm.shape for rep, t in zip(reps, tables) if rep.l1.noise_sigma_db > 0.0]
+    noise = (max(c for c, _ in noisy), max(n for _, n in noisy)) if noisy else None
+    return _DrawPlan(families, tuple((cells, segments) for cells, segments in los), tuple(los_of), noise)
+
+
+def _links(seed: int, run_index: int, reps: Sequence[RunConfig], tables: Sequence[_StaticTables], plan: _DrawPlan):
+    """Yield ``(group, link)``, the link part of every link group of one run, from the run's draws under ``plan``."""
+    latents = [_draw_los_latent(seed, run_index, cells, segments) for cells, segments in plan.los]
+    noise = None if plan.noise is None else _draw_measurement_noise(seed, run_index, *plan.noise)
+    for stride, family in plan.families:
+        streams = _draw_streams(seed, run_index, tables[family[0]], stride)
+        for g in family:
+            k = plan.los_of[g]
+            yield g, _link(reps[g], tables[g], run_index, streams, None if k is None else latents[k], noise)
 
 
 def _handover(
@@ -388,16 +469,15 @@ def simulate_run(
 ) -> RunResult:
     """Simulate one seeded run; deterministic given (config, master_seed, run_index).
 
-    The run draws its own streams at ``tables.tick_stride``, runs the link part
-    (``_link``) and drives ``cfg.handover`` over it once (``_handover``); with
-    ``want_trace``, ``_run_trace`` builds its trace. The runs of
-    ``monte_carlo`` do not come here: ``_run_batch`` calls the link and
-    handover parts.
+    The run is a batch of one: it draws its own streams through ``_links``,
+    as ``_run_batch`` does, runs the link part (``_link``) and drives
+    ``cfg.handover`` over it once (``_handover``); with ``want_trace``,
+    ``_run_trace`` builds its trace. The runs of ``monte_carlo`` do not come
+    here: ``_run_batch`` calls the link and handover parts.
     """
     if tables is None:
         tables = precompute_tables(cfg)
-    streams = _draw_streams(cfg.master_seed, run_index, tables, tables.tick_stride)
-    link = _link(cfg, tables, run_index, streams)
+    ((_, link),) = _links(cfg.master_seed, run_index, [cfg], [tables], _draw_plan([cfg], [tables]))
     records, final_serving = _handover(cfg, cfg.handover, tables, run_index, link, a3_margins(link[1]))
     trace = _run_trace(cfg, tables, link, records, final_serving) if want_trace else None
     return RunResult(tuple(records), trace)
@@ -489,6 +569,19 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
       the gcd of the family's tick strides, and each group slices its ticks
       out of them. The speeds and environments of a sweep with the default
       profiles form one family.
+    * Every link group reads, per run, the leading rows and ticks of one
+      draw of the measurement noise, made for the most cells and the most
+      ticks of any group that adds noise. The LOS latent is drawn and
+      filtered once per distinct recursion: a group shares the draw of a
+      longer one when that draw's segments, clipped to the group's latent
+      length, are the group's own (``_clip_segments``), and reads its
+      leading rows at ``[:n_latent:tick_stride]``. The speeds of one track
+      and snapshot grid share one. A shorter draw is a prefix of a longer
+      one bit for bit, because ``standard_normal`` fills its output in
+      stream order, and scaling and the first-order ``lfilter`` of the
+      recursion run sample by sample; a segment clipped to one sample is
+      ``rho * prev + scale * eps``, the first ``lfilter`` output.
+      ``_draw_plan`` decides all of this once per batch.
 
     Each run goes through every link group, so all their table sets are
     alive while the runs go, on up to ``workers`` threads and never more
@@ -501,22 +594,16 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
             groups.append((c, {c.handover: [i]}))
         else:
             group[1].setdefault(c.handover, []).append(i)  # equal grid points drive one machine
-    tables = [precompute_tables(rep) for rep, _ in groups]
-    by_family: dict[tuple, list[int]] = {}
-    for g, t in enumerate(tables):
-        by_family.setdefault(_stream_family(t), []).append(g)
-    families = [(math.gcd(*(tables[g].tick_stride for g in family)), family) for family in by_family.values()]
+    reps = [rep for rep, _ in groups]
+    tables = [precompute_tables(rep) for rep in reps]
+    plan = _draw_plan(reps, tables)
     seed = cfgs[0].master_seed
 
     def run(run_index: int) -> list[list[list[HandoverRecord]]]:
         per_group = [()] * len(groups)
-        for stride, family in families:
-            streams = _draw_streams(seed, run_index, tables[family[0]], stride)
-            for g in family:
-                rep, members = groups[g]
-                link = _link(rep, tables[g], run_index, streams)
-                margins = a3_margins(link[1])
-                per_group[g] = [_handover(rep, ho, tables[g], run_index, link, margins)[0] for ho in members]
+        for g, link in _links(seed, run_index, reps, tables, plan):
+            margins = a3_margins(link[1])
+            per_group[g] = [_handover(reps[g], ho, tables[g], run_index, link, margins)[0] for ho in groups[g][1]]
         return per_group
 
     workers = min(workers, os.cpu_count() or 1)

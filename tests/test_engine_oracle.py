@@ -159,7 +159,7 @@ def _reference_run(cfg, run_index, tables):
     l3 = np.empty((n_cells, n_ticks))
     for cell in range(n_cells):
         meas_rng = _link_streams(cfg.master_seed, run_index, cell, _STREAM_MEASUREMENT)
-        l3[cell] = measure_cell(eff_lin_dl[cell], cfg.l1, cfg.l3, [meas_rng])
+        l3[cell] = measure_cell(eff_lin_dl[cell], cfg.l1, cfg.l3, meas_rng.standard_normal(n_ticks))
 
     dl_snr = ici.rss_with_ici(pr_dl, p)
     ul_snr = ici.rss_with_ici(pr_dl * ul_shift, p)

@@ -13,17 +13,19 @@ from scipy.special import ndtr
 from railho import cli, csvio
 from railho.channel import shadowing_series_db
 from railho.config import RunConfig, apply_overrides
-from railho.geometry import Environment, TrainKinematics, environment_at, sample_stride
+from railho.geometry import Environment, TrainKinematics, default_layout, environment_at, sample_stride
 from railho.handover import HandoverRecord, Outcome
 from railho.ici import IciParams
 from railho import simulate
 from railho.simulate import (
     _downlink_pr_ticks,
+    _draw_los_latent,
     _draw_streams,
     _link_streams,
     _COMMON_LINK,
     _STREAM_FADING,
     _STREAM_LOS,
+    _STREAM_MEASUREMENT,
     _STREAM_SHADOW,
     aggregate_records,
     monte_carlo,
@@ -113,6 +115,34 @@ class TestSweepGrid:
         return cfgs
 
     @staticmethod
+    def cutting_grid(tiny_cfg):
+        """Cutting at three speeds on 2 and 3 spans, one member noiseless and one with its own LOS recursion.
+
+        Every group reads the leading rows and ticks of one measurement-noise
+        draw, made for the most cells and ticks. All but one read the leading
+        rows and snapshots of one LOS latent draw; the member whose cutting
+        profile has a longer LOS decorrelation distance draws its own.
+        """
+        base = dataclasses.replace(tiny_cfg, runs=3)
+        layouts = [default_layout(environment="cutting", spans=spans, rrh_spacing_m=400.0) for spans in (2, 3)]
+        cfgs = [
+            apply_overrides(dataclasses.replace(base, layout=layout), offset_db=offset, speed_kmh=speed)
+            for layout in layouts
+            for offset in (0.0, 3.0)
+            for speed in (100.0, 300.0, 500.0)
+        ]
+        noiseless = dataclasses.replace(cfgs[0], l1=dataclasses.replace(cfgs[0].l1, noise_sigma_db=0.0))
+        cutting = cfgs[0].profiles[Environment.CUTTING]
+        cutting = dataclasses.replace(cutting, los_decorrelation_m=2.0 * cutting.los_decorrelation_m)
+        own_los = dataclasses.replace(cfgs[0], profiles={**cfgs[0].profiles, Environment.CUTTING: cutting})
+        return [*cfgs, noiseless, own_los]
+
+    @staticmethod
+    def noiseless_grid(tiny_cfg):
+        noiseless = dataclasses.replace(tiny_cfg.l1, noise_sigma_db=0.0)
+        return [dataclasses.replace(cfg, l1=noiseless) for cfg in TestSweepGrid.grid(tiny_cfg)]
+
+    @staticmethod
     def assert_grid_equals_each_config_alone(cfgs, workers):
         alone = [monte_carlo(cfg, workers=workers) for cfg in cfgs]
         assert len({stats.n_records for stats in alone}) > 4  # the configs differ
@@ -124,7 +154,7 @@ class TestSweepGrid:
         self.assert_grid_equals_each_config_alone(self.grid(tiny_cfg), workers)
 
     @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("grid_of", ["split_shadowing_grid", "fine_grid"])
+    @pytest.mark.parametrize("grid_of", ["split_shadowing_grid", "fine_grid", "cutting_grid"])
     def test_stream_families_equal_each_config_alone(self, tiny_cfg, grid_of, workers):
         self.assert_grid_equals_each_config_alone(getattr(self, grid_of)(tiny_cfg), workers)
 
@@ -146,12 +176,9 @@ class TestSweepGrid:
     def one_config_grid(tiny_cfg):
         return [dataclasses.replace(tiny_cfg, runs=3)]
 
-    @pytest.mark.parametrize(
-        "grid_of, families",
-        [("grid", 1), ("split_shadowing_grid", 2), ("fine_grid", 1), ("one_config_grid", 1)],
-    )
-    def test_one_stream_draw_per_run_and_family(self, tiny_cfg, monkeypatch, grid_of, families):
-        cfgs = getattr(self, grid_of)(tiny_cfg)
+    @staticmethod
+    def streams_built(cfgs, monkeypatch) -> Counter:
+        """The generators a ``SweepGrid`` of ``cfgs`` builds, by (run, purpose)."""
         built = Counter()
 
         def counted(seed, run_index, cell, purpose):
@@ -162,10 +189,33 @@ class TestSweepGrid:
         grid = SweepGrid(cfgs)
         for cfg in cfgs:
             monte_carlo(cfg, grid=grid)
+        return built
+
+    # distinct LOS recursions: viaduct and urban tracks read no LOS latent, and
+    # the mixed track's speeds share one
+    LOS_RECURSIONS = {"grid": 1, "split_shadowing_grid": 0, "fine_grid": 1, "one_config_grid": 0, "noiseless_grid": 1}
+
+    @pytest.mark.parametrize(
+        "grid_of, families",
+        [("grid", 1), ("split_shadowing_grid", 2), ("fine_grid", 1), ("one_config_grid", 1), ("noiseless_grid", 1)],
+    )
+    def test_one_stream_draw_per_run_and_family(self, tiny_cfg, monkeypatch, grid_of, families):
+        cfgs = getattr(self, grid_of)(tiny_cfg)
+        built = self.streams_built(cfgs, monkeypatch)
         n_cells = cfgs[0].layout.spans + 1
+        noisy = cfgs[0].l1.noise_sigma_db > 0.0
         for run in range(cfgs[0].runs):
             assert built[run, _STREAM_SHADOW] == families * (n_cells + 1)  # per cell and the common link
             assert built[run, _STREAM_FADING] == families * n_cells
+            assert built[run, _STREAM_LOS] == self.LOS_RECURSIONS[grid_of] * n_cells
+            assert built[run, _STREAM_MEASUREMENT] == (n_cells if noisy else 0)
+
+    def test_los_and_noise_drawn_once_for_every_track_length(self, tiny_cfg, monkeypatch):
+        cfgs = self.cutting_grid(tiny_cfg)
+        built = self.streams_built(cfgs, monkeypatch)
+        for run in range(cfgs[0].runs):  # 4 cells on 3 spans; 3 on 2 spans read the leading rows
+            assert built[run, _STREAM_MEASUREMENT] == 4
+            assert built[run, _STREAM_LOS] == 4 + 3  # the shared recursion, and the 2-span member's own
 
     @pytest.mark.parametrize("field, other", [("master_seed", 7), ("runs", 5)])
     def test_grid_needs_one_seed_and_run_count(self, tiny_cfg, field, other):
@@ -190,7 +240,9 @@ class TestChannelSeriesOracle:
         profiles = [cfg.profiles[environment_at(cfg.layout, x)] for x in positions]
 
         streams = _draw_streams(cfg.master_seed, run, tables, tables.tick_stride)
-        fast = _downlink_pr_ticks(cfg, tables, run, streams)[cell]
+        n_cells = cfg.layout.spans + 1
+        latent = _draw_los_latent(cfg.master_seed, run, n_cells, tables.los_segments) if tables.los_ticks else None
+        fast = _downlink_pr_ticks(tables, streams, latent)[cell]
 
         # literal scalar recomputation from the same streams
         eps_c = _link_streams(cfg.master_seed, run, _COMMON_LINK, _STREAM_SHADOW).standard_normal(n)

@@ -68,15 +68,23 @@ class TestL1Filter:
     def test_noise_is_clipped(self):
         cfg = L1Config(noise_sigma_db=1.0, noise_cutoff_sigmas=3.0)
         raw = np.full(100_000, 10.0)
-        out = l1_filter(raw, cfg, stride=1, rng=[np.random.default_rng(0)])
+        out = l1_filter(raw, cfg, stride=1, normals=np.random.default_rng(0).standard_normal(raw.size))
         dev = np.abs(out - 10.0)
         assert dev.max() <= 3.0 + 1e-12
         # noise actually present
         assert dev.max() > 1.0
 
     def test_requires_rng_with_noise(self):
-        with pytest.raises(ValueError):
-            l1_filter(np.ones(10), L1Config(), stride=1, rng=None)
+        with pytest.raises(ValueError, match="normals required"):
+            l1_filter(np.ones(10), L1Config(), stride=1, normals=None)
+        with pytest.raises(ValueError, match=r"shape \(9,\) for a series of shape \(5,\)"):
+            l1_filter(np.ones(10), L1Config(), stride=2, normals=np.zeros(9))
+
+    def test_noise_normals_are_not_read_without_noise(self):
+        raw = np.arange(1.0, 11.0)
+        np.testing.assert_array_equal(
+            l1_filter(raw, noiseless(), stride=1, normals=np.full(10, np.nan)), l1_filter(raw, noiseless(), stride=1)
+        )
 
     def test_rejects_empty_and_nonpositive(self):
         with pytest.raises(ValueError):
@@ -155,16 +163,18 @@ class TestPipeline:
 
     def test_series_lengths_agree(self):
         raw = np.ones(100)
-        l3 = measure_cell(raw[::3], L1Config(), L3Config(), rng=[np.random.default_rng(2)])
-        l1 = l1_filter(raw, L1Config(), 3, [np.random.default_rng(2)])
+        normals = np.random.default_rng(2).standard_normal(34)
+        l3 = measure_cell(raw[::3], L1Config(), L3Config(), normals)
+        l1 = l1_filter(raw, L1Config(), 3, normals)
         assert len(l3) == len(l1) == 34
         np.testing.assert_array_equal(l3, l3_filter(l1, L3Config()))
 
     def test_stack_of_cells_matches_one_cell_at_a_time(self):
         raw = np.abs(np.random.default_rng(3).normal(10.0, 3.0, size=(3, 120))) + 0.1
-        stacked = measure_cell(raw, L1Config(), L3Config(), [np.random.default_rng(s) for s in range(3)])
+        normals = np.random.default_rng(4).standard_normal((3, 120))
+        stacked = measure_cell(raw, L1Config(), L3Config(), normals)
         for cell in range(3):
-            one = measure_cell(raw[cell], L1Config(), L3Config(), [np.random.default_rng(cell)])
+            one = measure_cell(raw[cell], L1Config(), L3Config(), normals[cell])
             np.testing.assert_array_equal(stacked[cell], one)
-        with pytest.raises(ValueError, match="2 generators for 3 streams"):
-            measure_cell(raw, L1Config(), L3Config(), [np.random.default_rng(s) for s in range(2)])
+        with pytest.raises(ValueError, match=r"shape \(2, 120\) for a series of shape \(3, 120\)"):
+            measure_cell(raw, L1Config(), L3Config(), normals[:2])
