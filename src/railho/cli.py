@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import csvio
+from . import csvio, ici
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .geometry import Environment
 from .simulate import SweepGrid, monte_carlo, simulate_run
@@ -99,6 +99,21 @@ def _check_out(out: Path) -> None:
             return
 
 
+def _warn_ici(cfgs: list[RunConfig]) -> None:
+    """Name on stderr, once, the speeds whose Taylor ICI power is 1 or more: the bound is out of its range there."""
+    speeds = sorted({
+        cfg.speed_kmh for cfg in cfgs
+        if ici.ici_power_upper(ici.doppler_spread_hz(cfg.kinematics.speed_mps, cfg.ici.carrier_frequency_hz), cfg.ici)
+        >= 1.0
+    })
+    if speeds:
+        print(
+            f"warning: the ICI power bound is 1 or more at {', '.join(f'{v:g}' for v in speeds)} km/h, "
+            "outside the range of its Taylor expansion",
+            file=sys.stderr,
+        )
+
+
 def _run_configs(args: argparse.Namespace, cfgs: list[RunConfig], names: tuple[str, str, str]) -> int:
     """Run each config, print its summary line and write the records, stats and histogram CSVs."""
     if args.workers < 1:
@@ -117,6 +132,7 @@ def _run_configs(args: argparse.Namespace, cfgs: list[RunConfig], names: tuple[s
             f"weighted start point {stats.weighted_start_point_m:.1f} m, "
             f"delay {stats.delay_in_samples} samples"
         )
+    _warn_ici(cfgs)
     args.out.mkdir(parents=True, exist_ok=True)
     records_path, stats_path, hist_path = (args.out / name for name in names)
     csvio.write_records_csv(record_groups, records_path)
@@ -150,6 +166,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         raise ConfigError(f"run index {args.run} is negative")
     _check_out(args.out)
     result = simulate_run(cfg, args.run, want_trace=True)
+    _warn_ici([cfg])
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"trace_run{args.run}.csv"
     csvio.write_trace_csv(result.trace, path)

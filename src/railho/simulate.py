@@ -13,10 +13,8 @@ What runs on snapshots and what on ticks:
 
 * Snapshots: per cell, the draws of every stream and the shadowing and
   LOS-latent recursions, nothing else. The recursions read segment tables
-  that ``precompute_tables`` splits once per config. Only their values at
-  the ticks are kept (in a sweep, the shadowing and fading at every k-th
-  snapshot, see ``_run_batch``), so no per-snapshot stack of cells is built
-  except the LOS latent's, which a sweep's link groups share.
+  that ``precompute_tables`` splits once per config. Only every k-th value
+  is kept (see ``_run_batch``), so no per-snapshot stack of cells is built.
 * Ticks: every link table is evaluated only at the tick positions, once per
   config: geometry, antenna gain, both path losses, the LOS thresholds,
   the shadowing shares and the Rician terms. Everything after the
@@ -34,10 +32,10 @@ not at all when ``l1.noise_sigma_db`` is 0.
 
 Runs are reproducible: every random stream is derived from (master_seed,
 run_index, cell, purpose), so results are independent of execution order
-and worker count. Every run draws through one path, ``_links`` under a
-``_DrawPlan``; a single config is a batch of one. What the configs of a
-sweep share, and why that leaves every record unchanged, is stated once, in
-``_run_batch``.
+and worker count. Every run draws through one path, ``_views`` under the
+``_Draw``s of ``_draw_plan``; a single config is a batch of one. What the
+configs of a sweep share, and why that leaves every record unchanged, is
+stated once, in ``_run_batch``.
 """
 
 from __future__ import annotations
@@ -243,93 +241,61 @@ _RAYLEIGH = channel.rician_coefficients(0.0)
 
 
 @dataclass(frozen=True)
-class _Streams:
-    """One run's shadowing and fading draws, kept at every ``stride``-th snapshot.
+class _Draw:
+    """Standard normals of one purpose, per cell: ``n`` samples (pairs with ``pairs``).
 
-    A stream family shares them (see ``_run_batch``). Readers take views and
-    never write to them.
+    With ``segments`` they run through that recursion. Every ``keep``-th
+    sample is kept. A link group's read of a draw is a ``_Draw`` too, whose
+    ``keep`` is its tick stride (1 for the measurement noise, drawn on ticks).
     """
 
-    stride: int
-    own: np.ndarray      # (n_cells, n_kept) per-link shadowing, dB
-    common: np.ndarray   # (n_kept,) UE-local common shadowing, dB
-    normals: np.ndarray  # (n_cells, n_kept, 2) fading normals
+    purpose: int
+    cells: tuple[int, ...]
+    n: int
+    segments: tuple | None
+    pairs: bool
+    keep: int
 
 
-def _stream_family(tables: _StaticTables) -> tuple:
-    """What a run's shadowing and fading draws depend on besides the seed and run index."""
-    return tables.tick_rx_nlos_dbm.shape[0], tables.n_snapshots, tables.shadow_segments
+def _draw(seed: int, run_index: int, d: _Draw) -> np.ndarray:
+    """One run's draw ``d``, ``(len(d.cells), n_kept)``, or ``(..., 2)`` with ``pairs``; readers never write to it."""
+    shape = (d.n, 2) if d.pairs else (d.n,)
+    out = np.empty((len(d.cells), -(-d.n // d.keep), *shape[1:]))
+    for row, cell in zip(out, d.cells):
+        stream = _link_streams(seed, run_index, cell, d.purpose)
+        if d.segments is None and d.keep == 1:
+            stream.standard_normal(out=row)
+        else:
+            eps = stream.standard_normal(shape)
+            row[...] = (eps if d.segments is None else channel.shadowing_series_db(eps, d.segments))[:: d.keep]
+    return out
 
 
-def _draw_streams(seed: int, run_index: int, tables: _StaticTables, stride: int) -> _Streams:
-    """Draw the shadowing and fading streams of one run over the snapshot grid.
-
-    Per cell, the streams are drawn and the recursions run over every
-    snapshot; only every ``stride``-th value is kept.
-    """
-    n_cells, n_snap, segments = _stream_family(tables)
-    kept = slice(None, None, stride)
-    n_kept = -(-n_snap // stride)
-    own = np.empty((n_cells, n_kept))
-    normals = np.empty((n_cells, n_kept, 2))
-    for cell in range(n_cells):
-        eps = _link_streams(seed, run_index, cell, _STREAM_SHADOW).standard_normal(n_snap)
-        own[cell] = channel.shadowing_series_db(eps, segments)[kept]
-        fading = _link_streams(seed, run_index, cell, _STREAM_FADING)
-        normals[cell] = fading.standard_normal((n_snap, 2))[kept]
-    eps = _link_streams(seed, run_index, _COMMON_LINK, _STREAM_SHADOW).standard_normal(n_snap)
-    common = channel.shadowing_series_db(eps, segments)[kept]
-    return _Streams(stride, own, common, normals)
-
-
-def _draw_los_latent(seed: int, run_index: int, n_cells: int, segments: tuple) -> np.ndarray:
-    """One run's LOS latent, ``(n_cells, n)``: per cell, drawn and filtered over the ``n`` snapshots of ``segments``."""
-    n = segments[-1][1]
-    latent = np.empty((n_cells, n))
-    for cell in range(n_cells):
-        eps = _link_streams(seed, run_index, cell, _STREAM_LOS).standard_normal(n)
-        latent[cell] = channel.shadowing_series_db(eps, segments)
-    return latent
-
-
-def _draw_measurement_noise(seed: int, run_index: int, n_cells: int, n_ticks: int) -> np.ndarray:
-    """The standard normals of one run's L1 measurement noise, ``(n_cells, n_ticks)``, one stream per cell."""
-    normals = np.empty((n_cells, n_ticks))
-    for cell, row in enumerate(normals):
-        _link_streams(seed, run_index, cell, _STREAM_MEASUREMENT).standard_normal(out=row)
-    return normals
-
-
-def _downlink_pr_ticks(tables: _StaticTables, streams: _Streams, los_latent: np.ndarray | None) -> np.ndarray:
+def _downlink_pr_ticks(
+    tables: _StaticTables, own: np.ndarray, common: np.ndarray, fading: np.ndarray, latent: np.ndarray | None
+) -> np.ndarray:
     """Noise-normalised downlink power of every link at the tick snapshots, ``(n_cells, n_ticks)``.
 
-    The shadowing and fading come from ``streams``, whose stride divides the
-    tick stride. The LOS latent is read from the leading rows and snapshots
-    of ``los_latent`` (``_draw_los_latent``), up to ``los_ticks``; it is
-    ``None`` when ``los_ticks`` is 0. The rest runs once on the stack.
+    The draws are the link group's views (see ``_views``), read at its
+    ticks: the per-link and common shadowing, the fading pairs and, up to
+    ``los_ticks``, the LOS latent (``None`` when ``los_ticks`` is 0). The
+    rest runs once on the stack.
     """
-    ticks = slice(None, None, tables.tick_stride // streams.stride)
-    n_cells, n_ticks = tables.tick_rx_nlos_dbm.shape
     m = tables.los_ticks
-
-    latent = np.empty((n_cells, n_ticks))
-    latent[:, m:] = 0.0  # only an infinite threshold is read there
+    buf = np.empty(tables.tick_rx_nlos_dbm.shape)
+    buf[:, m:] = 0.0  # only an infinite threshold is read there
     if m:
         # LOS persistence: threshold a unit-variance correlated latent so the
         # marginal LOS probability stays exactly distance-dependent.
-        stride = tables.tick_stride
-        latent[:, :m] = los_latent[:n_cells, : m * stride : stride]
-
-    los = latent < tables.tick_los_threshold
+        buf[:, :m] = latent
+    los = buf < tables.tick_los_threshold
     mean, scale = tables.tick_rician
-    h2 = channel.small_scale_series(
-        streams.normals[:, ticks], np.where(los, mean, _RAYLEIGH[0]), np.where(los, scale, _RAYLEIGH[1])
-    )
+    h2 = channel.small_scale_series(fading, np.where(los, mean, _RAYLEIGH[0]), np.where(los, scale, _RAYLEIGH[1]))
     # rx = (tx + base) + shadow + 10 log10(h2), summed in place; the shadow
     # mixes the per-link and common terms in the latent's buffer, which the
-    # LOS decision has read (the streams may be shared, so not in theirs)
-    shadow = np.multiply(streams.own[:, ticks], tables.tick_site_ind_sqrt, out=latent)
-    shadow += tables.tick_site_corr_sqrt * streams.common[ticks]
+    # LOS decision has read (the draws may be shared, so not in theirs)
+    shadow = np.multiply(own, tables.tick_site_ind_sqrt, out=buf)
+    shadow += tables.tick_site_corr_sqrt * common
     rx_dbm = np.where(los, tables.tick_rx_los_dbm, tables.tick_rx_nlos_dbm)
     rx_dbm += shadow
     fading_db = np.log10(h2)
@@ -338,83 +304,73 @@ def _downlink_pr_ticks(tables: _StaticTables, streams: _Streams, los_latent: np.
     return ici.snr_linear_from_dbm(rx_dbm, tables.noise_dbm)
 
 
-def _link(
-    cfg: RunConfig,
-    tables: _StaticTables,
-    run_index: int,
-    streams: _Streams,
-    los_latent: np.ndarray | None,
-    noise: np.ndarray | None,
-) -> tuple[np.ndarray, ...]:
+def _link(cfg: RunConfig, tables: _StaticTables, run_index: int, views: Sequence) -> tuple[np.ndarray, ...]:
     """The link part of a run: ``(pr_dl, l3, ul_snr, dl_snr)``, each ``(n_cells, n_ticks)``.
 
-    ``noise`` holds the run's measurement-noise normals
-    (``_draw_measurement_noise``), of which the link reads the leading rows
-    and ticks when ``cfg.l1`` adds noise; it is ``None`` when no link group
-    of the run adds any.
+    ``views`` are the group's five reads of the run's draws (``_views``):
+    ``(own, common, fading, latent, noise)``; ``noise``, the measurement
+    noise's standard normals, is ``None`` when ``cfg.l1`` adds none.
     """
     p = tables.p_ici
     with np.errstate(over="ignore", invalid="ignore"):  # a power out of the float range is rejected below
-        pr_dl = _downlink_pr_ticks(tables, streams, los_latent)
+        pr_dl = _downlink_pr_ticks(tables, *views[:4])
         pr_ul = pr_dl * cfg.budget.ul_shift()
     # the UL shift is a positive float, so this bounds pr_dl too; NaN fails it
     if not 0.0 < pr_ul.min() <= pr_ul.max() < math.inf:
         raise ConfigError(f"run {run_index}: a link's SNR leaves the float range; check budget, gains, profiles")
     eff_lin_dl = ici.effective_sinr_linear(pr_dl, p)
-    n_cells, n_ticks = pr_dl.shape
-    normals = noise[:n_cells, :n_ticks] if cfg.l1.noise_sigma_db > 0.0 else None
-    l3 = measure_cell(eff_lin_dl, cfg.l1, cfg.l3, normals)
+    l3 = measure_cell(eff_lin_dl, cfg.l1, cfg.l3, views[4])
     dl_snr = 10.0 * np.log10(eff_lin_dl)  # ici.rss_with_ici(pr_dl, p), from the L1 input
     ul_snr = 10.0 * np.log10(ici.effective_sinr_linear(pr_ul, p))
     return pr_dl, l3, ul_snr, dl_snr
 
 
-@dataclass(frozen=True)
-class _DrawPlan:
-    """Which draws the link groups of a batch share in every run (see ``_run_batch``); built once per batch."""
-
-    families: tuple[tuple[int, tuple[int, ...]], ...]  # (stride, groups): one shadowing and fading draw each
-    los: tuple[tuple[int, tuple], ...]  # (cells, segments): one LOS latent draw each
-    los_of: tuple[int | None, ...]      # per group, its LOS latent draw; None when it reads none
-    noise: tuple[int, int] | None       # (cells, ticks) of the measurement noise; None when no group adds any
+def _clip_segments(segments: tuple | None, n: int) -> tuple | None:
+    """The recursion segments of the first ``n`` samples of ``segments``; ``None`` stays ``None``."""
+    return segments and tuple((i, min(j, n), rho, scale) for i, j, rho, scale in segments if i < n)
 
 
-def _clip_segments(segments: tuple, n: int) -> tuple:
-    """The recursion segments of the first ``n`` snapshots of ``segments``."""
-    return tuple((i, min(j, n), rho, scale) for i, j, rho, scale in segments if i < n)
+def _draw_plan(reps: Sequence[RunConfig], tables: Sequence[_StaticTables]) -> tuple:
+    """``(draws, views)``: the draws of a run, and each link group's ``(draw, rows, step, count)`` per read.
+
+    A group reads its own and the common shadowing, the fading pairs, the
+    LOS latent and the L1 noise; a read it does not make is ``None``. The
+    sharing rule is stated in ``_run_batch``.
+    """
+    reads = []
+    for rep, t in zip(reps, tables):
+        cells, n, stride = tuple(range(t.tick_rx_nlos_dbm.shape[0])), t.n_snapshots, t.tick_stride
+        noisy = rep.l1.noise_sigma_db > 0.0
+        reads.append((
+            _Draw(_STREAM_SHADOW, cells, n, t.shadow_segments, False, stride),
+            _Draw(_STREAM_SHADOW, (_COMMON_LINK,), n, t.shadow_segments, False, stride),
+            _Draw(_STREAM_FADING, cells, n, None, True, stride),
+            _Draw(_STREAM_LOS, cells, t.los_segments[-1][1], t.los_segments, False, stride) if t.los_ticks else None,
+            _Draw(_STREAM_MEASUREMENT, cells, t.tick_snapshots.size, None, False, 1) if noisy else None,
+        ))
+    draws: list[_Draw] = []
+    slot: dict[_Draw, int] = {}
+    for r in sorted(dict.fromkeys(r for group in reads for r in group if r), key=lambda r: -r.n):
+        k = next((k for k, d in enumerate(draws) if d.purpose == r.purpose
+                  and d.cells[: len(r.cells)] == r.cells[: len(d.cells)]
+                  and _clip_segments(d.segments, r.n) == r.segments), len(draws))
+        if k == len(draws):
+            draws.append(r)
+        d = draws[k]
+        draws[k] = replace(d, cells=max(d.cells, r.cells, key=len), keep=math.gcd(d.keep, r.keep))
+        slot[r] = k
+    views = [
+        [r and (slot[r], len(r.cells), r.keep // draws[slot[r]].keep, -(-r.n // r.keep)) for r in group]
+        for group in reads
+    ]
+    return tuple(draws), views
 
 
-def _draw_plan(reps: Sequence[RunConfig], tables: Sequence[_StaticTables]) -> _DrawPlan:
-    """The draws that link groups ``reps`` (with their ``tables``) share in every run."""
-    by_family: dict[tuple, list[int]] = {}
-    for g, t in enumerate(tables):
-        by_family.setdefault(_stream_family(t), []).append(g)
-    families = tuple((math.gcd(*(tables[g].tick_stride for g in fam)), tuple(fam)) for fam in by_family.values())
-    n_cells = [t.tick_rx_nlos_dbm.shape[0] for t in tables]
-    n_latent = [t.los_segments[-1][1] if t.los_segments else 0 for t in tables]
-    los: list[list] = []  # [cells, segments], longest recursion first
-    los_of: list[int | None] = [None] * len(tables)
-    for g in sorted((g for g in range(len(tables)) if n_latent[g]), key=lambda g: -n_latent[g]):
-        own = tables[g].los_segments
-        k = next((k for k, (_, longer) in enumerate(los) if _clip_segments(longer, n_latent[g]) == own), len(los))
-        if k == len(los):
-            los.append([0, own])
-        los[k][0] = max(los[k][0], n_cells[g])
-        los_of[g] = k
-    noisy = [t.tick_rx_nlos_dbm.shape for rep, t in zip(reps, tables) if rep.l1.noise_sigma_db > 0.0]
-    noise = (max(c for c, _ in noisy), max(n for _, n in noisy)) if noisy else None
-    return _DrawPlan(families, tuple((cells, segments) for cells, segments in los), tuple(los_of), noise)
-
-
-def _links(seed: int, run_index: int, reps: Sequence[RunConfig], tables: Sequence[_StaticTables], plan: _DrawPlan):
-    """Yield ``(group, link)``, the link part of every link group of one run, from the run's draws under ``plan``."""
-    latents = [_draw_los_latent(seed, run_index, cells, segments) for cells, segments in plan.los]
-    noise = None if plan.noise is None else _draw_measurement_noise(seed, run_index, *plan.noise)
-    for stride, family in plan.families:
-        streams = _draw_streams(seed, run_index, tables[family[0]], stride)
-        for g in family:
-            k = plan.los_of[g]
-            yield g, _link(reps[g], tables[g], run_index, streams, None if k is None else latents[k], noise)
+def _views(seed: int, run_index: int, plan: tuple) -> list[list]:
+    """One run's draws under ``plan`` (``_draw_plan``), as each link group's five reads of them."""
+    draws, views = plan
+    kept = [_draw(seed, run_index, d) for d in draws]
+    return [[v and kept[v[0]][: v[1], : v[2] * v[3] : v[2]] for v in group] for group in views]
 
 
 def _handover(
@@ -469,7 +425,7 @@ def simulate_run(
 ) -> RunResult:
     """Simulate one seeded run; deterministic given (config, master_seed, run_index).
 
-    The run is a batch of one: it draws its own streams through ``_links``,
+    The run is a batch of one: it draws its own streams through ``_views``,
     as ``_run_batch`` does, runs the link part (``_link``) and drives
     ``cfg.handover`` over it once (``_handover``); with ``want_trace``,
     ``_run_trace`` builds its trace. The runs of ``monte_carlo`` do not come
@@ -477,7 +433,8 @@ def simulate_run(
     """
     if tables is None:
         tables = precompute_tables(cfg)
-    ((_, link),) = _links(cfg.master_seed, run_index, [cfg], [tables], _draw_plan([cfg], [tables]))
+    (views,) = _views(cfg.master_seed, run_index, _draw_plan([cfg], [tables]))
+    link = _link(cfg, tables, run_index, views)
     records, final_serving = _handover(cfg, cfg.handover, tables, run_index, link, a3_margins(link[1]))
     trace = _run_trace(cfg, tables, link, records, final_serving) if want_trace else None
     return RunResult(tuple(records), trace)
@@ -559,29 +516,24 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
       (``a3_margins``), which drive one state machine per distinct
       ``handover`` (``_handover``). Only the state machine reads
       ``handover``. The runs call these directly, not ``simulate_run``.
-    * The link groups whose tables have equal cell counts, snapshot counts
-      and shadowing segments (``_stream_family``) form a stream family, which
-      shares, per run, one draw of the shadowing and fading streams. Every
-      random stream is keyed by (master_seed, run_index, cell, purpose) and
-      indexed by snapshot, not by tick, and the shadowing recursion reads
-      only the shadowing segments, so these draws depend neither on the
-      speed nor on the LOS profile. They are kept at every k-th snapshot, k
-      the gcd of the family's tick strides, and each group slices its ticks
-      out of them. The speeds and environments of a sweep with the default
-      profiles form one family.
-    * Every link group reads, per run, the leading rows and ticks of one
-      draw of the measurement noise, made for the most cells and the most
-      ticks of any group that adds noise. The LOS latent is drawn and
-      filtered once per distinct recursion: a group shares the draw of a
-      longer one when that draw's segments, clipped to the group's latent
-      length, are the group's own (``_clip_segments``), and reads its
-      leading rows at ``[:n_latent:tick_stride]``. The speeds of one track
-      and snapshot grid share one. A shorter draw is a prefix of a longer
-      one bit for bit, because ``standard_normal`` fills its output in
-      stream order, and scaling and the first-order ``lfilter`` of the
+    * Every random stream is keyed by (master_seed, run_index, cell, purpose)
+      and indexed by sample (snapshot, or tick for the L1 noise), not by
+      speed or LOS profile. One rule shares the draws: a group's five reads
+      (its own and the common shadowing, the fading pairs, the LOS latent
+      and the L1 noise), longest first, each join a draw of their purpose
+      whose cell ids agree with the read's as far as both go (the draw
+      takes the longer) and whose recursion segments, clipped to the read's
+      length (``_clip_segments``), are the read's own (``None`` matches
+      ``None``).
+      A draw is kept at the gcd of its readers' strides, and each group
+      reads its leading rows and ticks. A shorter draw is a prefix of a
+      longer one bit for bit, because ``standard_normal`` fills its output
+      in stream order, and scaling and the first-order ``lfilter`` of the
       recursion run sample by sample; a segment clipped to one sample is
       ``rho * prev + scale * eps``, the first ``lfilter`` output.
-      ``_draw_plan`` decides all of this once per batch.
+      ``_draw_plan`` applies the rule once per batch. With the default
+      profiles, a sweep's speeds and environments share one draw per
+      purpose.
 
     Each run goes through every link group, so all their table sets are
     alive while the runs go, on up to ``workers`` threads and never more
@@ -601,7 +553,8 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
 
     def run(run_index: int) -> list[list[list[HandoverRecord]]]:
         per_group = [()] * len(groups)
-        for g, link in _links(seed, run_index, reps, tables, plan):
+        for g, views in enumerate(_views(seed, run_index, plan)):
+            link = _link(reps[g], tables[g], run_index, views)
             margins = a3_margins(link[1])
             per_group[g] = [_handover(reps[g], ho, tables[g], run_index, link, margins)[0] for ho in groups[g][1]]
         return per_group

@@ -24,7 +24,7 @@ from railho.config import RunConfig, config_from_dict
 from railho.geometry import Environment, default_layout, environment_at, link_geometry
 from railho.handover import HandoverFsm
 from railho.ici import IciParams
-from railho.simulate import _downlink_pr_ticks, _draw_los_latent, _draw_streams, precompute_tables, simulate_run
+from railho.simulate import _downlink_pr_ticks, _draw_plan, _views, precompute_tables, simulate_run
 
 
 def profile(**overrides) -> EnvironmentProfile:
@@ -365,9 +365,8 @@ class TestMeanRxPower:
             budget=LinkBudget(penetration_loss_db=0.0),
         )
         tables = precompute_tables(cfg)
-        streams = _draw_streams(cfg.master_seed, 0, tables, tables.tick_stride)
-        latent = _draw_los_latent(cfg.master_seed, 0, 2, tables.los_segments) if tables.los_ticks else None
-        pr = _downlink_pr_ticks(tables, streams, latent)[0]
+        (views,) = _views(cfg.master_seed, 0, _draw_plan([cfg], [tables]))
+        pr = _downlink_pr_ticks(tables, *views[:4])[0]
         rx_dbm = tables.noise_dbm + 10.0 * np.log10(pr)
         np.testing.assert_allclose(rx_dbm, 30.0, rtol=0.0, atol=1e-9)
 

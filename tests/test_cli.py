@@ -393,6 +393,42 @@ def test_out_under_a_file_exits_3_before_any_run(tiny_config_path, tmp_path, mon
     assert sorted(tmp_path.iterdir()) == [blocker, tiny_config_path]  # nothing made
 
 
+_ICI_WARNING = "warning: the ICI power bound is 1 or more at "
+
+
+@pytest.mark.parametrize(
+    "argv, warned",
+    [
+        (["simulate", "--speed", "500"], "500 km/h"),
+        (["sweep", "--speeds", "500,100,300", "--offsets", "0"], "300, 500 km/h"),
+        (["trace", "--speed", "500"], "500 km/h"),
+        (["simulate", "--speed", "100"], None),
+        (["sweep", "--speeds", "100", "--offsets", "0"], None),
+        (["trace", "--speed", "100"], None),
+    ],
+    ids=lambda v: "_".join(v) if isinstance(v, list) else str(v),
+)
+def test_ici_bound_out_of_range_warns_once_on_stderr(tiny_config_path, tmp_path, monkeypatch, capsys, argv, warned):
+    writes = []
+    for name in ("write_records_csv", "write_trace_csv"):
+        def noting(*args, _fn=getattr(csvio, name), **kwargs):
+            writes.append(capsys.readouterr().err)  # stderr so far, when the first CSV is written
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(csvio, name, noting)
+    assert main([*argv, "--config", str(tiny_config_path), "--out", str(tmp_path / "out")]) == 0
+    expected = "" if warned is None else f"{_ICI_WARNING}{warned}, outside the range of its Taylor expansion\n"
+    assert writes == [expected]
+    assert "warning" not in capsys.readouterr().out
+
+
+def test_configuration_error_comes_before_the_ici_warning(tiny_config_path, tmp_path, capsys):
+    argv = ["sweep", "--speeds", "500,1e160", "--offsets", "0", "--config", str(tiny_config_path)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "warning" not in err
+
+
 # A valid value of each value flag that differs from the tiny config and from the flag's default.
 _FLAG_VALUES = {
     "--speed": "500", "--env": "urban", "--offset-db": "6", "--ttt-ms": "160", "--runs": "1", "--seed": "7",

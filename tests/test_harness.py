@@ -19,14 +19,14 @@ from railho.ici import IciParams
 from railho import simulate
 from railho.simulate import (
     _downlink_pr_ticks,
-    _draw_los_latent,
-    _draw_streams,
+    _draw_plan,
     _link_streams,
     _COMMON_LINK,
     _STREAM_FADING,
     _STREAM_LOS,
     _STREAM_MEASUREMENT,
     _STREAM_SHADOW,
+    _views,
     aggregate_records,
     monte_carlo,
     SweepStatistics,
@@ -196,17 +196,17 @@ class TestSweepGrid:
     LOS_RECURSIONS = {"grid": 1, "split_shadowing_grid": 0, "fine_grid": 1, "one_config_grid": 0, "noiseless_grid": 1}
 
     @pytest.mark.parametrize(
-        "grid_of, families",
+        "grid_of, shadowing",  # distinct shadowing recursions; every grid shares one fading draw
         [("grid", 1), ("split_shadowing_grid", 2), ("fine_grid", 1), ("one_config_grid", 1), ("noiseless_grid", 1)],
     )
-    def test_one_stream_draw_per_run_and_family(self, tiny_cfg, monkeypatch, grid_of, families):
+    def test_one_stream_draw_per_run_and_family(self, tiny_cfg, monkeypatch, grid_of, shadowing):
         cfgs = getattr(self, grid_of)(tiny_cfg)
         built = self.streams_built(cfgs, monkeypatch)
         n_cells = cfgs[0].layout.spans + 1
         noisy = cfgs[0].l1.noise_sigma_db > 0.0
         for run in range(cfgs[0].runs):
-            assert built[run, _STREAM_SHADOW] == families * (n_cells + 1)  # per cell and the common link
-            assert built[run, _STREAM_FADING] == families * n_cells
+            assert built[run, _STREAM_SHADOW] == shadowing * (n_cells + 1)  # per cell and the common link
+            assert built[run, _STREAM_FADING] == n_cells
             assert built[run, _STREAM_LOS] == self.LOS_RECURSIONS[grid_of] * n_cells
             assert built[run, _STREAM_MEASUREMENT] == (n_cells if noisy else 0)
 
@@ -216,6 +216,9 @@ class TestSweepGrid:
         for run in range(cfgs[0].runs):  # 4 cells on 3 spans; 3 on 2 spans read the leading rows
             assert built[run, _STREAM_MEASUREMENT] == 4
             assert built[run, _STREAM_LOS] == 4 + 3  # the shared recursion, and the 2-span member's own
+            # the 2-span track's shadowing segments are the 3-span track's, clipped to its length
+            assert built[run, _STREAM_SHADOW] == 4 + 1
+            assert built[run, _STREAM_FADING] == 4
 
     @pytest.mark.parametrize("field, other", [("master_seed", 7), ("runs", 5)])
     def test_grid_needs_one_seed_and_run_count(self, tiny_cfg, field, other):
@@ -230,21 +233,13 @@ class TestSweepGrid:
 
 
 class TestChannelSeriesOracle:
-    def test_vectorised_link_series_matches_literal_loop(self, tiny_cfg):
-        cfg = tiny_cfg
-        tables = precompute_tables(cfg)
-        run, cell = 2, 1
+    @staticmethod
+    def literal_downlink(cfg, tables, run, cell):
+        """A link's noise-normalised downlink power at the ticks, from scalar loops over every snapshot."""
         n = tables.n_snapshots
         step = cfg.kinematics.snapshot_interval_m
         positions = [cfg.kinematics.start_position_m + i * step for i in range(n)]
         profiles = [cfg.profiles[environment_at(cfg.layout, x)] for x in positions]
-
-        streams = _draw_streams(cfg.master_seed, run, tables, tables.tick_stride)
-        n_cells = cfg.layout.spans + 1
-        latent = _draw_los_latent(cfg.master_seed, run, n_cells, tables.los_segments) if tables.los_ticks else None
-        fast = _downlink_pr_ticks(tables, streams, latent)[cell]
-
-        # literal scalar recomputation from the same streams
         eps_c = _link_streams(cfg.master_seed, run, _COMMON_LINK, _STREAM_SHADOW).standard_normal(n)
         eps_o = _link_streams(cfg.master_seed, run, cell, _STREAM_SHADOW).standard_normal(n)
         eps_l = _link_streams(cfg.master_seed, run, cell, _STREAM_LOS).standard_normal(n)
@@ -282,9 +277,34 @@ class TestChannelSeriesOracle:
             base = (tables.tick_rx_los_dbm if los else tables.tick_rx_nlos_dbm)[cell, t]
             rx = base + shadow + 10.0 * math.log10(h2)
             expected.append(10.0 ** ((rx - tables.noise_dbm) / 10.0))
-        # the recursions run over every snapshot, the result is read on ticks
-        assert tables.tick_snapshots[1] > 1
-        np.testing.assert_allclose(fast, expected, rtol=1e-12, atol=0.0)
+        return expected
+
+    def test_vectorised_link_series_matches_literal_loop(self, tiny_cfg):
+        """A link's views of a run's draws, alone and shared with a longer, faster 3-span track."""
+        run, cell = 2, 1
+        for env in ("viaduct", "cutting"):  # cutting reads the LOS latent
+            cfg = apply_overrides(tiny_cfg, environment=env)
+            longer = apply_overrides(
+                dataclasses.replace(cfg, layout=default_layout(environment=env, spans=3, rrh_spacing_m=400.0)),
+                speed_kmh=500.0,
+            )
+            tables, longer_tables = precompute_tables(cfg), precompute_tables(longer)
+            expected = self.literal_downlink(cfg, tables, run, cell)
+            alone = _views(cfg.master_seed, run, _draw_plan([cfg], [tables]))[0]
+            longer_alone = _views(cfg.master_seed, run, _draw_plan([longer], [longer_tables]))[0]
+            plan = _draw_plan([longer, cfg], [longer_tables, tables])
+            shared = _views(cfg.master_seed, run, plan)
+            assert len(plan[0]) == (5 if tables.los_ticks else 4)  # one draw per read
+            assert longer_tables.tick_stride % tables.tick_stride != 0  # so the shared draws keep their gcd
+            for views in (alone, shared[1]):
+                fast = _downlink_pr_ticks(tables, *views[:4])[cell]
+                np.testing.assert_allclose(fast, expected, rtol=1e-12, atol=0.0)
+            # the 2-span track has more ticks than the faster 3-span one, so the noise draw
+            # starts with its 3 cells and grows to 4
+            for views, own in ((shared[1], alone), (shared[0], longer_alone)):
+                np.testing.assert_array_equal(views[4], own[4])
+            # the recursions run over every snapshot, the result is read on ticks
+            assert tables.tick_snapshots[1] > 1
 
     def test_los_marginal_probability_preserved(self, tiny_cfg):
         # cutting profile: P(los) must track exp(-d / decay) despite the latent
