@@ -177,7 +177,7 @@ def write_histogram_csv(rows: Sequence[Sequence], path: str | Path) -> None:
 
 
 def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
-    n_cells = trace.snr_db.shape[1]
+    n_cells = trace.snr_db.shape[0]
     columns = (
         ["tick", "snapshot", "position_m"]
         + [f"snr_db_cell{c}" for c in range(n_cells)]
@@ -185,7 +185,7 @@ def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
         + ["serving_cell", "interrupted", "throughput_bps"]
     )
     values = (
-        [trace.tick_snapshots, trace.positions_m, *trace.snr_db.T, *trace.effective_snr_db.T]
+        [trace.tick_snapshots, trace.positions_m, *trace.snr_db, *trace.effective_snr_db]
         + [trace.serving_cell, trace.interrupted.astype(int), trace.throughput_bps]  # not True/False
     )
     rows = zip(range(trace.tick_snapshots.size), *(column.tolist() for column in values))

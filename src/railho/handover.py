@@ -17,8 +17,8 @@ report.
 final state: ``run`` is the attempt loop, which resolves a whole trace one
 attempt per iteration and reads each gate only at the tick on which it is
 due, and ``step`` is the per-tick literal form, which consumes one tick at a
-time. ``run`` builds no per-tick array: the serving cell after each tick is
-derived from the records by ``serving_trace``.
+time. ``run`` builds no per-tick array: ``tick_trace`` derives the serving
+cell and the interruption on each tick from the records and the final state.
 """
 
 from __future__ import annotations
@@ -126,20 +126,6 @@ class HandoverRecord:
     total_delay_s: float | None = None
 
 
-def interruption_window(record: HandoverRecord) -> tuple[int, int]:
-    """Half-open tick interval [command, reconnect) with zero throughput.
-
-    For a success the connection resumes at the completion tick; a failed
-    RACH stays dark through re-establishment. Other outcomes never break the
-    connection.
-    """
-    if record.outcome is Outcome.SUCCESS:
-        return record.command_tick, record.completion_tick
-    if record.outcome is Outcome.FAIL_RACH:
-        return record.command_tick, record.reestablish_until_tick
-    raise ValueError(f"no interruption window for outcome {record.outcome.value}")
-
-
 class Phase(Enum):
     MONITORING = "Monitoring"
     TTT_RUNNING = "TttRunning"
@@ -192,27 +178,6 @@ def _entering_bounds(margin_db: np.ndarray, hysteresis_db: float) -> list[int]:
     entering = np.zeros(margin_db.size + 2, dtype=bool)  # padded with a non-entering tick each side
     entering[1:-1] = margin_db >= hysteresis_db
     return np.flatnonzero(entering[1:] != entering[:-1]).tolist()
-
-
-def serving_trace(records: Sequence[HandoverRecord], final_serving: int | None, n_ticks: int) -> np.ndarray:
-    """The serving cell after each tick of a run, -1 while re-establishing.
-
-    The serving cell changes only where an attempt completes: a record's
-    ``serving_cell`` holds until its ``completion_tick`` for a success, and
-    up to its ``FailRach`` window ``[completion, reestablish_until)``, which
-    reads -1. After the last change it is the machine's final serving cell.
-    """
-    out = np.empty(n_ticks, dtype=int)
-    since = 0
-    for rec in records:
-        if rec.outcome is Outcome.SUCCESS or rec.outcome is Outcome.FAIL_RACH:
-            out[since : rec.completion_tick] = rec.serving_cell
-            since = rec.completion_tick
-            if rec.outcome is Outcome.FAIL_RACH:
-                out[since : rec.reestablish_until_tick] = -1
-                since = rec.reestablish_until_tick
-    out[since:] = -1 if final_serving is None else final_serving
-    return out
 
 
 class HandoverFsm:
@@ -280,15 +245,13 @@ class HandoverFsm:
         l3_db: np.ndarray,
         ul_snr_db: np.ndarray,
         dl_snr_db: np.ndarray,
-        margins: Sequence[np.ndarray] | None = None,
+        margins: Sequence[np.ndarray],
     ) -> list[HandoverRecord]:
         """Drive a fresh machine over ``(n_cells, n_ticks)`` arrays.
 
         Returns the records of every terminated attempt, in tick order.
-        ``margins`` are the ``a3_margins`` of ``l3_db``, computed here when
-        not given. The records, the events and the final state equal calling
-        ``step`` on every tick; ``serving_trace`` of the records gives the
-        serving cell after each tick.
+        ``margins`` are the ``a3_margins`` of ``l3_db``. The records, the
+        events and the final state equal calling ``step`` on every tick.
         """
         l3 = np.asarray(l3_db, dtype=float)
         ul = np.asarray(ul_snr_db, dtype=float)
@@ -297,8 +260,6 @@ class HandoverFsm:
             raise ValueError(f"expected three ({self.n_cells}, n_ticks) arrays")
         if self._next_tick != 0:
             raise ValueError("run needs a machine that has not been stepped yet")
-        if margins is None:
-            margins = a3_margins(l3)
         n_ticks = l3.shape[1]
         n_ttt, h, gate = self._n_ttt, self.cfg.hysteresis_db, self.cfg.snr_gate_db
         command_ticks, completion_ticks = self._command_ticks, self._completion_ticks
@@ -370,6 +331,34 @@ class HandoverFsm:
         self.phase, self.target_cell, self._trigger_tick, self._report_tick, self._command_tick = state
         self.serving_cell, self._reestablish_until, self._next_tick = s, until, n_ticks
         return records
+
+    def tick_trace(self, records: Sequence[HandoverRecord]) -> tuple[np.ndarray, np.ndarray]:
+        """Per tick consumed: the serving cell after it (-1 while re-establishing) and whether the link is down.
+
+        ``records`` are every record the machine returned. The serving cell
+        changes only where an attempt completes; the link is down from a
+        command to the completion of a success, or to the end of the
+        re-establishment after a failed RACH. An attempt still in
+        ``RachInProgress`` when the ticks end has no record, and its link is
+        down from the command to the last tick. Matches reading the serving
+        cell and whether the phase is ``RachInProgress`` or ``Reestablishing``
+        after every ``step``.
+        """
+        n_ticks = self._next_tick
+        serving = np.empty(n_ticks, dtype=int)
+        interrupted = np.zeros(n_ticks, dtype=bool)
+        since = 0
+        for rec in records:
+            if rec.completion_tick is not None:  # a success or a failed RACH
+                end = rec.completion_tick if rec.outcome is Outcome.SUCCESS else rec.reestablish_until_tick
+                serving[since : rec.completion_tick] = rec.serving_cell
+                serving[rec.completion_tick : end] = -1
+                interrupted[rec.command_tick : end] = True
+                since = end
+        serving[since:] = -1 if self.serving_cell is None else self.serving_cell
+        if self.phase is Phase.RACH_IN_PROGRESS:
+            interrupted[self._command_tick :] = True
+        return serving, interrupted
 
     # The transitions of ``step``; records are appended to ``out``.
 

@@ -6,8 +6,8 @@ loss + antenna pattern + correlated shadowing + fast fading), degrades it with
 the worst-case ICI power for the configured speed and feeds the L1/L3
 measurement pipeline on the 40 ms tick grid. The handover part drives the
 handover state machine over it attempt by attempt (``HandoverFsm.run``),
-from the link's A3 margins (``a3_margins``), which every handover setting
-of the link shares.
+from the A3 margins that the link part computes once (``a3_margins``), which
+every handover setting of the link shares.
 
 What runs on snapshots and what on ticks:
 
@@ -53,8 +53,7 @@ from scipy.special import ndtri
 from . import channel, ici
 from .config import ConfigError, RunConfig
 from .geometry import DeploymentLayout, Environment, environment_at, link_geometry, sample_stride, snapshot_count
-from .handover import HandoverConfig, HandoverFsm, HandoverRecord, Outcome
-from .handover import a3_margins, interruption_window, serving_trace
+from .handover import HandoverConfig, HandoverFsm, HandoverRecord, Outcome, a3_margins
 from .measurement import measure_cell
 
 _STREAM_SHADOW = 0
@@ -94,13 +93,16 @@ class _StaticTables:
 
 @dataclass
 class RunTrace:
-    """Per-tick signal quality of one ``simulate_run``, for trace CSV output and analysis."""
+    """Per-tick signal quality of one ``simulate_run``, for trace CSV output and analysis.
+
+    The arrays are the run's own: ``simulate_run`` keeps no other reference to them.
+    """
 
     tick_snapshots: np.ndarray
     positions_m: np.ndarray
     p_ici: float
-    snr_db: np.ndarray             # (n_ticks, n_cells), no ICI
-    effective_snr_db: np.ndarray   # (n_ticks, n_cells), with ICI
+    snr_db: np.ndarray             # (n_cells, n_ticks), no ICI
+    effective_snr_db: np.ndarray   # (n_cells, n_ticks), with ICI
     serving_cell: np.ndarray       # (n_ticks,), -1 while re-establishing
     interrupted: np.ndarray        # (n_ticks,) bool
     throughput_bps: np.ndarray     # (n_ticks,)
@@ -305,8 +307,10 @@ def _downlink_pr_ticks(
 
 
 def _link(cfg: RunConfig, tables: _StaticTables, run_index: int, views: Sequence) -> tuple[np.ndarray, ...]:
-    """The link part of a run: ``(pr_dl, l3, ul_snr, dl_snr)``, each ``(n_cells, n_ticks)``.
+    """The link part of a run: ``(pr_dl, l3, ul_snr, dl_snr, margins)``.
 
+    The first four are ``(n_cells, n_ticks)``; ``margins`` are the
+    ``a3_margins`` of ``l3``, which depend on no handover setting.
     ``views`` are the group's five reads of the run's draws (``_views``):
     ``(own, common, fading, latent, noise)``; ``noise``, the measurement
     noise's standard normals, is ``None`` when ``cfg.l1`` adds none.
@@ -322,7 +326,7 @@ def _link(cfg: RunConfig, tables: _StaticTables, run_index: int, views: Sequence
     l3 = measure_cell(eff_lin_dl, cfg.l1, cfg.l3, views[4])
     dl_snr = 10.0 * np.log10(eff_lin_dl)  # ici.rss_with_ici(pr_dl, p), from the L1 input
     ul_snr = 10.0 * np.log10(ici.effective_sinr_linear(pr_ul, p))
-    return pr_dl, l3, ul_snr, dl_snr
+    return pr_dl, l3, ul_snr, dl_snr, a3_margins(l3)
 
 
 def _clip_segments(segments: tuple | None, n: int) -> tuple | None:
@@ -374,14 +378,10 @@ def _views(seed: int, run_index: int, plan: tuple) -> list[list]:
 
 
 def _handover(
-    cfg: RunConfig, handover: HandoverConfig, tables: _StaticTables, run_index: int, link: tuple, margins: list
-) -> tuple[list[HandoverRecord], int | None]:
-    """The handover part of a run: one state machine over the link, its records and final serving cell.
-
-    ``margins`` are the link's ``a3_margins``, which every handover setting
-    of the link shares.
-    """
-    _, l3, ul_snr, dl_snr = link
+    cfg: RunConfig, handover: HandoverConfig, tables: _StaticTables, run_index: int, link: tuple
+) -> tuple[list[HandoverRecord], HandoverFsm]:
+    """The handover part of a run: one state machine over the link, its records and the machine."""
+    _, l3, ul_snr, dl_snr, margins = link
     n_cells, period = l3.shape[0], cfg.l1.sample_period_s
     fsm = HandoverFsm(handover, period, n_cells, serving_cell=tables.initial_serving, run_id=run_index)
     records = fsm.run(l3, ul_snr, dl_snr, margins)
@@ -390,39 +390,31 @@ def _handover(
         rec.start_position_m = x
     if not records:
         records.append(HandoverRecord(run_index, fsm.serving_cell, None, Outcome.NOT_TRIGGERED))
-    return records, fsm.serving_cell
+    return records, fsm
 
 
 def _run_trace(
-    cfg: RunConfig, tables: _StaticTables, link: tuple, records: Sequence[HandoverRecord], final_serving: int | None
+    cfg: RunConfig, tables: _StaticTables, link: tuple, records: Sequence[HandoverRecord], fsm: HandoverFsm
 ) -> RunTrace:
-    """The per-tick trace of a run, from its link part and the records of its handover part."""
-    pr_dl, _, _, dl_snr = link
-    n_ticks = tables.tick_snapshots.size
-    serving = serving_trace(records, final_serving, n_ticks)
-    interrupted = np.zeros(n_ticks, dtype=bool)
-    for rec in records:
-        if rec.outcome in (Outcome.SUCCESS, Outcome.FAIL_RACH):
-            lo, hi = interruption_window(rec)
-            interrupted[lo:hi] = True
-    # serving cell -1 only inside a FailRach window, which zeroes the throughput
-    eff_db_serving = dl_snr[serving, np.arange(n_ticks)]
+    """The per-tick trace of a run, from its link part and its handover part's records and machine."""
+    pr_dl, _, _, dl_snr, _ = link
+    serving, interrupted = fsm.tick_trace(records)
+    # serving cell -1 only while re-establishing, where the link is down and the throughput 0
+    eff_db_serving = dl_snr[serving, np.arange(serving.size)]
     throughput = np.where(interrupted, 0.0, ici.throughput_bps(eff_db_serving, cfg.budget.bandwidth_hz))
     return RunTrace(
-        tick_snapshots=tables.tick_snapshots.copy(),
-        positions_m=tables.tick_positions.copy(),
+        tick_snapshots=tables.tick_snapshots,
+        positions_m=tables.tick_positions,
         p_ici=tables.p_ici,
-        snr_db=(10.0 * np.log10(pr_dl)).T,
-        effective_snr_db=dl_snr.T.copy(),
+        snr_db=10.0 * np.log10(pr_dl),
+        effective_snr_db=dl_snr,
         serving_cell=serving,
         interrupted=interrupted,
         throughput_bps=throughput,
     )
 
 
-def simulate_run(
-    cfg: RunConfig, run_index: int, *, tables: _StaticTables | None = None, want_trace: bool = False
-) -> RunResult:
+def simulate_run(cfg: RunConfig, run_index: int, *, want_trace: bool = False) -> RunResult:
     """Simulate one seeded run; deterministic given (config, master_seed, run_index).
 
     The run is a batch of one: it draws its own streams through ``_views``,
@@ -431,12 +423,11 @@ def simulate_run(
     ``_run_trace`` builds its trace. The runs of ``monte_carlo`` do not come
     here: ``_run_batch`` calls the link and handover parts.
     """
-    if tables is None:
-        tables = precompute_tables(cfg)
+    tables = precompute_tables(cfg)
     (views,) = _views(cfg.master_seed, run_index, _draw_plan([cfg], [tables]))
     link = _link(cfg, tables, run_index, views)
-    records, final_serving = _handover(cfg, cfg.handover, tables, run_index, link, a3_margins(link[1]))
-    trace = _run_trace(cfg, tables, link, records, final_serving) if want_trace else None
+    records, fsm = _handover(cfg, cfg.handover, tables, run_index, link)
+    trace = _run_trace(cfg, tables, link, records, fsm) if want_trace else None
     return RunResult(tuple(records), trace)
 
 
@@ -512,9 +503,8 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
 
     * The configs that differ only in ``handover`` form a link group, which
       shares one set of tables and, per run, one link part (``_link``: the
-      LOS latent, the L1/L3 measurements) and one set of A3 margins
-      (``a3_margins``), which drive one state machine per distinct
-      ``handover`` (``_handover``). Only the state machine reads
+      LOS latent, the L1/L3 measurements and the A3 margins), which drives
+      one state machine per distinct ``handover`` (``_handover``). Only the state machine reads
       ``handover``. The runs call these directly, not ``simulate_run``.
     * Every random stream is keyed by (master_seed, run_index, cell, purpose)
       and indexed by sample (snapshot, or tick for the L1 noise), not by
@@ -555,8 +545,7 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
         per_group = [()] * len(groups)
         for g, views in enumerate(_views(seed, run_index, plan)):
             link = _link(reps[g], tables[g], run_index, views)
-            margins = a3_margins(link[1])
-            per_group[g] = [_handover(reps[g], ho, tables[g], run_index, link, margins)[0] for ho in groups[g][1]]
+            per_group[g] = [_handover(reps[g], ho, tables[g], run_index, link)[0] for ho in groups[g][1]]
         return per_group
 
     workers = min(workers, os.cpu_count() or 1)

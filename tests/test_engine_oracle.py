@@ -6,8 +6,9 @@ recursions with a per-snapshot parameter split, and per cell draws every
 stream and reads every table at the tick snapshots by fancy indexing; the
 fading power comes from the Rician K factor directly, L1/L3 run one cell at
 a time, and both SINRs come from ``rss_with_ici``; the handover state
-machine is driven with ``step`` on every tick, and the serving cell is read
-after each. ``simulate_run``, whose tables exist only on the ticks, whose
+machine is driven with ``step`` on every tick, and the serving cell and the
+phase are read after each: the link is down while the phase is
+``RachInProgress`` or ``Reestablishing``. ``simulate_run``, whose tables exist only on the ticks, whose
 recursions read segment tables and whose state machine resolves one attempt
 per iteration, must reproduce its records and every ``RunTrace`` array bit
 for bit.
@@ -25,7 +26,7 @@ from scipy.special import ndtri
 from railho import channel, ici
 from railho.config import RunConfig, apply_overrides, config_from_dict
 from railho.geometry import Environment, environment_at, link_geometry, sample_stride
-from railho.handover import HandoverFsm, HandoverRecord, Outcome, interruption_window
+from railho.handover import HandoverFsm, HandoverRecord, Outcome, Phase
 from railho.measurement import measure_cell
 from railho.simulate import (
     _COMMON_LINK,
@@ -170,9 +171,11 @@ def _reference_run(cfg, run_index, tables):
     )
     records = []
     serving_trace = np.empty(n_ticks, dtype=int)
+    interrupted = np.empty(n_ticks, dtype=bool)
     for t in range(n_ticks):
         records.extend(fsm.step(t, l3[:, t].tolist(), ul_snr[:, t].tolist(), dl_snr[:, t].tolist()))
         serving_trace[t] = -1 if fsm.serving_cell is None else fsm.serving_cell
+        interrupted[t] = fsm.phase in (Phase.RACH_IN_PROGRESS, Phase.REESTABLISHING)
     for rec in records:
         if rec.command_tick is not None:
             rec.start_position_m = float(snap.positions[snap.tick_snapshots[rec.command_tick]])
@@ -186,12 +189,6 @@ def _reference_run(cfg, run_index, tables):
             )
         )
 
-    interrupted = np.zeros(n_ticks, dtype=bool)
-    for rec in records:
-        if rec.outcome in (Outcome.SUCCESS, Outcome.FAIL_RACH):
-            lo, hi = interruption_window(rec)
-            interrupted[lo : min(hi, n_ticks)] = True
-    interrupted |= serving_trace < 0
     eff_db_serving = np.where(
         serving_trace >= 0, dl_snr[np.maximum(serving_trace, 0), np.arange(n_ticks)], -np.inf
     )
@@ -202,8 +199,8 @@ def _reference_run(cfg, run_index, tables):
         tick_snapshots=snap.tick_snapshots.copy(),
         positions_m=snap.positions[snap.tick_snapshots],
         p_ici=p,
-        snr_db=(10.0 * np.log10(pr_dl)).T,
-        effective_snr_db=dl_snr.T.copy(),
+        snr_db=10.0 * np.log10(pr_dl),
+        effective_snr_db=dl_snr,
         serving_cell=serving_trace,
         interrupted=interrupted,
         throughput_bps=throughput,
@@ -268,7 +265,7 @@ def test_simulate_run_matches_per_link_reference(cfg, extent):
     assert {"none": m == 0, "part": 0 < m < n_ticks, "all": m == n_ticks}[extent]
     for run in (0, 3):
         records, trace = _reference_run(cfg, run, tables)
-        result = simulate_run(cfg, run, tables=tables, want_trace=True)
+        result = simulate_run(cfg, run, want_trace=True)
         assert list(result.records) == records
         for field in dataclasses.fields(RunTrace):
             got, want = getattr(result.trace, field.name), getattr(trace, field.name)

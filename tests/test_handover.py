@@ -12,7 +12,6 @@ from railho.config import apply_overrides
 from railho.handover import (
     HandoverConfig,
     HandoverFsm,
-    HandoverRecord,
     Outcome,
     Phase,
     Postponement,
@@ -22,8 +21,6 @@ from railho.handover import (
     a3_condition,
     a3_margins,
     classify_postponement,
-    interruption_window,
-    serving_trace,
 )
 from railho.simulate import RunTrace, simulate_run
 
@@ -190,7 +187,7 @@ class TestFsmScenarios:
         records = drive(machine, cond_rows([True] * 3))
         rec = records[0]
         assert rec.report_tick == rec.command_tick == rec.completion_tick == 0
-        assert interruption_window(rec) == (0, 0)
+        assert not machine.tick_trace(records)[1].any()
 
     def test_tick_monotonicity_enforced(self):
         machine = fsm()
@@ -213,25 +210,38 @@ class TestFsmScenarios:
 
 
 class TestInterruptionWindow:
-    def success_record(self):
-        machine = fsm()
-        return drive(machine, cond_rows([True] * 6))[0]
+    """``tick_trace``'s serving cell and interruption mask on hand-made drives."""
 
     def test_success_window_spans_rach_phase(self):
-        rec = self.success_record()
-        assert interruption_window(rec) == (2, 3)
+        machine = fsm()
+        records = drive(machine, cond_rows([True] * 6))
+        serving, interrupted = machine.tick_trace(records)
+        assert np.flatnonzero(interrupted).tolist() == [2]  # [command, completion) = [2, 3)
+        assert serving.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_rach_failure_extends_through_reestablishment(self):
         machine = fsm()
         records = drive(machine, cond_rows([True] * 10), ul_rows=[[HIGH, LOW]] * 10)
-        assert interruption_window(records[0]) == (2, 8)
+        serving, interrupted = machine.tick_trace(records)
+        assert np.flatnonzero(interrupted).tolist() == list(range(2, 8))  # [command, reestablish_until)
+        assert serving.tolist() == [0, 0, 0, -1, -1, -1, -1, -1, 1, 1]
 
-    def test_rejects_outcomes_without_interruption(self):
-        rec = HandoverRecord(
-            run_id=0, serving_cell=0, target_cell=None, outcome=Outcome.NOT_TRIGGERED
-        )
-        with pytest.raises(ValueError):
-            interruption_window(rec)
+    def test_blocked_attempts_leave_the_link_up(self):
+        for gate, outcome in (("ul_rows", Outcome.FAIL_UPLINK_REPORT), ("dl_rows", Outcome.FAIL_DOWNLINK_COMMAND)):
+            machine = fsm()
+            records = drive(machine, cond_rows([True] * 4), **{gate: [[-12.0, HIGH]] * 4})
+            assert {r.outcome for r in records} == {outcome}
+            serving, interrupted = machine.tick_trace(records)
+            assert not interrupted.any() and serving.tolist() == [0] * 4
+
+    def test_attempt_cut_during_rach_is_down_to_the_end(self):
+        """No record names the attempt; the machine's ``RachInProgress`` and command tick do."""
+        machine = fsm()
+        records = drive(machine, cond_rows([True] * 3))
+        assert records == [] and machine.phase is Phase.RACH_IN_PROGRESS
+        serving, interrupted = machine.tick_trace(records)
+        assert interrupted.tolist() == [False, False, True]
+        assert serving.tolist() == [0, 0, 0]
 
 
 def first_record_oracle(cond, n_ttt, ul_ok, dl_ok, rach_ok, cfg):
@@ -397,16 +407,23 @@ class TestProtocolTimers:
 
 
 def literal_run(machine, l3_db, ul_snr_db, dl_snr_db):
-    """Reference drive: ``step`` on every tick, serving cell read after each."""
+    """Reference drive: ``step`` on every tick, serving cell and phase read after each.
+
+    Returns the records, the serving cell after each tick (-1 without one) and
+    whether the link is down on it: the phase is ``RachInProgress`` or
+    ``Reestablishing``.
+    """
     n_ticks = l3_db.shape[1]
     records = []
     serving = np.empty(n_ticks, dtype=int)
+    interrupted = np.empty(n_ticks, dtype=bool)
     for t in range(n_ticks):
         records.extend(
             machine.step(t, l3_db[:, t].tolist(), ul_snr_db[:, t].tolist(), dl_snr_db[:, t].tolist())
         )
         serving[t] = -1 if machine.serving_cell is None else machine.serving_cell
-    return records, serving
+        interrupted[t] = machine.phase in (Phase.RACH_IN_PROGRESS, Phase.REESTABLISHING)
+    return records, serving, interrupted
 
 
 def fuzzed_trace(rng):
@@ -438,11 +455,11 @@ class TestEventDrivenRun:
             cfg, n_cells, serving, l3, ul, dl = fuzzed_trace(rng)
             fast = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=7)
             slow = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=7)
-            fast_records = fast.run(l3, ul, dl)
-            slow_records, slow_serving = literal_run(slow, l3, ul, dl)
+            fast_records = fast.run(l3, ul, dl, a3_margins(l3))
+            slow_records, *slow_trace = literal_run(slow, l3, ul, dl)
             assert fast_records == slow_records
             assert fast.events == slow.events
-            np.testing.assert_array_equal(derived_serving(fast, fast_records, l3), slow_serving)
+            assert_trace_equal(fast.tick_trace(fast_records), slow_trace)
             assert final_state(fast) == final_state(slow)
             outcomes.update(r.outcome for r in slow_records)
             reestablished += any(name == "reestablished" for name, _ in slow.events)
@@ -450,23 +467,27 @@ class TestEventDrivenRun:
         assert reestablished > 10
 
     def test_shared_margins_change_nothing(self):
-        """``run`` given the ``a3_margins`` of its L3 equals ``run`` computing them itself."""
+        """Machines of two handover settings that share one link's margins equal machines given their own."""
         rng = np.random.default_rng(20170330)
         for _ in range(3000):
             cfg, n_cells, serving, l3, ul, dl = fuzzed_trace(rng)
-            own = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=5)
-            shared = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=5)
-            assert shared.run(l3, ul, dl, a3_margins(l3)) == own.run(l3, ul, dl)
-            assert shared.events == own.events
-            assert final_state(shared) == final_state(own)
+            other = dataclasses.replace(cfg, hysteresis_db=cfg.hysteresis_db + 1.0)
+            shared = a3_margins(l3)
+            kept = [m.copy() for m in shared]
+            for c in (cfg, other, cfg):
+                own = HandoverFsm(c, PERIOD, n_cells, serving, run_id=5)
+                machine = HandoverFsm(c, PERIOD, n_cells, serving, run_id=5)
+                assert machine.run(l3, ul, dl, shared) == own.run(l3, ul, dl, a3_margins(l3))
+                assert machine.events == own.events
+                assert final_state(machine) == final_state(own)
+            for m, k in zip(shared, kept, strict=True):
+                np.testing.assert_array_equal(m, k)
 
     def test_a3_margins_reject_nan(self):
         l3 = np.zeros((3, 4))
         l3[1, 2] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             a3_margins(l3)
-        with pytest.raises(ValueError, match="NaN"):
-            fsm(n_cells=3).run(l3, np.zeros((3, 4)), np.zeros((3, 4)))
 
     def test_no_serving_cell_only_inside_a_fail_rach_window(self):
         """A tick without a serving cell lies in a FailRach window, where the trace zeroes throughput."""
@@ -475,9 +496,9 @@ class TestEventDrivenRun:
         for _ in range(3000):
             cfg, n_cells, serving, l3, ul, dl = fuzzed_trace(rng)
             machine = HandoverFsm(cfg, PERIOD, n_cells, serving)
-            records = machine.run(l3, ul, dl)
-            trace = derived_serving(machine, records, l3)
-            windows = [interruption_window(r) for r in records if r.outcome is Outcome.FAIL_RACH]
+            records = machine.run(l3, ul, dl, a3_margins(l3))
+            trace, _ = machine.tick_trace(records)
+            windows = [(r.command_tick, r.reestablish_until_tick) for r in records if r.outcome is Outcome.FAIL_RACH]
             for t in np.flatnonzero(trace < 0).tolist():
                 assert any(lo <= t < hi for lo, hi in windows), (t, records)
                 dark_ticks += 1
@@ -491,9 +512,9 @@ class TestEventDrivenRun:
 
         stepped = []
 
-        def literal(machine, l3_db, ul_snr_db, dl_snr_db, margins=None):
-            records, serving = literal_run(machine, l3_db, ul_snr_db, dl_snr_db)
-            stepped.append(serving)
+        def literal(machine, l3_db, ul_snr_db, dl_snr_db, margins):
+            records, *trace = literal_run(machine, l3_db, ul_snr_db, dl_snr_db)
+            stepped.append(trace)
             return records
 
         configs = [apply_overrides(tiny_cfg, speed_kmh=v) for v in (100.0, 500.0)]
@@ -501,27 +522,27 @@ class TestEventDrivenRun:
         monkeypatch.setattr(HandoverFsm, "run", literal)
         slow = [run(cfg, i) for cfg in configs for i in range(3)]
         assert sum(len(r.records) for r in slow) > 6
-        for a, b, serving in zip(fast, slow, stepped, strict=True):
+        for a, b, trace in zip(fast, slow, stepped, strict=True):
             assert a.records == b.records
             for f in dataclasses.fields(RunTrace):
                 np.testing.assert_array_equal(getattr(a.trace, f.name), getattr(b.trace, f.name))
-            np.testing.assert_array_equal(a.trace.serving_cell, serving)
+            assert_trace_equal((a.trace.serving_cell, a.trace.interrupted), trace)
 
     def test_one_cell_never_triggers(self):
         machine = fsm(n_cells=1)
-        records = machine.run(np.zeros((1, 5)), np.full((1, 5), LOW), np.full((1, 5), LOW))
+        records = machine.run(np.zeros((1, 5)), np.full((1, 5), LOW), np.full((1, 5), LOW), [])
         assert records == [] and machine.events == []
-        np.testing.assert_array_equal(derived_serving(machine, records, np.zeros((1, 5))), [0] * 5)
+        assert_trace_equal(machine.tick_trace(records), ([0] * 5, [False] * 5))
 
     def test_run_rejects_a_stepped_machine(self):
         machine = fsm()
         machine.step(0, [0.0, 0.0], [HIGH, HIGH], [HIGH, HIGH])
         with pytest.raises(ValueError, match="not been stepped"):
-            machine.run(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
+            machine.run(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), a3_margins(np.zeros((2, 3))))
 
     def test_run_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
-            fsm().run(np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 4)))
+            fsm().run(np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 4)), a3_margins(np.zeros((3, 4))))
 
 
 FINAL_STATE = (
@@ -540,9 +561,11 @@ def final_state(machine):
     return {name: getattr(machine, name) for name in FINAL_STATE}
 
 
-def derived_serving(machine, records, l3_db):
-    """The serving cell after each tick, derived from the records of ``run`` and its final state."""
-    return serving_trace(records, machine.serving_cell, l3_db.shape[1])
+def assert_trace_equal(got, want):
+    """``(serving, interrupted)`` pairs, from ``tick_trace`` or ``literal_run``, equal in value and kind."""
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_array_equal(a, b)
+        assert np.asarray(a).dtype.kind == np.asarray(b).dtype.kind
 
 
 def edge_config(rng):
@@ -594,11 +617,11 @@ class TestAttemptDriveEdgeCases:
 
             fast = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
             slow = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
-            fast_records = fast.run(l3[:, :cut], ul[:, :cut], dl[:, :cut])
-            slow_records, slow_serving = literal_run(slow, l3[:, :cut], ul[:, :cut], dl[:, :cut])
+            fast_records = fast.run(l3[:, :cut], ul[:, :cut], dl[:, :cut], a3_margins(l3[:, :cut]))
+            slow_records, *slow_trace = literal_run(slow, l3[:, :cut], ul[:, :cut], dl[:, :cut])
             assert fast_records == slow_records
             assert fast.events == slow.events
-            np.testing.assert_array_equal(derived_serving(fast, fast_records, l3[:, :cut]), slow_serving)
+            assert_trace_equal(fast.tick_trace(fast_records), slow_trace)
             assert final_state(fast) == final_state(slow)
             for rec in fast_records:
                 for name in ("trigger_tick", "report_tick", "command_tick", "completion_tick"):
@@ -617,6 +640,41 @@ class TestAttemptDriveEdgeCases:
             zero["reestablish"] += fast._reestablish_ticks == 1
         assert min(cut_in.values()) > 100, cut_in
         assert min(zero.values()) > 100, zero
+
+
+def edge_trace(rng):
+    """An ``edge_config`` machine over a 2-4 cell trace of 1-50 ticks, gates as in ``fuzzed_trace``."""
+    cfg = edge_config(rng)
+    n_cells = int(rng.integers(2, 5))
+    n = int(rng.integers(1, 51))
+    l3 = rng.integers(-4, 5, size=(n_cells, n)).astype(float)
+    p_low = rng.uniform(0.0, 0.5)
+    ul = np.where(rng.random((n_cells, n)) < p_low, -20.0, 30.0)
+    dl = np.where(rng.random((n_cells, n)) < p_low, -20.0, 30.0)
+    return cfg, n_cells, int(rng.integers(0, n_cells)), l3, ul, dl
+
+
+class TestTickTrace:
+    def test_fold_of_records_equals_phase_after_each_step(self):
+        """``tick_trace`` after ``run`` or after a ``step`` loop equals the serving cell and phase read per tick.
+
+        A tick is down exactly when the phase after ``step`` is ``RachInProgress``
+        or ``Reestablishing``; a trace cut during a RACH has no record of that attempt.
+        """
+        rng = np.random.default_rng(20170331)
+        down = cut_in_rach = 0
+        for make in (fuzzed_trace, edge_trace):
+            for _ in range(2000):
+                cfg, n_cells, serving, l3, ul, dl = make(rng)
+                fast = HandoverFsm(cfg, PERIOD, n_cells, serving)
+                slow = HandoverFsm(cfg, PERIOD, n_cells, serving)
+                records = fast.run(l3, ul, dl, a3_margins(l3))
+                slow_records, *literal = literal_run(slow, l3, ul, dl)
+                assert_trace_equal(fast.tick_trace(records), literal)
+                assert_trace_equal(slow.tick_trace(slow_records), literal)
+                down += int(literal[1].sum())
+                cut_in_rach += slow.phase is Phase.RACH_IN_PROGRESS
+        assert down > 10000 and cut_in_rach > 200, (down, cut_in_rach)
 
 
 def literal_best_non_serving(l3_column, n_cells, serving):
@@ -686,9 +744,9 @@ class TestFastHelpersMatchLiteralForms:
             dl = np.where(rng.random(l3.shape) < 0.2, -20.0, 30.0)
             fast = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
             slow = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
-            fast_records = fast.run(l3, ul, dl)
-            slow_records, slow_serving = literal_run(slow, l3, ul, dl)
+            fast_records = fast.run(l3, ul, dl, a3_margins(l3))
+            slow_records, *slow_trace = literal_run(slow, l3, ul, dl)
             assert fast_records == slow_records
             assert fast.events == slow.events
-            np.testing.assert_array_equal(derived_serving(fast, fast_records, l3), slow_serving)
+            assert_trace_equal(fast.tick_trace(fast_records), slow_trace)
             assert final_state(fast) == final_state(slow)

@@ -454,8 +454,8 @@ class TestIciEffects:
         # stride 1 vs 5: fast ticks sit on every fifth snapshot of the slow trace
         idx = fast.tick_snapshots
         # 4e-12 dB is below a 1e-12 relative error in linear power
-        np.testing.assert_allclose(slow.snr_db[idx], fast.snr_db, rtol=0.0, atol=4e-12)
-        assert np.all(fast.effective_snr_db < slow.effective_snr_db[idx])
+        np.testing.assert_allclose(slow.snr_db[:, idx], fast.snr_db, rtol=0.0, atol=4e-12)
+        assert np.all(fast.effective_snr_db < slow.effective_snr_db[:, idx])
 
 
 class TestTraceAndThroughput:
@@ -466,16 +466,24 @@ class TestTraceAndThroughput:
         assert np.all(trace.throughput_bps[~trace.interrupted] > 0.0)
 
     def test_interruption_windows_match_records(self, tiny_cfg):
-        result = simulate_run(tiny_cfg, 0, want_trace=True)
-        from railho.handover import interruption_window
-
-        expected = np.zeros(result.trace.interrupted.size, dtype=bool)
-        for rec in result.records:
-            if rec.outcome in (Outcome.SUCCESS, Outcome.FAIL_RACH):
-                lo, hi = interruption_window(rec)
-                expected[lo : min(hi, expected.size)] = True
-        expected |= result.trace.serving_cell < 0
-        np.testing.assert_array_equal(result.trace.interrupted, expected)
+        """Down from the command to completion, or to the end of re-establishment; an attempt cut in RACH to the end."""
+        for run in range(4):
+            result = simulate_run(tiny_cfg, run, want_trace=True)
+            interrupted = result.trace.interrupted
+            expected = np.zeros(interrupted.size, dtype=bool)
+            for rec in result.records:
+                if rec.outcome is Outcome.SUCCESS:
+                    expected[rec.command_tick : rec.completion_tick] = True
+                elif rec.outcome is Outcome.FAIL_RACH:
+                    expected[rec.command_tick : rec.reestablish_until_tick] = True
+            assert not (expected & ~interrupted).any()
+            assert interrupted[result.trace.serving_cell < 0].all()
+            # any other tick down belongs to an attempt after every record, cut during its RACH
+            phases = ("trigger", "report", "command", "completion")
+            ticks = [getattr(rec, f"{phase}_tick") for rec in result.records for phase in phases]
+            extra = np.flatnonzero(interrupted & ~expected).tolist()
+            assert extra == [] or extra == list(range(extra[0], interrupted.size))
+            assert extra == [] or extra[0] > max((t for t in ticks if t is not None), default=-1)
 
 
 class TestAggregation:
@@ -730,8 +738,8 @@ class TestCsv:
             tick_snapshots=np.array([0, 11], dtype=np.int64),
             positions_m=np.array([0.0, 122.25]),
             p_ici=0.01,
-            snr_db=np.array([[12.3456789, -3.0], [0.1, 1e7]]),
-            effective_snr_db=np.array([[12.0, -3.5], [-0.25, 20.000001]]),
+            snr_db=np.array([[12.3456789, 0.1], [-3.0, 1e7]]),            # (n_cells, n_ticks)
+            effective_snr_db=np.array([[12.0, -0.25], [-3.5, 20.000001]]),
             serving_cell=np.array([0, -1], dtype=np.int64),
             interrupted=np.array([False, True]),
             throughput_bps=np.array([1.5e7, 0.0]),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.special import j0
 
 from railho.ici import (
     IciParams,
@@ -80,6 +81,61 @@ class TestIciBounds:
     @given(fd=st.floats(min_value=0.0, max_value=4000.0))
     def test_lower_never_exceeds_upper(self, fd):
         assert ici_power_lower(fd) <= ici_power_upper(fd)
+
+
+def exact_ici_share(x, n=64):
+    """ICI share of an n-subcarrier OFDM symbol under Jakes Doppler, ``x = 2 pi fd Ts``.
+
+    One minus the power of the symbol's mean channel gain, whose lag-k
+    autocorrelation is ``J0(x k / n)``.
+    """
+    lags = np.arange(1, n)
+    return 1.0 - (n + 2.0 * np.sum((n - lags) * j0(x * lags / n))) / n**2
+
+
+def monte_carlo_ici_share(x, rng, n=64, symbols=2000, paths=32):
+    """ICI share measured at an OFDM receiver, with its standard error.
+
+    QPSK on ``n`` subcarriers passes a flat Jakes sum-of-sinusoids channel
+    with unit mean power, sampled ``n`` times per symbol; each symbol draws
+    fresh arrival angles and phases, so the channel's autocorrelation is
+    ``J0`` in expectation. The receiver takes out the symbol's mean gain;
+    what is left on the subcarriers is the ICI.
+    """
+    t = np.arange(n) / n  # sample times, in symbol durations
+    h = np.zeros((symbols, n), dtype=complex)
+    for _ in range(paths):
+        doppler = x * np.cos(rng.uniform(0.0, 2.0 * np.pi, (symbols, 1)))
+        h += np.exp(1j * (doppler * t + rng.uniform(0.0, 2.0 * np.pi, (symbols, 1))))
+    h /= math.sqrt(paths)
+    qpsk = (rng.choice([-1.0, 1.0], (symbols, n)) + 1j * rng.choice([-1.0, 1.0], (symbols, n))) / math.sqrt(2.0)
+    received = np.fft.fft(h * np.fft.ifft(qpsk, axis=1), axis=1)
+    ici = np.mean(np.abs(received - h.mean(axis=1, keepdims=True) * qpsk) ** 2, axis=1)
+    return ici.mean(), ici.std(ddof=1) / math.sqrt(symbols)
+
+
+class TestIciBoundRange:
+    """How far the Taylor upper bound ``(alpha1 / 12) x^2`` tracks the exact 64-subcarrier ICI share."""
+
+    @pytest.mark.parametrize("speed_kmh", [50.0, 100.0, 300.0, 500.0])  # fd Ts = 0.162, 0.324, 0.972, 1.62
+    def test_exact_share_matches_ofdm_monte_carlo(self, speed_kmh):
+        x = 2.0 * math.pi * doppler_spread_hz(speed_kmh / 3.6, FC) * IciParams().symbol_duration_s
+        share, se = monte_carlo_ici_share(x, np.random.default_rng(round(speed_kmh)))
+        exact = exact_ici_share(x)
+        assert se < 0.03 * exact
+        assert abs(share - exact) <= 4.0 * se, (share, exact, se)
+
+    def test_upper_bound_within_3_percent_above_exact_up_to_x_1(self):
+        ts = IciParams().symbol_duration_s
+        for x in np.linspace(0.01, 1.0, 100):
+            exact = exact_ici_share(x)
+            assert exact <= ici_power_upper(x / (2.0 * math.pi * ts)) <= 1.03 * exact, x
+
+    @pytest.mark.parametrize("speed_kmh, exact", [(300.0, 0.68), (500.0, 0.80)])
+    def test_upper_bound_is_no_share_at_high_speed(self, speed_kmh, exact):
+        fd = doppler_spread_hz(speed_kmh / 3.6, FC)
+        assert exact_ici_share(2.0 * math.pi * fd * IciParams().symbol_duration_s) == pytest.approx(exact, abs=0.005)
+        assert ici_power_upper(fd) >= 1.0
 
 
 class TestRssWithIci:
