@@ -100,12 +100,8 @@ def _check_out(out: Path) -> None:
 
 
 def _warn_ici(cfgs: list[RunConfig]) -> None:
-    """Name on stderr, once, the speeds whose Taylor ICI power is 1 or more: the bound is out of its range there."""
-    speeds = sorted({
-        cfg.speed_kmh for cfg in cfgs
-        if ici.ici_power_upper(ici.doppler_spread_hz(cfg.kinematics.speed_mps, cfg.ici.carrier_frequency_hz), cfg.ici)
-        >= 1.0
-    })
+    """Name on stderr, once, the speeds whose ICI power (``ici.ici_power``, as the runs use it) is 1 or more."""
+    speeds = sorted({cfg.speed_kmh for cfg in cfgs if ici.ici_power(cfg.kinematics.speed_mps, cfg.ici) >= 1.0})
     if speeds:
         print(
             f"warning: the ICI power bound is 1 or more at {', '.join(f'{v:g}' for v in speeds)} km/h, "
@@ -148,9 +144,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _load(args)
-    if not args.speeds or not args.offsets:
-        raise ConfigError("sweep needs at least one speed and one offset")
-    envs = [env.strip() for env in (args.envs or "").split(",") if env.strip()] or [None]
+    envs = [None] if args.envs is None else [env.strip() for env in args.envs.split(",") if env.strip()]
+    if not args.speeds or not args.offsets or not envs:
+        raise ConfigError("sweep needs at least one speed, one offset and one environment")
     cfgs = [
         apply_overrides(base, speed_kmh=speed, environment=env, offset_db=offset)
         for env in envs

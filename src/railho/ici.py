@@ -9,7 +9,7 @@ With the noise power normalised to one, a link with mean received power
 which reduces to the plain SNR when ``p_ici = 0`` and saturates at
 ``-10 * log10(p_ici)`` for strong links. The ICI power itself is bounded by
 a truncated Taylor expansion in ``2 * pi * fd * Ts``; the simulation uses
-the upper bound as the worst case.
+the upper bound as the worst case (``ici_power``).
 """
 
 from __future__ import annotations
@@ -65,6 +65,11 @@ def ici_power_lower(doppler_hz: float, params: IciParams = IciParams()) -> float
     return max(0.0, params.alpha1 / 12.0 * x * x - 0.375 / 360.0 * x**4)
 
 
+def ici_power(speed_mps: float, params: IciParams) -> float:
+    """The ICI power that degrades a link at ``speed_mps``, for the runs and their range warning: the upper bound."""
+    return ici_power_upper(doppler_spread_hz(speed_mps, params.carrier_frequency_hz), params)
+
+
 def effective_sinr_linear(pr_linear, p_ici):
     """Linear effective SINR ``pr / (pr * p_ici + 1)`` of a link with normalised noise, unchecked."""
     return pr_linear / (pr_linear * p_ici + 1.0)
@@ -78,9 +83,9 @@ def rss_with_ici(pr_linear, p_ici):
     """
     pr = np.asarray(pr_linear, dtype=float)
     p = np.asarray(p_ici, dtype=float)
-    if np.any(pr <= 0.0):
+    if not (pr > 0.0).all():  # NaN fails it
         raise ValueError("pr_linear must be strictly positive")
-    if np.any(p < 0.0):
+    if not (p >= 0.0).all():
         raise ValueError("p_ici must be non-negative")
     out = 10.0 * np.log10(effective_sinr_linear(pr, p))
     return float(out) if out.ndim == 0 else out

@@ -63,7 +63,7 @@ def l1_filter(raw_linear: np.ndarray, cfg: L1Config, stride: int, normals: np.nd
     raw = np.asarray(raw_linear, dtype=float)
     if raw.size == 0:
         raise ValueError("raw stream is empty")
-    if np.any(raw <= 0.0):
+    if not (raw > 0.0).all():  # NaN fails it
         raise ValueError("raw stream values must be positive")
     if stride < 1:
         raise ValueError("stride must be >= 1")

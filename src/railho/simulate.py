@@ -86,7 +86,6 @@ class _StaticTables:
     tick_site_ind_sqrt: np.ndarray   # (n_ticks,) sqrt of the per-link shadowing share
     tick_rician: tuple[np.ndarray, np.ndarray]  # (mean, scale), each (n_ticks,), on LOS ticks
     los_ticks: int                 # ticks up to the last finite LOS threshold of any cell
-    p_ici: float
     noise_dbm: float
     initial_serving: int
 
@@ -205,9 +204,7 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
     los_ticks = int(decisive[-1]) + 1 if decisive.size else 0
     n_latent = (los_ticks - 1) * stride + 1 if los_ticks else 0
     profile_runs = [(lo, hi, cfg.profiles[env]) for lo, hi, env in runs]
-    fd = ici.doppler_spread_hz(kin.speed_mps, cfg.ici.carrier_frequency_hz)
-    p_ici = ici.ici_power_upper(fd, cfg.ici)
-    if not math.isfinite(p_ici):
+    if not math.isfinite(ici.ici_power(kin.speed_mps, cfg.ici)):
         raise ConfigError(f"the ICI power overflows at {cfg.speed_kmh:g} km/h with {cfg.ici}")
     tx = cfg.budget.rrh_tx_power_dbm
     rx_nlos = tx + base_nlos
@@ -233,7 +230,6 @@ def precompute_tables(cfg: RunConfig) -> _StaticTables:
         tick_site_ind_sqrt=np.sqrt(1.0 - site_corr),
         tick_rician=channel.rician_coefficients(per_tick(lambda p: p.rician_k_linear())),
         los_ticks=los_ticks,
-        p_ici=p_ici,
         noise_dbm=cfg.budget.noise_dbm(),
         initial_serving=initial_serving,
     )
@@ -315,7 +311,7 @@ def _link(cfg: RunConfig, tables: _StaticTables, run_index: int, views: Sequence
     ``(own, common, fading, latent, noise)``; ``noise``, the measurement
     noise's standard normals, is ``None`` when ``cfg.l1`` adds none.
     """
-    p = tables.p_ici
+    p = ici.ici_power(cfg.kinematics.speed_mps, cfg.ici)
     with np.errstate(over="ignore", invalid="ignore"):  # a power out of the float range is rejected below
         pr_dl = _downlink_pr_ticks(tables, *views[:4])
         pr_ul = pr_dl * cfg.budget.ul_shift()
@@ -405,7 +401,7 @@ def _run_trace(
     return RunTrace(
         tick_snapshots=tables.tick_snapshots,
         positions_m=tables.tick_positions,
-        p_ici=tables.p_ici,
+        p_ici=ici.ici_power(cfg.kinematics.speed_mps, cfg.ici),
         snr_db=10.0 * np.log10(pr_dl),
         effective_snr_db=dl_snr,
         serving_cell=serving,

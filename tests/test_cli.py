@@ -1,9 +1,10 @@
 import argparse
 import json
+import math
 
 import pytest
 
-from railho import cli, csvio, simulate
+from railho import cli, csvio, ici, simulate
 from railho.cli import main
 from railho.config import apply_overrides, load_config
 
@@ -307,6 +308,19 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("envs", [",", "", " , "])
+    def test_env_list_without_env_exits_2_before_any_run(
+        self, tiny_config_path, tmp_path, monkeypatch, capsys, envs
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "monte_carlo", lambda cfg, **kwargs: calls.append(cfg))
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(tiny_config_path), "--envs", envs, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert calls == []
+        assert not out.exists()
+
     def test_worker_count_is_byte_identical(self, tiny_config_path, tmp_path):
         outs = []
         for workers in ("1", "3"):
@@ -420,6 +434,18 @@ def test_ici_bound_out_of_range_warns_once_on_stderr(tiny_config_path, tmp_path,
     expected = "" if warned is None else f"{_ICI_WARNING}{warned}, outside the range of its Taylor expansion\n"
     assert writes == [expected]
     assert "warning" not in capsys.readouterr().out
+
+
+def test_ici_warning_reads_the_power_the_run_uses(tiny_config_path, tmp_path, monkeypatch, capsys):
+    # a model whose ICI power is 1 or more at every speed: the run uses it, and the warning names 100 km/h
+    monkeypatch.setattr(ici, "ici_power", lambda speed_mps, params: 1.5)
+    out = tmp_path / "out"
+    assert main(["trace", "--speed", "100", "--config", str(tiny_config_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == f"{_ICI_WARNING}100 km/h, outside the range of its Taylor expansion\n"
+    cfg = apply_overrides(load_config(tiny_config_path), speed_kmh=100.0)
+    trace = simulate.simulate_run(cfg, 0, want_trace=True).trace
+    assert trace.p_ici == 1.5
+    assert trace.effective_snr_db.max() < -10.0 * math.log10(1.5)
 
 
 def test_configuration_error_comes_before_the_ici_warning(tiny_config_path, tmp_path, capsys):

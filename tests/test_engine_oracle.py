@@ -148,7 +148,7 @@ def _reference_run(cfg, run_index, tables):
     snap = _snapshot_tables(cfg)
     n_cells = cfg.layout.spans + 1
     n_ticks = snap.tick_snapshots.size
-    p = tables.p_ici
+    p = ici.ici_power_upper(ici.doppler_spread_hz(cfg.kinematics.speed_mps, cfg.ici.carrier_frequency_hz), cfg.ici)
     ul_shift = 10.0 ** ((cfg.budget.ue_tx_power_dbm - cfg.budget.rrh_tx_power_dbm) / 10.0)
 
     common_shadow = _common_shadow_series(cfg, snap, run_index)

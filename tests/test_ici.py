@@ -10,6 +10,7 @@ from scipy.special import j0
 from railho.ici import (
     IciParams,
     doppler_spread_hz,
+    ici_power,
     ici_power_lower,
     ici_power_upper,
     rss_with_ici,
@@ -77,6 +78,12 @@ class TestIciBounds:
     def test_upper_scales_quadratically_exactly(self):
         for fd in (100.0, 324.0740740740741, 777.5):
             assert ici_power_upper(2.0 * fd) == 4.0 * ici_power_upper(fd)
+
+    def test_ici_power_is_the_upper_bound_at_the_doppler_spread(self):
+        params = IciParams(alpha1=0.3, carrier_frequency_hz=2.6e9)
+        for speed_kmh in (0.0, 50.0, 100.0, 500.0):
+            v = speed_kmh / 3.6
+            assert ici_power(v, params) == ici_power_upper(doppler_spread_hz(v, 2.6e9), params)
 
     @given(fd=st.floats(min_value=0.0, max_value=4000.0))
     def test_lower_never_exceeds_upper(self, fd):
@@ -159,6 +166,10 @@ class TestRssWithIci:
             rss_with_ici(0.0, 0.1)
         with pytest.raises(ValueError):
             rss_with_ici(10.0, -0.1)
+        with pytest.raises(ValueError, match="pr_linear"):
+            rss_with_ici(np.nan, 0.1)
+        with pytest.raises(ValueError, match="p_ici"):
+            rss_with_ici(10.0, np.array([0.1, np.nan]))
 
     def test_accepts_arrays(self):
         out = rss_with_ici(np.array([1.0, 10.0]), 0.0)

@@ -91,6 +91,8 @@ class TestL1Filter:
             l1_filter(np.array([]), noiseless(), stride=1)
         with pytest.raises(ValueError):
             l1_filter(np.array([1.0, 0.0]), noiseless(), stride=1)
+        with pytest.raises(ValueError, match="must be positive"):
+            l1_filter(np.array([1.0, np.nan, 2.0]), noiseless(), stride=1)
 
     @given(
         values=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=60),
