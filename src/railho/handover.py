@@ -153,6 +153,11 @@ def _strongest(l3_db: Sequence[float]) -> int:
     return _best_other(l3_db, -1)
 
 
+def strongest_cells(l3_db: np.ndarray) -> list[int]:
+    """``_strongest`` of every tick of ``(n_cells, n_ticks)`` L3: ``argmax`` takes the first maximum."""
+    return np.asarray(l3_db).argmax(axis=0).tolist()
+
+
 def a3_margins(l3_db: np.ndarray) -> list[np.ndarray]:
     """Per serving cell s, the A3 margin ``max_{c != s} L3[c] - L3[s]`` on every tick.
 
@@ -204,8 +209,8 @@ class HandoverFsm:
     the report, and the reconnection at the end of re-establishment. ``run``
     reads the gates there and nowhere else. ``step`` is the per-tick literal
     form, and the two must agree on every record, every event and the final
-    state. Both pick cells with ``_best_other`` and ``_strongest``, the one
-    tie rule (the lowest cell id wins).
+    state. Both pick cells by one tie rule, the lowest cell id wins: ``step``
+    by ``_best_other`` and ``_strongest``, ``run`` by ``strongest_cells``.
     """
 
     def __init__(
@@ -246,12 +251,13 @@ class HandoverFsm:
         ul_snr_db: np.ndarray,
         dl_snr_db: np.ndarray,
         margins: Sequence[np.ndarray],
+        strongest: Sequence[int],
     ) -> list[HandoverRecord]:
         """Drive a fresh machine over ``(n_cells, n_ticks)`` arrays.
 
         Returns the records of every terminated attempt, in tick order.
-        ``margins`` are the ``a3_margins`` of ``l3_db``. The records, the
-        events and the final state equal calling ``step`` on every tick.
+        ``margins`` and ``strongest`` are ``a3_margins`` and ``strongest_cells``
+        of ``l3_db``. The records, events and final state equal ``step``'s.
         """
         l3 = np.asarray(l3_db, dtype=float)
         ul = np.asarray(ul_snr_db, dtype=float)
@@ -261,6 +267,9 @@ class HandoverFsm:
         if self._next_tick != 0:
             raise ValueError("run needs a machine that has not been stepped yet")
         n_ticks = l3.shape[1]
+        rows = self.n_cells if self.n_cells > 1 else 0
+        if len(strongest) != n_ticks or len(margins) != rows or any(m.shape != (n_ticks,) for m in margins):
+            raise ValueError("margins and strongest must be those of l3_db")
         n_ttt, h, gate = self._n_ttt, self.cfg.hysteresis_db, self.cfg.snr_gate_db
         command_ticks, completion_ticks = self._command_ticks, self._completion_ticks
         reestablish_ticks = self._reestablish_ticks
@@ -286,13 +295,18 @@ class HandoverFsm:
             add(("ttt_start", e))
             if end - e < n_ttt:  # the run ends before TTT does
                 if end == n_ticks:
-                    state = Phase.TTT_RUNNING, _best_other(columns[end - 1].tolist(), s), e, None, None
+                    target = strongest[end - 1]
+                    if target == s:  # the serving cell is strongest: a tie at 0 dB or a negative hysteresis
+                        target = _best_other(columns[end - 1].tolist(), s)
+                    state = Phase.TTT_RUNNING, target, e, None, None
                     break
                 add(("ttt_reset", end))
                 t = end + 1
                 continue
             r = e + n_ttt - 1
-            target = _best_other(columns[r].tolist(), s)
+            target = strongest[r]
+            if target == s:
+                target = _best_other(columns[r].tolist(), s)
             if ul.item(s, r) < gate:
                 records.append(HandoverRecord(run_id, s, target, Outcome.FAIL_UPLINK_REPORT, e, r))
                 add(("report_blocked", r))
@@ -325,7 +339,7 @@ class HandoverFsm:
             if until >= n_ticks:
                 s, state = None, (Phase.REESTABLISHING, target, e, r, c)
                 break
-            s = _strongest(columns[until].tolist())
+            s = strongest[until]
             add(("reestablished", until))
             t = until
         self.phase, self.target_cell, self._trigger_tick, self._report_tick, self._command_tick = state

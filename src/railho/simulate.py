@@ -6,8 +6,8 @@ loss + antenna pattern + correlated shadowing + fast fading), degrades it with
 the worst-case ICI power for the configured speed and feeds the L1/L3
 measurement pipeline on the 40 ms tick grid. The handover part drives the
 handover state machine over it attempt by attempt (``HandoverFsm.run``),
-from the A3 margins that the link part computes once (``a3_margins``), which
-every handover setting of the link shares.
+from the link part's ``a3_margins`` and ``strongest_cells``, which every
+handover setting of the link shares.
 
 What runs on snapshots and what on ticks:
 
@@ -53,7 +53,7 @@ from scipy.special import ndtri
 from . import channel, ici
 from .config import ConfigError, RunConfig
 from .geometry import DeploymentLayout, Environment, environment_at, link_geometry, sample_stride, snapshot_count
-from .handover import HandoverConfig, HandoverFsm, HandoverRecord, Outcome, a3_margins
+from .handover import HandoverConfig, HandoverFsm, HandoverRecord, Outcome, a3_margins, strongest_cells
 from .measurement import measure_cell
 
 _STREAM_SHADOW = 0
@@ -303,10 +303,10 @@ def _downlink_pr_ticks(
 
 
 def _link(cfg: RunConfig, tables: _StaticTables, run_index: int, views: Sequence) -> tuple[np.ndarray, ...]:
-    """The link part of a run: ``(pr_dl, l3, ul_snr, dl_snr, margins)``.
+    """The link part of a run: ``(pr_dl, l3, ul_snr, dl_snr, margins, strongest)``.
 
-    The first four are ``(n_cells, n_ticks)``; ``margins`` are the
-    ``a3_margins`` of ``l3``, which depend on no handover setting.
+    The first four are ``(n_cells, n_ticks)``; the last two, ``a3_margins`` and
+    ``strongest_cells`` of ``l3``, depend on no handover setting.
     ``views`` are the group's five reads of the run's draws (``_views``):
     ``(own, common, fading, latent, noise)``; ``noise``, the measurement
     noise's standard normals, is ``None`` when ``cfg.l1`` adds none.
@@ -322,7 +322,7 @@ def _link(cfg: RunConfig, tables: _StaticTables, run_index: int, views: Sequence
     l3 = measure_cell(eff_lin_dl, cfg.l1, cfg.l3, views[4])
     dl_snr = 10.0 * np.log10(eff_lin_dl)  # ici.rss_with_ici(pr_dl, p), from the L1 input
     ul_snr = 10.0 * np.log10(ici.effective_sinr_linear(pr_ul, p))
-    return pr_dl, l3, ul_snr, dl_snr, a3_margins(l3)
+    return pr_dl, l3, ul_snr, dl_snr, a3_margins(l3), strongest_cells(l3)
 
 
 def _clip_segments(segments: tuple | None, n: int) -> tuple | None:
@@ -377,10 +377,10 @@ def _handover(
     cfg: RunConfig, handover: HandoverConfig, tables: _StaticTables, run_index: int, link: tuple
 ) -> tuple[list[HandoverRecord], HandoverFsm]:
     """The handover part of a run: one state machine over the link, its records and the machine."""
-    _, l3, ul_snr, dl_snr, margins = link
+    _, l3, ul_snr, dl_snr, margins, strongest = link
     n_cells, period = l3.shape[0], cfg.l1.sample_period_s
     fsm = HandoverFsm(handover, period, n_cells, serving_cell=tables.initial_serving, run_id=run_index)
-    records = fsm.run(l3, ul_snr, dl_snr, margins)
+    records = fsm.run(l3, ul_snr, dl_snr, margins, strongest)
     placed = [rec for rec in records if rec.command_tick is not None]
     for rec, x in zip(placed, tables.tick_positions[[rec.command_tick for rec in placed]].tolist()):
         rec.start_position_m = x
@@ -393,7 +393,7 @@ def _run_trace(
     cfg: RunConfig, tables: _StaticTables, link: tuple, records: Sequence[HandoverRecord], fsm: HandoverFsm
 ) -> RunTrace:
     """The per-tick trace of a run, from its link part and its handover part's records and machine."""
-    pr_dl, _, _, dl_snr, _ = link
+    pr_dl, _, _, dl_snr, *_ = link
     serving, interrupted = fsm.tick_trace(records)
     # serving cell -1 only while re-establishing, where the link is down and the throughput 0
     eff_db_serving = dl_snr[serving, np.arange(serving.size)]
@@ -499,9 +499,10 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
 
     * The configs that differ only in ``handover`` form a link group, which
       shares one set of tables and, per run, one link part (``_link``: the
-      LOS latent, the L1/L3 measurements and the A3 margins), which drives
-      one state machine per distinct ``handover`` (``_handover``). Only the state machine reads
-      ``handover``. The runs call these directly, not ``simulate_run``.
+      LOS latent, the L1/L3 measurements, the A3 margins and the strongest
+      cells), which drives one state machine per distinct ``handover``
+      (``_handover``). Only the state machine reads ``handover``. The runs
+      call these directly, not ``simulate_run``.
     * Every random stream is keyed by (master_seed, run_index, cell, purpose)
       and indexed by sample (snapshot, or tick for the L1 noise), not by
       speed or LOS profile. One rule shares the draws: a group's five reads

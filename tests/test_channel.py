@@ -332,9 +332,9 @@ class TestMeanRxPower:
         seen = []
         run = HandoverFsm.run
 
-        def spy(fsm, l3_db, ul_snr_db, dl_snr_db, margins=None):
+        def spy(fsm, l3_db, ul_snr_db, dl_snr_db, margins, strongest):
             seen.append((ul_snr_db, dl_snr_db))
-            return run(fsm, l3_db, ul_snr_db, dl_snr_db, margins)
+            return run(fsm, l3_db, ul_snr_db, dl_snr_db, margins, strongest)
 
         monkeypatch.setattr(HandoverFsm, "run", spy)
         simulate_run(cfg, 0)

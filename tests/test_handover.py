@@ -21,6 +21,7 @@ from railho.handover import (
     a3_condition,
     a3_margins,
     classify_postponement,
+    strongest_cells,
 )
 from railho.simulate import RunTrace, simulate_run
 
@@ -40,6 +41,11 @@ def drive(machine, l3_rows, ul_rows=None, dl_rows=None):
         dl = dl_rows[t] if dl_rows else [HIGH] * machine.n_cells
         records.extend(machine.step(t, l3, ul, dl))
     return records
+
+
+def shared(l3):
+    """What the machines of one link share: ``(a3_margins, strongest_cells)`` of its L3."""
+    return a3_margins(l3), strongest_cells(l3)
 
 
 def cond_rows(cond, margin=5.0):
@@ -450,13 +456,19 @@ class TestEventDrivenRun:
     def test_run_matches_literal_step_loop_on_fuzzed_traces(self):
         rng = np.random.default_rng(20170328)
         outcomes = set()
-        reestablished = 0
+        reestablished = serving_strongest = 0
         for _ in range(3000):
             cfg, n_cells, serving, l3, ul, dl = fuzzed_trace(rng)
             fast = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=7)
             slow = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=7)
-            fast_records = fast.run(l3, ul, dl, a3_margins(l3))
+            fast_records = fast.run(l3, ul, dl, *shared(l3))
             slow_records, *slow_trace = literal_run(slow, l3, ul, dl)
+            # reports where the serving cell is the strongest, so ``run`` takes ``_best_other``
+            serving_strongest += sum(
+                _strongest(l3[:, r.report_tick].tolist()) == r.serving_cell
+                for r in slow_records
+                if r.report_tick is not None
+            )
             assert fast_records == slow_records
             assert fast.events == slow.events
             assert_trace_equal(fast.tick_trace(fast_records), slow_trace)
@@ -465,23 +477,25 @@ class TestEventDrivenRun:
             reestablished += any(name == "reestablished" for name, _ in slow.events)
         assert outcomes == set(Outcome) - {Outcome.NOT_TRIGGERED}
         assert reestablished > 10
+        assert serving_strongest > 100, serving_strongest
 
     def test_shared_margins_change_nothing(self):
-        """Machines of two handover settings that share one link's margins equal machines given their own."""
+        """Machines of two handover settings that share one link's inputs equal machines given their own."""
         rng = np.random.default_rng(20170330)
         for _ in range(3000):
             cfg, n_cells, serving, l3, ul, dl = fuzzed_trace(rng)
             other = dataclasses.replace(cfg, hysteresis_db=cfg.hysteresis_db + 1.0)
-            shared = a3_margins(l3)
-            kept = [m.copy() for m in shared]
+            margins, strongest = shared(l3)
+            kept = [m.copy() for m in margins], list(strongest)
             for c in (cfg, other, cfg):
                 own = HandoverFsm(c, PERIOD, n_cells, serving, run_id=5)
                 machine = HandoverFsm(c, PERIOD, n_cells, serving, run_id=5)
-                assert machine.run(l3, ul, dl, shared) == own.run(l3, ul, dl, a3_margins(l3))
+                assert machine.run(l3, ul, dl, margins, strongest) == own.run(l3, ul, dl, *shared(l3))
                 assert machine.events == own.events
                 assert final_state(machine) == final_state(own)
-            for m, k in zip(shared, kept, strict=True):
+            for m, k in zip(margins, kept[0], strict=True):
                 np.testing.assert_array_equal(m, k)
+            assert strongest == kept[1]
 
     def test_a3_margins_reject_nan(self):
         l3 = np.zeros((3, 4))
@@ -496,7 +510,7 @@ class TestEventDrivenRun:
         for _ in range(3000):
             cfg, n_cells, serving, l3, ul, dl = fuzzed_trace(rng)
             machine = HandoverFsm(cfg, PERIOD, n_cells, serving)
-            records = machine.run(l3, ul, dl, a3_margins(l3))
+            records = machine.run(l3, ul, dl, *shared(l3))
             trace, _ = machine.tick_trace(records)
             windows = [(r.command_tick, r.reestablish_until_tick) for r in records if r.outcome is Outcome.FAIL_RACH]
             for t in np.flatnonzero(trace < 0).tolist():
@@ -512,7 +526,7 @@ class TestEventDrivenRun:
 
         stepped = []
 
-        def literal(machine, l3_db, ul_snr_db, dl_snr_db, margins):
+        def literal(machine, l3_db, ul_snr_db, dl_snr_db, margins, strongest):
             records, *trace = literal_run(machine, l3_db, ul_snr_db, dl_snr_db)
             stepped.append(trace)
             return records
@@ -530,7 +544,7 @@ class TestEventDrivenRun:
 
     def test_one_cell_never_triggers(self):
         machine = fsm(n_cells=1)
-        records = machine.run(np.zeros((1, 5)), np.full((1, 5), LOW), np.full((1, 5), LOW), [])
+        records = machine.run(np.zeros((1, 5)), np.full((1, 5), LOW), np.full((1, 5), LOW), [], [0] * 5)
         assert records == [] and machine.events == []
         assert_trace_equal(machine.tick_trace(records), ([0] * 5, [False] * 5))
 
@@ -538,11 +552,30 @@ class TestEventDrivenRun:
         machine = fsm()
         machine.step(0, [0.0, 0.0], [HIGH, HIGH], [HIGH, HIGH])
         with pytest.raises(ValueError, match="not been stepped"):
-            machine.run(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), a3_margins(np.zeros((2, 3))))
+            machine.run(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), *shared(np.zeros((2, 3))))
 
     def test_run_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
-            fsm().run(np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 4)), a3_margins(np.zeros((3, 4))))
+            fsm().run(np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 4)), *shared(np.zeros((3, 4))))
+
+    @pytest.mark.parametrize(
+        "n_cells, margins_of, strongest_of",  # (n_cells, n_ticks) of the L3 each input was computed from
+        [
+            (2, (2, 7), (2, 6)),
+            (2, (2, 5), (2, 6)),
+            (3, (2, 6), (3, 6)),
+            (2, (3, 6), (2, 6)),
+            (2, (1, 6), (2, 6)),
+            (1, (2, 6), (1, 6)),
+            (2, (2, 6), (2, 7)),
+            (2, (2, 6), (2, 5)),
+        ],
+    )
+    def test_run_rejects_inputs_of_another_link(self, n_cells, margins_of, strongest_of):
+        l3 = np.arange(n_cells * 6.0).reshape(n_cells, 6)
+        machine = HandoverFsm(HandoverConfig(), PERIOD, n_cells, 0)
+        with pytest.raises(ValueError, match="those of l3_db"):
+            machine.run(l3, l3, l3, a3_margins(np.zeros(margins_of)), strongest_cells(np.zeros(strongest_of)))
 
 
 FINAL_STATE = (
@@ -617,7 +650,7 @@ class TestAttemptDriveEdgeCases:
 
             fast = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
             slow = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
-            fast_records = fast.run(l3[:, :cut], ul[:, :cut], dl[:, :cut], a3_margins(l3[:, :cut]))
+            fast_records = fast.run(l3[:, :cut], ul[:, :cut], dl[:, :cut], *shared(l3[:, :cut]))
             slow_records, *slow_trace = literal_run(slow, l3[:, :cut], ul[:, :cut], dl[:, :cut])
             assert fast_records == slow_records
             assert fast.events == slow.events
@@ -668,7 +701,7 @@ class TestTickTrace:
                 cfg, n_cells, serving, l3, ul, dl = make(rng)
                 fast = HandoverFsm(cfg, PERIOD, n_cells, serving)
                 slow = HandoverFsm(cfg, PERIOD, n_cells, serving)
-                records = fast.run(l3, ul, dl, a3_margins(l3))
+                records = fast.run(l3, ul, dl, *shared(l3))
                 slow_records, *literal = literal_run(slow, l3, ul, dl)
                 assert_trace_equal(fast.tick_trace(records), literal)
                 assert_trace_equal(slow.tick_trace(slow_records), literal)
@@ -735,6 +768,26 @@ class TestFastHelpersMatchLiteralForms:
             assert bounds == literal_entering_runs(l3, serving, h0)
         assert ties > 500 and inf_columns > 1000, (ties, inf_columns)
 
+    def test_strongest_cells_match_strongest_of_every_column(self):
+        """One ``argmax`` per link picks ``_strongest`` of each tick: ties, signed zeros and infinities."""
+        rng = np.random.default_rng(20170401)
+        values = np.array([-np.inf, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf])
+        ties = signed_zero_ties = 0
+        for trial in range(600):
+            n_cells, n = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+            l3 = values[rng.integers(0, values.size, size=(n_cells, n))]
+            if trial % 2:  # an integer grid, where ties are common
+                l3 = rng.integers(-2, 3, size=(n_cells, n)).astype(float)
+            columns = l3.T.tolist()
+            assert strongest_cells(l3) == [_strongest(column) for column in columns]
+            for column in columns:
+                top = [value for value in column if value == max(column)]
+                ties += len(top) > 1
+                signed_zero_ties += top[0] == 0.0 and len({math.copysign(1.0, v) for v in top}) > 1
+        assert ties > 1000 and signed_zero_ties > 100, (ties, signed_zero_ties)
+        for column, strongest in (([-0.0, 0.0], 0), ([0.0, -0.0], 0), ([np.inf, np.inf], 0), ([-np.inf, -np.inf], 0)):
+            assert strongest_cells(np.array(column)[:, None]) == [strongest] == [_strongest(column)]
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     def test_run_matches_step_on_tied_traces(self):
         rng = np.random.default_rng(1703)
@@ -744,7 +797,7 @@ class TestFastHelpersMatchLiteralForms:
             dl = np.where(rng.random(l3.shape) < 0.2, -20.0, 30.0)
             fast = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
             slow = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
-            fast_records = fast.run(l3, ul, dl, a3_margins(l3))
+            fast_records = fast.run(l3, ul, dl, *shared(l3))
             slow_records, *slow_trace = literal_run(slow, l3, ul, dl)
             assert fast_records == slow_records
             assert fast.events == slow.events
