@@ -153,25 +153,38 @@ def _strongest(l3_db: Sequence[float]) -> int:
     return _best_other(l3_db, -1)
 
 
-def strongest_cells(l3_db: np.ndarray) -> list[int]:
-    """``_strongest`` of every tick of ``(n_cells, n_ticks)`` L3: ``argmax`` takes the first maximum."""
-    return np.asarray(l3_db).argmax(axis=0).tolist()
+def link_ranking(l3_db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(margins, strongest)`` of ``(n_cells, n_ticks)`` L3, which the machines of one link share.
 
-
-def a3_margins(l3_db: np.ndarray) -> list[np.ndarray]:
-    """Per serving cell s, the A3 margin ``max_{c != s} L3[c] - L3[s]`` on every tick.
-
-    ``l3_db`` is ``(n_cells, n_ticks)``; one cell has no margin, so the list
-    is empty. The margins depend on no handover setting, so the machines of
-    one link can share them.
+    ``margins[s]`` is serving cell s's A3 margin ``max_{c != s} L3[c] - L3[s]``
+    (no row for one cell) and ``strongest`` is ``_strongest`` of every tick,
+    from running maxima of the cells below and above s: the strongest is the
+    last cell above the maximum below it. ``max`` is exact and keeps the last
+    of equal values in both chains, as a literal ``max`` does, so the margins
+    equal it bit for bit. A margin of an infinity against itself is NaN,
+    which never enters.
     """
     l3 = np.asarray(l3_db, dtype=float)
     if np.isnan(l3).any():
         raise ValueError("l3_db contains NaN")
-    n_cells = l3.shape[0]
+    n_cells, n_ticks = l3.shape
+    strongest = np.zeros(n_ticks, dtype=int)
     if n_cells == 1:
-        return []
-    return [l3[[c for c in range(n_cells) if c != s]].max(axis=0) - l3[s] for s in range(n_cells)]
+        return np.empty((0, n_ticks)), strongest
+    margins = np.empty_like(l3)  # row s >= 1 first holds the maximum of the cells below s
+    margins[1] = l3[0]
+    for c in range(1, n_cells):
+        np.putmask(strongest, l3[c] > margins[c], c)
+        if c + 1 < n_cells:
+            np.maximum(margins[c], l3[c], out=margins[c + 1])
+    above = l3[-1].copy()  # the maximum of the cells above s, from the last cell down
+    for s in range(n_cells - 2, 0, -1):
+        np.maximum(margins[s], above, out=margins[s])
+        np.maximum(l3[s], above, out=above)
+    margins[0] = above
+    with np.errstate(invalid="ignore"):  # a cell level with its strongest rival at an infinity: inf - inf
+        margins -= l3
+    return margins, strongest
 
 
 def _entering_bounds(margin_db: np.ndarray, hysteresis_db: float) -> list[int]:
@@ -203,14 +216,14 @@ class HandoverFsm:
     iteration, inline, and calls neither ``step`` nor its transition
     methods. Every transition is due on a tick known in advance: TTT starts
     on the next A3 entering tick ``e`` (from the entering runs of the serving
-    cell, found once per cell from its ``a3_margins``) and resets on the
+    cell, found once per cell from its ``link_ranking`` margins) and resets on the
     first tick after ``e`` that is not entering; the report is due on
     ``e + n_ttt - 1``, the command and the RACH check at their offsets from
     the report, and the reconnection at the end of re-establishment. ``run``
     reads the gates there and nowhere else. ``step`` is the per-tick literal
     form, and the two must agree on every record, every event and the final
     state. Both pick cells by one tie rule, the lowest cell id wins: ``step``
-    by ``_best_other`` and ``_strongest``, ``run`` by ``strongest_cells``.
+    by ``_best_other`` and ``_strongest``, ``run`` by ``link_ranking``.
     """
 
     def __init__(
@@ -250,14 +263,14 @@ class HandoverFsm:
         l3_db: np.ndarray,
         ul_snr_db: np.ndarray,
         dl_snr_db: np.ndarray,
-        margins: Sequence[np.ndarray],
-        strongest: Sequence[int],
+        margins: np.ndarray,
+        strongest: np.ndarray,
     ) -> list[HandoverRecord]:
         """Drive a fresh machine over ``(n_cells, n_ticks)`` arrays.
 
         Returns the records of every terminated attempt, in tick order.
-        ``margins`` and ``strongest`` are ``a3_margins`` and ``strongest_cells``
-        of ``l3_db``. The records, events and final state equal ``step``'s.
+        ``margins`` and ``strongest`` are ``link_ranking`` of ``l3_db``. The
+        records, events and final state equal ``step``'s.
         """
         l3 = np.asarray(l3_db, dtype=float)
         ul = np.asarray(ul_snr_db, dtype=float)
@@ -285,7 +298,7 @@ class HandoverFsm:
         while True:
             bounds = entering.get(s)
             if bounds is None:
-                bounds = entering[s] = _entering_bounds(margins[s], h) if margins else []
+                bounds = entering[s] = _entering_bounds(margins[s], h) if rows else []
             j = bisect_right(bounds, t)
             if j == len(bounds):
                 state = Phase.MONITORING, None, None, None, None
@@ -295,7 +308,7 @@ class HandoverFsm:
             add(("ttt_start", e))
             if end - e < n_ttt:  # the run ends before TTT does
                 if end == n_ticks:
-                    target = strongest[end - 1]
+                    target = strongest.item(end - 1)
                     if target == s:  # the serving cell is strongest: a tie at 0 dB or a negative hysteresis
                         target = _best_other(columns[end - 1].tolist(), s)
                     state = Phase.TTT_RUNNING, target, e, None, None
@@ -304,7 +317,7 @@ class HandoverFsm:
                 t = end + 1
                 continue
             r = e + n_ttt - 1
-            target = strongest[r]
+            target = strongest.item(r)
             if target == s:
                 target = _best_other(columns[r].tolist(), s)
             if ul.item(s, r) < gate:
@@ -339,7 +352,7 @@ class HandoverFsm:
             if until >= n_ticks:
                 s, state = None, (Phase.REESTABLISHING, target, e, r, c)
                 break
-            s = strongest[until]
+            s = strongest.item(until)
             add(("reestablished", until))
             t = until
         self.phase, self.target_cell, self._trigger_tick, self._report_tick, self._command_tick = state

@@ -70,9 +70,9 @@ def ici_power(speed_mps: float, params: IciParams) -> float:
     return ici_power_upper(doppler_spread_hz(speed_mps, params.carrier_frequency_hz), params)
 
 
-def effective_sinr_linear(pr_linear, p_ici):
-    """Linear effective SINR ``pr / (pr * p_ici + 1)`` of a link with normalised noise, unchecked."""
-    return pr_linear / (pr_linear * p_ici + 1.0)
+def effective_sinr_linear(pr_linear, p_ici, out=None):
+    """Linear effective SINR ``pr / (pr * p_ici + 1)``, noise normalised, unchecked; ``out`` may be ``pr_linear``."""
+    return np.divide(pr_linear, pr_linear * p_ici + 1.0, out=out)
 
 
 def rss_with_ici(pr_linear, p_ici):
@@ -91,9 +91,9 @@ def rss_with_ici(pr_linear, p_ici):
     return float(out) if out.ndim == 0 else out
 
 
-def snr_linear_from_dbm(rx_dbm, noise_dbm: float):
-    """Received power (scalar or array) normalised to the noise floor, as a linear ratio."""
-    return 10.0 ** ((rx_dbm - noise_dbm) / 10.0)
+def snr_linear_from_dbm(rx_dbm, noise_dbm: float, out=None):
+    """Received power (scalar or array) normalised to the noise floor, as a linear ratio; ``out`` may be ``rx_dbm``."""
+    return np.power(10.0, np.divide(np.subtract(rx_dbm, noise_dbm, out=out), 10.0, out=out), out=out)
 
 
 def throughput_bps(effective_snr_db, bandwidth_hz: float):

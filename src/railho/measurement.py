@@ -70,18 +70,19 @@ def l1_filter(raw_linear: np.ndarray, cfg: L1Config, stride: int, normals: np.nd
     sampled = raw[..., ::stride]
     n = sampled.shape[-1]
     w = min(cfg.window_samples, n)
-    csum = np.cumsum(sampled, axis=-1)
-    sums = csum.copy()
-    sums[..., w:] -= csum[..., : n - w]
+    sums = np.cumsum(sampled, axis=-1)
+    sums[..., w:] -= sums[..., : n - w]  # numpy buffers the overlap, so each window reads the plain sums
     sums /= np.minimum(np.arange(1, n + 1), w)
-    out = 10.0 * np.log10(sums)
+    out = np.log10(sums, out=sums)
+    out *= 10.0
     if cfg.noise_sigma_db > 0.0:
         if normals is None:
             raise ValueError("normals required when noise_sigma_db > 0")
         if normals.shape != out.shape:
             raise ValueError(f"noise normals of shape {normals.shape} for a series of shape {out.shape}")
         bound = cfg.noise_cutoff_sigmas * cfg.noise_sigma_db
-        out = out + np.clip(normals * cfg.noise_sigma_db, -bound, bound)
+        noise = normals * cfg.noise_sigma_db
+        out += np.clip(noise, -bound, bound, out=noise)
     return out
 
 

@@ -6,8 +6,8 @@ loss + antenna pattern + correlated shadowing + fast fading), degrades it with
 the worst-case ICI power for the configured speed and feeds the L1/L3
 measurement pipeline on the 40 ms tick grid. The handover part drives the
 handover state machine over it attempt by attempt (``HandoverFsm.run``),
-from the link part's ``a3_margins`` and ``strongest_cells``, which every
-handover setting of the link shares.
+from the link part's ``link_ranking``, which every handover setting of the
+link shares.
 
 What runs on snapshots and what on ticks:
 
@@ -53,7 +53,7 @@ from scipy.special import ndtri
 from . import channel, ici
 from .config import ConfigError, RunConfig
 from .geometry import DeploymentLayout, Environment, environment_at, link_geometry, sample_stride, snapshot_count
-from .handover import HandoverConfig, HandoverFsm, HandoverRecord, Outcome, a3_margins, strongest_cells
+from .handover import HandoverConfig, HandoverFsm, HandoverRecord, Outcome, link_ranking
 from .measurement import measure_cell
 
 _STREAM_SHADOW = 0
@@ -296,17 +296,17 @@ def _downlink_pr_ticks(
     shadow += tables.tick_site_corr_sqrt * common
     rx_dbm = np.where(los, tables.tick_rx_los_dbm, tables.tick_rx_nlos_dbm)
     rx_dbm += shadow
-    fading_db = np.log10(h2)
+    fading_db = np.log10(h2, out=h2)
     fading_db *= 10.0
     rx_dbm += fading_db
-    return ici.snr_linear_from_dbm(rx_dbm, tables.noise_dbm)
+    return ici.snr_linear_from_dbm(rx_dbm, tables.noise_dbm, out=rx_dbm)
 
 
 def _link(cfg: RunConfig, tables: _StaticTables, run_index: int, views: Sequence) -> tuple[np.ndarray, ...]:
     """The link part of a run: ``(pr_dl, l3, ul_snr, dl_snr, margins, strongest)``.
 
-    The first four are ``(n_cells, n_ticks)``; the last two, ``a3_margins`` and
-    ``strongest_cells`` of ``l3``, depend on no handover setting.
+    The first four are ``(n_cells, n_ticks)``; the last two, ``link_ranking``
+    of ``l3``, depend on no handover setting.
     ``views`` are the group's five reads of the run's draws (``_views``):
     ``(own, common, fading, latent, noise)``; ``noise``, the measurement
     noise's standard normals, is ``None`` when ``cfg.l1`` adds none.
@@ -320,9 +320,12 @@ def _link(cfg: RunConfig, tables: _StaticTables, run_index: int, views: Sequence
         raise ConfigError(f"run {run_index}: a link's SNR leaves the float range; check budget, gains, profiles")
     eff_lin_dl = ici.effective_sinr_linear(pr_dl, p)
     l3 = measure_cell(eff_lin_dl, cfg.l1, cfg.l3, views[4])
-    dl_snr = 10.0 * np.log10(eff_lin_dl)  # ici.rss_with_ici(pr_dl, p), from the L1 input
-    ul_snr = 10.0 * np.log10(ici.effective_sinr_linear(pr_ul, p))
-    return pr_dl, l3, ul_snr, dl_snr, a3_margins(l3), strongest_cells(l3)
+    # ici.rss_with_ici of both links, in place: the DL in the L1 input, which L1 has read
+    dl_snr = np.log10(eff_lin_dl, out=eff_lin_dl)
+    dl_snr *= 10.0
+    ul_snr = np.log10(ici.effective_sinr_linear(pr_ul, p, out=pr_ul), out=pr_ul)
+    ul_snr *= 10.0
+    return pr_dl, l3, ul_snr, dl_snr, *link_ranking(l3)
 
 
 def _clip_segments(segments: tuple | None, n: int) -> tuple | None:
@@ -526,11 +529,13 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
     alive while the runs go, on up to ``workers`` threads and never more
     than the CPU count. Runs keep only their records, never the link arrays.
     """
-    groups: list[tuple[RunConfig, dict[HandoverConfig, list[int]]]] = []  # link groups, by config index
+    # link groups by config index, keyed by their config with a one-tick TTT, a handover no link part reads
+    groups: list[tuple[RunConfig, dict[HandoverConfig, list[int]]]] = []
     for i, c in enumerate(cfgs):
-        group = next((g for g in groups if replace(c, handover=g[0].handover) == g[0]), None)
+        key = replace(c, handover=HandoverConfig(ttt_s=c.l1.sample_period_s))
+        group = next((g for g in groups if g[0] == key), None)
         if group is None:
-            groups.append((c, {c.handover: [i]}))
+            groups.append((key, {c.handover: [i]}))
         else:
             group[1].setdefault(c.handover, []).append(i)  # equal grid points drive one machine
     reps = [rep for rep, _ in groups]

@@ -19,9 +19,8 @@ from railho.handover import (
     _entering_bounds,
     _strongest,
     a3_condition,
-    a3_margins,
     classify_postponement,
-    strongest_cells,
+    link_ranking,
 )
 from railho.simulate import RunTrace, simulate_run
 
@@ -41,11 +40,6 @@ def drive(machine, l3_rows, ul_rows=None, dl_rows=None):
         dl = dl_rows[t] if dl_rows else [HIGH] * machine.n_cells
         records.extend(machine.step(t, l3, ul, dl))
     return records
-
-
-def shared(l3):
-    """What the machines of one link share: ``(a3_margins, strongest_cells)`` of its L3."""
-    return a3_margins(l3), strongest_cells(l3)
 
 
 def cond_rows(cond, margin=5.0):
@@ -461,7 +455,7 @@ class TestEventDrivenRun:
             cfg, n_cells, serving, l3, ul, dl = fuzzed_trace(rng)
             fast = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=7)
             slow = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=7)
-            fast_records = fast.run(l3, ul, dl, *shared(l3))
+            fast_records = fast.run(l3, ul, dl, *link_ranking(l3))
             slow_records, *slow_trace = literal_run(slow, l3, ul, dl)
             # reports where the serving cell is the strongest, so ``run`` takes ``_best_other``
             serving_strongest += sum(
@@ -485,23 +479,22 @@ class TestEventDrivenRun:
         for _ in range(3000):
             cfg, n_cells, serving, l3, ul, dl = fuzzed_trace(rng)
             other = dataclasses.replace(cfg, hysteresis_db=cfg.hysteresis_db + 1.0)
-            margins, strongest = shared(l3)
-            kept = [m.copy() for m in margins], list(strongest)
+            margins, strongest = link_ranking(l3)
+            kept = margins.copy(), strongest.copy()
             for c in (cfg, other, cfg):
                 own = HandoverFsm(c, PERIOD, n_cells, serving, run_id=5)
                 machine = HandoverFsm(c, PERIOD, n_cells, serving, run_id=5)
-                assert machine.run(l3, ul, dl, margins, strongest) == own.run(l3, ul, dl, *shared(l3))
+                assert machine.run(l3, ul, dl, margins, strongest) == own.run(l3, ul, dl, *link_ranking(l3))
                 assert machine.events == own.events
                 assert final_state(machine) == final_state(own)
-            for m, k in zip(margins, kept[0], strict=True):
-                np.testing.assert_array_equal(m, k)
-            assert strongest == kept[1]
+            np.testing.assert_array_equal(margins, kept[0])
+            np.testing.assert_array_equal(strongest, kept[1])
 
-    def test_a3_margins_reject_nan(self):
+    def test_link_ranking_rejects_nan(self):
         l3 = np.zeros((3, 4))
         l3[1, 2] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            a3_margins(l3)
+            link_ranking(l3)
 
     def test_no_serving_cell_only_inside_a_fail_rach_window(self):
         """A tick without a serving cell lies in a FailRach window, where the trace zeroes throughput."""
@@ -510,7 +503,7 @@ class TestEventDrivenRun:
         for _ in range(3000):
             cfg, n_cells, serving, l3, ul, dl = fuzzed_trace(rng)
             machine = HandoverFsm(cfg, PERIOD, n_cells, serving)
-            records = machine.run(l3, ul, dl, *shared(l3))
+            records = machine.run(l3, ul, dl, *link_ranking(l3))
             trace, _ = machine.tick_trace(records)
             windows = [(r.command_tick, r.reestablish_until_tick) for r in records if r.outcome is Outcome.FAIL_RACH]
             for t in np.flatnonzero(trace < 0).tolist():
@@ -552,11 +545,11 @@ class TestEventDrivenRun:
         machine = fsm()
         machine.step(0, [0.0, 0.0], [HIGH, HIGH], [HIGH, HIGH])
         with pytest.raises(ValueError, match="not been stepped"):
-            machine.run(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), *shared(np.zeros((2, 3))))
+            machine.run(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), *link_ranking(np.zeros((2, 3))))
 
     def test_run_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
-            fsm().run(np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 4)), *shared(np.zeros((3, 4))))
+            fsm().run(np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 4)), *link_ranking(np.zeros((3, 4))))
 
     @pytest.mark.parametrize(
         "n_cells, margins_of, strongest_of",  # (n_cells, n_ticks) of the L3 each input was computed from
@@ -575,7 +568,7 @@ class TestEventDrivenRun:
         l3 = np.arange(n_cells * 6.0).reshape(n_cells, 6)
         machine = HandoverFsm(HandoverConfig(), PERIOD, n_cells, 0)
         with pytest.raises(ValueError, match="those of l3_db"):
-            machine.run(l3, l3, l3, a3_margins(np.zeros(margins_of)), strongest_cells(np.zeros(strongest_of)))
+            machine.run(l3, l3, l3, link_ranking(np.zeros(margins_of))[0], link_ranking(np.zeros(strongest_of))[1])
 
 
 FINAL_STATE = (
@@ -650,7 +643,7 @@ class TestAttemptDriveEdgeCases:
 
             fast = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
             slow = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
-            fast_records = fast.run(l3[:, :cut], ul[:, :cut], dl[:, :cut], *shared(l3[:, :cut]))
+            fast_records = fast.run(l3[:, :cut], ul[:, :cut], dl[:, :cut], *link_ranking(l3[:, :cut]))
             slow_records, *slow_trace = literal_run(slow, l3[:, :cut], ul[:, :cut], dl[:, :cut])
             assert fast_records == slow_records
             assert fast.events == slow.events
@@ -701,7 +694,7 @@ class TestTickTrace:
                 cfg, n_cells, serving, l3, ul, dl = make(rng)
                 fast = HandoverFsm(cfg, PERIOD, n_cells, serving)
                 slow = HandoverFsm(cfg, PERIOD, n_cells, serving)
-                records = fast.run(l3, ul, dl, *shared(l3))
+                records = fast.run(l3, ul, dl, *link_ranking(l3))
                 slow_records, *literal = literal_run(slow, l3, ul, dl)
                 assert_trace_equal(fast.tick_trace(records), literal)
                 assert_trace_equal(slow.tick_trace(slow_records), literal)
@@ -726,17 +719,18 @@ def literal_entering_runs(l3_db, serving, hysteresis_db):
     if l3_db.shape[0] == 1:
         return []
     best_other = np.delete(l3_db, serving, axis=0).max(axis=0)
-    entering = a3_condition(best_other, l3_db[serving], hysteresis_db)
+    with np.errstate(invalid="ignore"):  # -inf - -inf is NaN, which never enters
+        entering = a3_condition(best_other, l3_db[serving], hysteresis_db)
     return np.flatnonzero(np.diff(entering, prepend=False, append=False)).tolist()
 
 
 class TestFastHelpersMatchLiteralForms:
-    """``_best_other``, ``_strongest`` and ``_entering_bounds`` of ``a3_margins`` against their literal forms.
+    """``_best_other``, ``_strongest``, ``link_ranking`` and ``_entering_bounds`` against their literal forms.
 
     L3 values and hysteresis sit on a 0.5 dB grid, so ties between cells and
     margins equal to the hysteresis are common; some L3 values are -inf (an
-    A3 margin of -inf - -inf is NaN, which never enters, so numpy's warning
-    about it is silenced).
+    A3 margin of -inf - -inf is NaN, which never enters; ``link_ranking``
+    computes it without numpy's warning).
     """
 
     @staticmethod
@@ -750,7 +744,6 @@ class TestFastHelpersMatchLiteralForms:
             h0 = float(rng.integers(-4, 7)) * 0.5
             yield n_cells, serving, l3, h0
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     def test_target_and_entering_runs_match(self):
         rng = np.random.default_rng(20170328)
         ties = inf_columns = 0
@@ -762,33 +755,44 @@ class TestFastHelpersMatchLiteralForms:
                 others = column[:serving] + column[serving + 1 :]
                 ties += others.count(max(others, default=None)) > 1
                 inf_columns += -math.inf in others
-            margins = a3_margins(l3)
+            margins, _ = link_ranking(l3)
             assert len(margins) == (n_cells if n_cells > 1 else 0)
-            bounds = _entering_bounds(margins[serving], h0) if margins else []
+            bounds = _entering_bounds(margins[serving], h0) if len(margins) else []
             assert bounds == literal_entering_runs(l3, serving, h0)
         assert ties > 500 and inf_columns > 1000, (ties, inf_columns)
 
-    def test_strongest_cells_match_strongest_of_every_column(self):
-        """One ``argmax`` per link picks ``_strongest`` of each tick: ties, signed zeros and infinities."""
+    def test_link_ranking_matches_literal_forms(self):
+        """The running maxima equal a fancy-indexed ``max`` per serving cell, bit for bit, and ``_strongest`` per tick.
+
+        Integer grids, where ties are common, and grids of signed zeros and
+        infinities, at 1, 2, 3 and 8 cells.
+        """
         rng = np.random.default_rng(20170401)
         values = np.array([-np.inf, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf])
-        ties = signed_zero_ties = 0
-        for trial in range(600):
-            n_cells, n = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+        ties = signed_zero_ties = nan_margins = 0
+        for trial in range(800):
+            n_cells, n = (1, 2, 3, 8)[trial % 4], int(rng.integers(1, 40))
             l3 = values[rng.integers(0, values.size, size=(n_cells, n))]
-            if trial % 2:  # an integer grid, where ties are common
+            if trial // 4 % 2:  # an integer grid, where ties are common
                 l3 = rng.integers(-2, 3, size=(n_cells, n)).astype(float)
+            margins, strongest = link_ranking(l3)
+            assert margins.shape == (n_cells if n_cells > 1 else 0, n) and strongest.dtype.kind == "i"
+            with np.errstate(invalid="ignore"):  # inf - inf, as in link_ranking
+                others = [[c for c in range(n_cells) if c != s] for s in range(n_cells)] if n_cells > 1 else []
+                literal = [l3[cells].max(axis=0) - l3[s] for s, cells in enumerate(others)]
+            for got, want in zip(margins, literal, strict=True):
+                assert got.tobytes() == want.tobytes(), (l3, got, want)
+            nan_margins += int(np.isnan(margins).sum())
             columns = l3.T.tolist()
-            assert strongest_cells(l3) == [_strongest(column) for column in columns]
+            assert strongest.tolist() == [_strongest(column) for column in columns]
             for column in columns:
                 top = [value for value in column if value == max(column)]
                 ties += len(top) > 1
                 signed_zero_ties += top[0] == 0.0 and len({math.copysign(1.0, v) for v in top}) > 1
-        assert ties > 1000 and signed_zero_ties > 100, (ties, signed_zero_ties)
+        assert ties > 1000 and signed_zero_ties > 100 and nan_margins > 100, (ties, signed_zero_ties, nan_margins)
         for column, strongest in (([-0.0, 0.0], 0), ([0.0, -0.0], 0), ([np.inf, np.inf], 0), ([-np.inf, -np.inf], 0)):
-            assert strongest_cells(np.array(column)[:, None]) == [strongest] == [_strongest(column)]
+            assert link_ranking(np.array(column)[:, None])[1].tolist() == [strongest] == [_strongest(column)]
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     def test_run_matches_step_on_tied_traces(self):
         rng = np.random.default_rng(1703)
         for n_cells, serving, l3, h0 in self.traces(rng, 900):
@@ -797,7 +801,7 @@ class TestFastHelpersMatchLiteralForms:
             dl = np.where(rng.random(l3.shape) < 0.2, -20.0, 30.0)
             fast = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
             slow = HandoverFsm(cfg, PERIOD, n_cells, serving, run_id=3)
-            fast_records = fast.run(l3, ul, dl, *shared(l3))
+            fast_records = fast.run(l3, ul, dl, *link_ranking(l3))
             slow_records, *slow_trace = literal_run(slow, l3, ul, dl)
             assert fast_records == slow_records
             assert fast.events == slow.events

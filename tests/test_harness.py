@@ -173,27 +173,27 @@ class TestSweepGrid:
         assert calls == {"precompute_tables": groups, "_link": groups * runs, "measure_cell": groups * runs}
 
     def test_one_strongest_cell_list_per_run_and_group(self, tiny_cfg, monkeypatch):
-        """Every machine of a link group reads the one list of strongest cells its run built."""
+        """Every machine of a link group reads the margins and strongest cells of its run's one ``link_ranking``."""
         cfgs = self.grid(tiny_cfg)
         built, read = [], []
-        strongest_cells, run = simulate.strongest_cells, simulate.HandoverFsm.run
+        link_ranking, run = simulate.link_ranking, simulate.HandoverFsm.run
 
         def counted(l3):
-            built.append(strongest_cells(l3))
+            built.append(link_ranking(l3))
             return built[-1]
 
         def reading(fsm, *args):
-            read.append(args[-1])
+            read.append(args[-2:])
             return run(fsm, *args)
 
-        monkeypatch.setattr(simulate, "strongest_cells", counted)
+        monkeypatch.setattr(simulate, "link_ranking", counted)
         monkeypatch.setattr(simulate.HandoverFsm, "run", reading)
         grid = SweepGrid(cfgs)
         for cfg in cfgs:
             monte_carlo(cfg, grid=grid)
         groups, runs, machines = 4, 3, 4  # two speeds x two environments; two offsets x two TTTs
         assert len(built) == groups * runs and len(read) == groups * runs * machines
-        assert [id(s) for s in read] == [id(s) for s in built for _ in range(machines)]
+        assert [tuple(map(id, r)) for r in read] == [tuple(map(id, b)) for b in built for _ in range(machines)]
 
     @staticmethod
     def one_config_grid(tiny_cfg):

@@ -94,6 +94,30 @@ class TestL1Filter:
         with pytest.raises(ValueError, match="must be positive"):
             l1_filter(np.array([1.0, np.nan, 2.0]), noiseless(), stride=1)
 
+    @pytest.mark.parametrize("window, n", [(5, 4), (5, 5), (1, 7), (5, 1), (1, 1), (5, 60)])
+    @pytest.mark.parametrize("sigma_db", [0.0, 1.5])
+    def test_in_place_window_equals_a_copied_cumsum(self, window, n, sigma_db):
+        """The window subtracts the cumulative sums from themselves; numpy buffers the overlap,
+        so every value equals the literal form's over a copy, bit for bit; the inputs are not written."""
+        rng = np.random.default_rng(window * 100 + n)
+        raw = rng.uniform(0.01, 100.0, size=(3, n))
+        normals = 2.0 * rng.standard_normal((3, n))  # some beyond the 3-sigma cutoff
+        kept = raw.copy(), normals.copy()
+        cfg = L1Config(window_s=window * 0.040, noise_sigma_db=sigma_db)
+        w = min(cfg.window_samples, n)
+        csum = np.cumsum(raw, axis=-1)
+        sums = csum.copy()
+        sums[..., w:] -= csum[..., : n - w]
+        sums /= np.minimum(np.arange(1, n + 1), w)
+        want = 10.0 * np.log10(sums)
+        if sigma_db > 0.0:
+            bound = cfg.noise_cutoff_sigmas * sigma_db
+            want = want + np.clip(normals * sigma_db, -bound, bound)
+        for rows, noise, expected in ((raw, normals, want), (raw[0], normals[0], want[0])):  # a stack and one cell
+            assert l1_filter(rows, cfg, 1, noise).tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(raw, kept[0])
+        np.testing.assert_array_equal(normals, kept[1])
+
     @given(
         values=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=60),
         stride=st.integers(min_value=1, max_value=5),
