@@ -255,7 +255,8 @@ def shadowing_series_db(eps: np.ndarray, segments: Sequence[RecursionSegment]) -
             prev = rho * prev + scale * float(eps[i])
             out[i] = prev
         else:
-            seg, _ = lfilter([1.0], [1.0, -rho], scale * eps[i:j], zi=[rho * prev])
+            # the numerator applies the scale: the same product scale * eps, without its copy
+            seg, _ = lfilter([scale], [1.0, -rho], eps[i:j], zi=[rho * prev])
             out[i:j] = seg
             prev = float(seg[-1])
     return out

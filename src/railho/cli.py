@@ -158,8 +158,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    if args.run < 0:
-        raise ConfigError(f"run index {args.run} is negative")
+    if not 0 <= args.run < 2**32:
+        raise ConfigError(f"run index {args.run} is outside [0, 2**32)")
     _check_out(args.out)
     result = simulate_run(cfg, args.run, want_trace=True)
     _warn_ici([cfg])

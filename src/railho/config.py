@@ -70,8 +70,9 @@ class RunConfig:
     master_seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.runs) or self.runs < 1:
-            raise ConfigError("runs must be an integer >= 1")
+        # a run index is one 32-bit word of its streams' seed (simulate._stream_states)
+        if not _is_integer(self.runs) or not 1 <= self.runs <= 2**32:
+            raise ConfigError("runs must be an integer in [1, 2**32]")
         if not _is_integer(self.master_seed) or not 0 <= self.master_seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if self.kinematics.start_position_m > self.layout.track_length_m:

@@ -32,10 +32,13 @@ not at all when ``l1.noise_sigma_db`` is 0.
 
 Runs are reproducible: every random stream is derived from (master_seed,
 run_index, cell, purpose), so results are independent of execution order
-and worker count. Every run draws through one path, ``_views`` under the
-``_Draw``s of ``_draw_plan``; a single config is a batch of one. What the
-configs of a sweep share, and why that leaves every record unchanged, is
-stated once, in ``_run_batch``.
+and worker count. Each stream is a ``PCG64`` seeded with numpy's
+``SeedSequence`` of that 4-tuple, computed for a block of runs in one
+vectorised hash (``_stream_states``), not one ``SeedSequence`` per stream;
+``simulate_run`` is a block of one. Every run draws through one path,
+``_views`` under the ``_Draw``s of ``_draw_plan``; a single config is a
+batch of one. What the configs of a sweep share, and why that leaves every
+record unchanged, is stated once, in ``_run_batch``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
 from . import channel, ici
@@ -130,9 +134,87 @@ class SweepStatistics:
     records: tuple[HandoverRecord, ...]
 
 
-def _link_streams(master_seed: int, run_index: int, cell: int, purpose: int) -> np.random.Generator:
-    seq = np.random.SeedSequence((master_seed, run_index, cell, purpose))
-    return np.random.Generator(np.random.PCG64(seq))
+_STREAM_BLOCK = 64  # runs whose streams ``_run_batch`` seeds in one ``_stream_states`` pass
+_MASK32 = 0xFFFFFFFF
+# the constants of numpy's SeedSequence: the pool hash (A), the state hash (B) and the mix
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_words(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) words of ``n`` successive ``SeedSequence`` hash steps, as ``(n, 1)`` columns."""
+    words = [init]
+    for _ in range(n):
+        words.append(words[-1] * mult & _MASK32)
+    return np.array(words[:-1], np.uint32)[:, None], np.array(words[1:], np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, words: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``SeedSequence``'s ``hashmix`` of ``value`` by the hash steps ``words`` (``_hash_words``), broadcast."""
+    xor, mult = words
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s ``mix`` of the pool words ``x`` with ``y``."""
+    x = x * np.uint32(_MIX_MULT_L)
+    x -= y * np.uint32(_MIX_MULT_R)
+    x ^= x >> 16
+    return x
+
+
+def _stream_states(seed: int, runs: Sequence[int], keys: Sequence[tuple[int, int]]) -> np.ndarray:
+    """``SeedSequence((seed, run, cell, purpose)).generate_state(4, np.uint64)`` of every run and
+    ``(cell, purpose)`` key, ``(len(runs), len(keys), 4)``.
+
+    This is numpy's ``SeedSequence`` hash (``numpy/random/bit_generator.pyx``)
+    on ``uint32`` arrays, one column per stream, which wrap as its C words do.
+    The entropy words are the seed's (one for a seed below 2**32, else two),
+    then the run, the cell and the purpose, each below 2**32. The first four
+    hash into the four pool words, every pool word mixes into the others, the
+    words after the fourth mix into each, and eight more hash steps give the
+    state, read as four little-endian ``uint64``. Each hash step's constant
+    depends only on its place in that order, not on the data.
+    """
+    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    cells, purposes = np.array(keys, np.uint32).T
+    entropy = np.empty((len(seed_words) + 3, len(runs), len(keys)), np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, np.uint32)[:, None, None]
+    entropy[-3] = np.array(runs, np.uint32)[:, None]
+    entropy[-2] = cells
+    entropy[-1] = purposes
+    entropy = entropy.reshape(len(entropy), -1)
+    xor, mult = _hash_words(_INIT_A, _MULT_A, 4 * 4 + 4 * (len(entropy) - 4))
+    pool = _hashmix(entropy[:4], (xor[:4], mult[:4]))
+    k = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], (xor[k : k + 3], mult[k : k + 3])))
+        k += 3
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, (xor[k : k + 4], mult[k : k + 4])))
+        k += 4
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_words(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+    # C order, so that each stream's row is the contiguous buffer PCG64 reads
+    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T).reshape(len(runs), len(keys), 4)
+
+
+class _SeedState(ISeedSequence):
+    """A stream's ``SeedSequence`` state, precomputed by ``_stream_states``, for ``PCG64`` to seed from."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("a precomputed stream state holds the four uint64 words PCG64 reads")
+        return self.state
 
 
 def _environment_runs(
@@ -255,12 +337,15 @@ class _Draw:
     keep: int
 
 
-def _draw(seed: int, run_index: int, d: _Draw) -> np.ndarray:
-    """One run's draw ``d``, ``(len(d.cells), n_kept)``, or ``(..., 2)`` with ``pairs``; readers never write to it."""
+def _draw(states: np.ndarray, d: _Draw) -> np.ndarray:
+    """One run's draw ``d``, ``(len(d.cells), n_kept)``, or ``(..., 2)`` with ``pairs``; readers never write to it.
+
+    ``states`` are the ``_stream_states`` rows of the draw's cells.
+    """
     shape = (d.n, 2) if d.pairs else (d.n,)
     out = np.empty((len(d.cells), -(-d.n // d.keep), *shape[1:]))
-    for row, cell in zip(out, d.cells):
-        stream = _link_streams(seed, run_index, cell, d.purpose)
+    for row, state in zip(out, states):
+        stream = np.random.Generator(np.random.PCG64(_SeedState(state)))
         if d.segments is None and d.keep == 1:
             stream.standard_normal(out=row)
         else:
@@ -369,10 +454,19 @@ def _draw_plan(reps: Sequence[RunConfig], tables: Sequence[_StaticTables]) -> tu
     return tuple(draws), views
 
 
-def _views(seed: int, run_index: int, plan: tuple) -> list[list]:
-    """One run's draws under ``plan`` (``_draw_plan``), as each link group's five reads of them."""
+def _stream_keys(plan: tuple) -> list[tuple[int, int]]:
+    """The ``(cell, purpose)`` of every stream a run draws under ``plan`` (``_draw_plan``), in draw order."""
+    return [(cell, d.purpose) for d in plan[0] for cell in d.cells]
+
+
+def _views(states: np.ndarray, plan: tuple) -> list[list]:
+    """One run's draws under ``plan`` (``_draw_plan``), as each link group's five reads of them.
+
+    ``states`` are the run's rows of ``_stream_states`` for ``_stream_keys(plan)``.
+    """
     draws, views = plan
-    kept = [_draw(seed, run_index, d) for d in draws]
+    ends = np.cumsum([len(d.cells) for d in draws]).tolist()
+    kept = [_draw(states[end - len(d.cells) : end], d) for d, end in zip(draws, ends)]
     return [[v and kept[v[0]][: v[1], : v[2] * v[3] : v[2]] for v in group] for group in views]
 
 
@@ -423,7 +517,9 @@ def simulate_run(cfg: RunConfig, run_index: int, *, want_trace: bool = False) ->
     here: ``_run_batch`` calls the link and handover parts.
     """
     tables = precompute_tables(cfg)
-    (views,) = _views(cfg.master_seed, run_index, _draw_plan([cfg], [tables]))
+    plan = _draw_plan([cfg], [tables])
+    (states,) = _stream_states(cfg.master_seed, [run_index], _stream_keys(plan))
+    (views,) = _views(states, plan)
     link = _link(cfg, tables, run_index, views)
     records, fsm = _handover(cfg, cfg.handover, tables, run_index, link)
     trace = _run_trace(cfg, tables, link, records, fsm) if want_trace else None
@@ -528,6 +624,9 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
     Each run goes through every link group, so all their table sets are
     alive while the runs go, on up to ``workers`` threads and never more
     than the CPU count. Runs keep only their records, never the link arrays.
+    The runs go ``_STREAM_BLOCK`` at a time: one ``_stream_states`` pass
+    seeds every stream of a block's runs, so the hash's arrays do not grow
+    with ``runs``.
     """
     # link groups by config index, keyed by their config with a one-tick TTT, a handover no link part reads
     groups: list[tuple[RunConfig, dict[HandoverConfig, list[int]]]] = []
@@ -541,21 +640,29 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
     reps = [rep for rep, _ in groups]
     tables = [precompute_tables(rep) for rep in reps]
     plan = _draw_plan(reps, tables)
-    seed = cfgs[0].master_seed
+    keys = _stream_keys(plan)
+    seed, n_runs = cfgs[0].master_seed, cfgs[0].runs
 
-    def run(run_index: int) -> list[list[list[HandoverRecord]]]:
+    def run(run_index: int, states: np.ndarray) -> list[list[list[HandoverRecord]]]:
         per_group = [()] * len(groups)
-        for g, views in enumerate(_views(seed, run_index, plan)):
+        for g, views in enumerate(_views(states, plan)):
             link = _link(reps[g], tables[g], run_index, views)
             per_group[g] = [_handover(reps[g], ho, tables[g], run_index, link)[0] for ho in groups[g][1]]
         return per_group
 
+    def in_blocks(mapper) -> list:
+        results = []
+        for lo in range(0, n_runs, _STREAM_BLOCK):
+            block = range(lo, min(lo + _STREAM_BLOCK, n_runs))
+            results += mapper(run, block, _stream_states(seed, block, keys))
+        return results
+
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(cfgs[0].runs)))
+            results = in_blocks(pool.map)
     else:
-        results = [run(i) for i in range(cfgs[0].runs)]
+        results = in_blocks(map)
     stats: dict[int, SweepStatistics] = {}
     for g, (_, members) in enumerate(groups):
         for k, same in enumerate(members.values()):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from railho.channel import (
     EnvironmentProfile,
@@ -24,7 +25,15 @@ from railho.config import RunConfig, config_from_dict
 from railho.geometry import Environment, default_layout, environment_at, link_geometry
 from railho.handover import HandoverFsm
 from railho.ici import IciParams
-from railho.simulate import _downlink_pr_ticks, _draw_plan, _views, precompute_tables, simulate_run
+from railho.simulate import (
+    _downlink_pr_ticks,
+    _draw_plan,
+    _stream_keys,
+    _stream_states,
+    _views,
+    precompute_tables,
+    simulate_run,
+)
 
 
 def profile(**overrides) -> EnvironmentProfile:
@@ -173,6 +182,35 @@ class TestShadowing:
         state = FadingState(rng=g2)
         scalar = [shadowing_db(state, profile(), 2.0 * i) for i in range(200)]
         np.testing.assert_allclose(series, scalar, rtol=0.0, atol=1e-10)
+
+    @given(
+        eps=st.lists(st.floats(-5.0, 5.0) | st.sampled_from([0.0, -0.0]), min_size=1, max_size=40),
+        cuts=st.sets(st.integers(2, 39), max_size=5),
+        params=st.lists(
+            st.tuples(st.floats(0.0, 1.0, exclude_max=True) | st.just(0.0), st.floats(0.0, 10.0) | st.just(0.0)),
+            min_size=7,
+            max_size=7,
+        ),
+    )
+    def test_series_matches_literal_lfilter_and_unrolling(self, eps, cuts, params):
+        """Random segment tables: the one-sample segment at sample 0, then segments cut anywhere."""
+        eps = np.array(eps)
+        edges = sorted({0, 1, eps.size, *(c for c in cuts if c < eps.size)})
+        segments = [
+            (i, j, rho, math.sqrt(1.0 - rho * rho) * sigma)
+            for (i, j), (rho, sigma) in zip(zip(edges[:-1], edges[1:]), params)
+        ]
+        segments[0] = (0, 1, 0.0, params[-1][1])
+        series = shadowing_series_db(eps, segments)
+        literal, unrolled, prev = np.empty(eps.size), [], 0.0
+        for i, j, rho, scale in segments:
+            literal[i:j], _ = lfilter([1.0], [1.0, -rho], scale * eps[i:j], zi=[rho * literal[i - 1] if i else 0.0])
+            for e in eps[i:j].tolist():
+                prev = rho * prev + scale * e
+                unrolled.append(prev)
+        np.testing.assert_array_equal(series.view(np.uint64), literal.view(np.uint64))
+        # equal as numbers: a zero sum may take another sign in lfilter's transposed form
+        np.testing.assert_array_equal(series, unrolled)
 
 
 def _unrolled_shadowing(cfg, seed, n, los=False):
@@ -365,7 +403,8 @@ class TestMeanRxPower:
             budget=LinkBudget(penetration_loss_db=0.0),
         )
         tables = precompute_tables(cfg)
-        (views,) = _views(cfg.master_seed, 0, _draw_plan([cfg], [tables]))
+        plan = _draw_plan([cfg], [tables])
+        (views,) = _views(_stream_states(cfg.master_seed, [0], _stream_keys(plan))[0], plan)
         pr = _downlink_pr_ticks(tables, *views[:4])[0]
         rx_dbm = tables.noise_dbm + 10.0 * np.log10(pr)
         np.testing.assert_allclose(rx_dbm, 30.0, rtol=0.0, atol=1e-9)

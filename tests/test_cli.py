@@ -354,7 +354,8 @@ class TestTraceCommand:
 
     def test_run_index_validated(self, tiny_config_path, tmp_path):
         out = tmp_path / "out"
-        assert main(["trace", "--config", str(tiny_config_path), "--run", "-1", "--out", str(out)]) == 2
+        for run in ("-1", str(2**32)):  # a run index is one 32-bit word of its streams' seed
+            assert main(["trace", "--config", str(tiny_config_path), "--run", run, "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_run_index_beyond_the_configured_runs(self, tiny_config_path, tmp_path):

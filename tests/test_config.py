@@ -38,6 +38,12 @@ class TestDefaults:
             with pytest.raises(ConfigError, match="runs"):
                 RunConfig(runs=runs)
 
+    def test_runs_upper_bound(self):
+        # a run index is one 32-bit word of its streams' seed
+        assert RunConfig(runs=2**32).runs == 2**32
+        with pytest.raises(ConfigError, match="runs"):
+            RunConfig(runs=2**32 + 1)
+
     def test_seed_range(self):
         for seed in (-1, 2**64, 1.5):
             with pytest.raises(ConfigError, match="seed"):

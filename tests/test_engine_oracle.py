@@ -11,15 +11,20 @@ phase are read after each: the link is down while the phase is
 ``RachInProgress`` or ``Reestablishing``. ``simulate_run``, whose tables exist only on the ticks, whose
 recursions read segment tables and whose state machine resolves one attempt
 per iteration, must reproduce its records and every ``RunTrace`` array bit
-for bit.
+for bit. ``link_streams`` builds each stream literally, from its own
+``SeedSequence``; the block hash ``_stream_states`` must give the same seed
+state, and ``_draw`` the same normals.
 """
 
 import dataclasses
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
@@ -34,11 +39,21 @@ from railho.simulate import (
     _STREAM_LOS,
     _STREAM_MEASUREMENT,
     _STREAM_SHADOW,
+    _STREAM_BLOCK,
     RunTrace,
-    _link_streams,
+    _Draw,
+    _draw,
+    _SeedState,
+    _stream_states,
     precompute_tables,
     simulate_run,
 )
+
+
+def link_streams(master_seed, run_index, cell, purpose):
+    """The literal stream of (master_seed, run_index, cell, purpose), the oracle of the engine's seeding."""
+    seq = np.random.SeedSequence((master_seed, run_index, cell, purpose))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def _snapshot_tables(cfg):
@@ -112,7 +127,7 @@ def _small_scale_series_k(normals, k_linear):
 
 
 def _common_shadow_series(cfg, snap, run_index):
-    eps = _link_streams(cfg.master_seed, run_index, _COMMON_LINK, _STREAM_SHADOW).standard_normal(
+    eps = link_streams(cfg.master_seed, run_index, _COMMON_LINK, _STREAM_SHADOW).standard_normal(
         snap.positions.size
     )
     return _series_per_snapshot(
@@ -125,15 +140,15 @@ def _downlink_pr_series(cfg, snap, noise_dbm, run_index, cell, common_shadow):
     step = cfg.kinematics.snapshot_interval_m
     idx = snap.tick_snapshots
 
-    eps = _link_streams(cfg.master_seed, run_index, cell, _STREAM_SHADOW).standard_normal(n_snap)
+    eps = link_streams(cfg.master_seed, run_index, cell, _STREAM_SHADOW).standard_normal(n_snap)
     own = _series_per_snapshot(eps, step, snap.sigma_db, snap.decorrelation_m)
     shadow = snap.site_corr_sqrt[idx] * common_shadow[idx] + snap.site_ind_sqrt[idx] * own[idx]
 
-    latent_eps = _link_streams(cfg.master_seed, run_index, cell, _STREAM_LOS).standard_normal(n_snap)
+    latent_eps = link_streams(cfg.master_seed, run_index, cell, _STREAM_LOS).standard_normal(n_snap)
     latent = _series_per_snapshot(latent_eps, step, 1.0, snap.los_decorrelation_m)
     los = latent[idx] < snap.los_threshold[cell, idx]
 
-    normals = _link_streams(cfg.master_seed, run_index, cell, _STREAM_FADING).standard_normal(
+    normals = link_streams(cfg.master_seed, run_index, cell, _STREAM_FADING).standard_normal(
         (n_snap, 2)
     )
     k = np.where(los, snap.k_los_linear[idx], 0.0)
@@ -159,7 +174,7 @@ def _reference_run(cfg, run_index, tables):
     eff_lin_dl = pr_dl / (pr_dl * p + 1.0)
     l3 = np.empty((n_cells, n_ticks))
     for cell in range(n_cells):
-        meas_rng = _link_streams(cfg.master_seed, run_index, cell, _STREAM_MEASUREMENT)
+        meas_rng = link_streams(cfg.master_seed, run_index, cell, _STREAM_MEASUREMENT)
         l3[cell] = measure_cell(eff_lin_dl[cell], cfg.l1, cfg.l3, meas_rng.standard_normal(n_ticks))
 
     dl_snr = ici.rss_with_ici(pr_dl, p)
@@ -271,3 +286,42 @@ def test_simulate_run_matches_per_link_reference(cfg, extent):
             got, want = getattr(result.trace, field.name), getattr(trace, field.name)
             assert np.array_equal(got, want), field.name
             assert np.asarray(got).dtype == np.asarray(want).dtype, field.name
+
+
+_PURPOSES = (_STREAM_SHADOW, _STREAM_LOS, _STREAM_FADING, _STREAM_MEASUREMENT)
+# one- and two-word seeds, with the edges of each
+_SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1)
+_KEYS = st.lists(
+    st.tuples(st.sampled_from([0, 1, 2, 3, _COMMON_LINK]) | st.integers(0, 2**32 - 1), st.sampled_from(_PURPOSES)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=_SEEDS,
+    first_run=st.integers(0, 3 * _STREAM_BLOCK) | st.integers(0, 2**32 - 4),
+    n_runs=st.integers(1, 4),
+    keys=_KEYS,
+)
+@example(seed=2**64 - 1, first_run=_STREAM_BLOCK - 2, n_runs=4, keys=[(_COMMON_LINK, p) for p in _PURPOSES])
+@example(seed=0, first_run=0, n_runs=1, keys=[(0, _STREAM_SHADOW)])
+def test_stream_states_are_the_seed_sequence_states(seed, first_run, n_runs, keys):
+    runs = range(first_run, first_run + n_runs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the uint32 words wrap silently, as in C
+        states = _stream_states(seed, runs, keys)
+    assert states.shape == (n_runs, len(keys), 4) and states.dtype == np.uint64
+    for run, row in zip(runs, states):
+        for (cell, purpose), state in zip(keys, row):
+            expected = np.random.SeedSequence((seed, run, cell, purpose)).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(state, expected)
+            (drawn,) = _draw(state[None], _Draw(purpose, (cell,), 1000, None, False, 1))
+            np.testing.assert_array_equal(drawn, link_streams(seed, run, cell, purpose).standard_normal(1000))
+
+
+def test_seed_state_serves_only_pcg64():
+    (state,) = _stream_states(1, [0], [(0, _STREAM_SHADOW)])[0]
+    with pytest.raises(ValueError, match="PCG64"):
+        np.random.MT19937(_SeedState(state))

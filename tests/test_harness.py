@@ -20,12 +20,14 @@ from railho import simulate
 from railho.simulate import (
     _downlink_pr_ticks,
     _draw_plan,
-    _link_streams,
     _COMMON_LINK,
     _STREAM_FADING,
     _STREAM_LOS,
     _STREAM_MEASUREMENT,
+    _STREAM_BLOCK,
     _STREAM_SHADOW,
+    _stream_keys,
+    _stream_states,
     _views,
     aggregate_records,
     monte_carlo,
@@ -35,6 +37,13 @@ from railho.simulate import (
     simulate_run,
     SweepGrid,
 )
+from test_engine_oracle import link_streams
+
+
+def run_views(seed, run, plan):
+    """One run's views under ``plan``, its streams seeded as a block of one."""
+    (states,) = _stream_states(seed, [run], _stream_keys(plan))
+    return _views(states, plan)
 
 
 class TestDeterminism:
@@ -59,6 +68,12 @@ class TestDeterminism:
 
     def test_worker_count_does_not_change_results(self, tiny_cfg):
         assert monte_carlo(tiny_cfg, workers=1) == monte_carlo(tiny_cfg, workers=3)
+
+    def test_runs_across_a_seed_block_edge(self, tiny_cfg):
+        cfg = dataclasses.replace(tiny_cfg, runs=_STREAM_BLOCK + 1)
+        stats = monte_carlo(cfg)
+        assert list(stats.records) == [rec for i in range(cfg.runs) for rec in simulate_run(cfg, i).records]
+        assert monte_carlo(cfg, workers=2) == stats
 
     def test_thread_pool_is_capped_at_the_cpu_count(self, tiny_cfg, monkeypatch):
         sizes = []
@@ -201,14 +216,14 @@ class TestSweepGrid:
 
     @staticmethod
     def streams_built(cfgs, monkeypatch) -> Counter:
-        """The generators a ``SweepGrid`` of ``cfgs`` builds, by (run, purpose)."""
+        """The streams a ``SweepGrid`` of ``cfgs`` seeds, by (run, purpose)."""
         built = Counter()
 
-        def counted(seed, run_index, cell, purpose):
-            built[run_index, purpose] += 1
-            return _link_streams(seed, run_index, cell, purpose)
+        def counted(seed, runs, keys):
+            built.update((run, purpose) for run in runs for _, purpose in keys)
+            return _stream_states(seed, runs, keys)
 
-        monkeypatch.setattr(simulate, "_link_streams", counted)
+        monkeypatch.setattr(simulate, "_stream_states", counted)
         grid = SweepGrid(cfgs)
         for cfg in cfgs:
             monte_carlo(cfg, grid=grid)
@@ -263,10 +278,10 @@ class TestChannelSeriesOracle:
         step = cfg.kinematics.snapshot_interval_m
         positions = [cfg.kinematics.start_position_m + i * step for i in range(n)]
         profiles = [cfg.profiles[environment_at(cfg.layout, x)] for x in positions]
-        eps_c = _link_streams(cfg.master_seed, run, _COMMON_LINK, _STREAM_SHADOW).standard_normal(n)
-        eps_o = _link_streams(cfg.master_seed, run, cell, _STREAM_SHADOW).standard_normal(n)
-        eps_l = _link_streams(cfg.master_seed, run, cell, _STREAM_LOS).standard_normal(n)
-        normals = _link_streams(cfg.master_seed, run, cell, _STREAM_FADING).standard_normal((n, 2))
+        eps_c = link_streams(cfg.master_seed, run, _COMMON_LINK, _STREAM_SHADOW).standard_normal(n)
+        eps_o = link_streams(cfg.master_seed, run, cell, _STREAM_SHADOW).standard_normal(n)
+        eps_l = link_streams(cfg.master_seed, run, cell, _STREAM_LOS).standard_normal(n)
+        normals = link_streams(cfg.master_seed, run, cell, _STREAM_FADING).standard_normal((n, 2))
 
         def ar1(eps):
             out = [profiles[0].shadow_sigma_db * eps[0]]
@@ -313,10 +328,10 @@ class TestChannelSeriesOracle:
             )
             tables, longer_tables = precompute_tables(cfg), precompute_tables(longer)
             expected = self.literal_downlink(cfg, tables, run, cell)
-            alone = _views(cfg.master_seed, run, _draw_plan([cfg], [tables]))[0]
-            longer_alone = _views(cfg.master_seed, run, _draw_plan([longer], [longer_tables]))[0]
+            alone = run_views(cfg.master_seed, run, _draw_plan([cfg], [tables]))[0]
+            longer_alone = run_views(cfg.master_seed, run, _draw_plan([longer], [longer_tables]))[0]
             plan = _draw_plan([longer, cfg], [longer_tables, tables])
-            shared = _views(cfg.master_seed, run, plan)
+            shared = run_views(cfg.master_seed, run, plan)
             assert len(plan[0]) == (5 if tables.los_ticks else 4)  # one draw per read
             assert longer_tables.tick_stride % tables.tick_stride != 0  # so the shared draws keep their gcd
             for views in (alone, shared[1]):
@@ -339,7 +354,7 @@ class TestChannelSeriesOracle:
         hits = np.zeros(tables.tick_snapshots.size)
         n_runs = 400
         for run in range(n_runs):
-            latent_eps = _link_streams(cfg.master_seed, run, cell, _STREAM_LOS).standard_normal(n_latent)
+            latent_eps = link_streams(cfg.master_seed, run, cell, _STREAM_LOS).standard_normal(n_latent)
             latent = shadowing_series_db(latent_eps, tables.los_segments)
             hits += latent[tables.tick_snapshots] < tables.tick_los_threshold[cell]
         p_expected = ndtr(tables.tick_los_threshold[cell])
