@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import csvio, ici
-from .config import ConfigError, RunConfig, apply_overrides, load_config
+from .config import RUN_INDEX_BITS, ConfigError, RunConfig, apply_overrides, load_config
 from .geometry import Environment
 from .simulate import SweepGrid, monte_carlo, simulate_run
 
@@ -158,8 +158,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    if not 0 <= args.run < 2**32:
-        raise ConfigError(f"run index {args.run} is outside [0, 2**32)")
+    if not 0 <= args.run < 2**RUN_INDEX_BITS:
+        raise ConfigError(f"run index {args.run} is outside [0, 2**{RUN_INDEX_BITS})")
     _check_out(args.out)
     result = simulate_run(cfg, args.run, want_trace=True)
     _warn_ici([cfg])

@@ -35,6 +35,8 @@ from .measurement import L1Config, L3Config
 
 DEFAULT_RUNS = 500
 DEFAULT_SEED = 42
+# a run index is one word of its streams' seed key, a 32-bit SeedSequence word (simulate._stream_states)
+RUN_INDEX_BITS = 32
 _Check = tuple[Callable[[Any], bool], str]  # a check of a JSON value, and what it expects in words
 _ANY: _Check = (lambda v: True, "any value")
 
@@ -60,7 +62,8 @@ def _is_number(value: Any, infinite_ok: bool = False) -> bool:
 class RunConfig:
     layout: DeploymentLayout = field(default_factory=default_layout)
     kinematics: TrainKinematics = field(default_factory=lambda: TrainKinematics(speed_kmh=100.0))
-    profiles: Mapping[Environment, EnvironmentProfile] = field(default_factory=default_profiles)
+    # a dict, so left out of the hash (equality still compares it): configs key a batch's groups
+    profiles: Mapping[Environment, EnvironmentProfile] = field(default_factory=default_profiles, hash=False)
     budget: LinkBudget = field(default_factory=LinkBudget)
     ici: IciParams = field(default_factory=IciParams)
     l1: L1Config = field(default_factory=L1Config)
@@ -70,9 +73,8 @@ class RunConfig:
     master_seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        # a run index is one 32-bit word of its streams' seed (simulate._stream_states)
-        if not _is_integer(self.runs) or not 1 <= self.runs <= 2**32:
-            raise ConfigError("runs must be an integer in [1, 2**32]")
+        if not _is_integer(self.runs) or not 1 <= self.runs <= 2**RUN_INDEX_BITS:
+            raise ConfigError(f"runs must be an integer in [1, 2**{RUN_INDEX_BITS}]")
         if not _is_integer(self.master_seed) or not 0 <= self.master_seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if self.kinematics.start_position_m > self.layout.track_length_m:

@@ -55,7 +55,7 @@ from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
 from . import channel, ici
-from .config import ConfigError, RunConfig
+from .config import RUN_INDEX_BITS, ConfigError, RunConfig
 from .geometry import DeploymentLayout, Environment, environment_at, link_geometry, sample_stride, snapshot_count
 from .handover import HandoverConfig, HandoverFsm, HandoverRecord, Outcome, link_ranking
 from .measurement import measure_cell
@@ -135,7 +135,7 @@ class SweepStatistics:
 
 
 _STREAM_BLOCK = 64  # runs whose streams ``_run_batch`` seeds in one ``_stream_states`` pass
-_MASK32 = 0xFFFFFFFF
+_MASK32 = 2**RUN_INDEX_BITS - 1  # one word of a stream's seed key, as SeedSequence hashes it (uint32)
 # the constants of numpy's SeedSequence: the pool hash (A), the state hash (B) and the mix
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -174,13 +174,13 @@ def _stream_states(seed: int, runs: Sequence[int], keys: Sequence[tuple[int, int
     This is numpy's ``SeedSequence`` hash (``numpy/random/bit_generator.pyx``)
     on ``uint32`` arrays, one column per stream, which wrap as its C words do.
     The entropy words are the seed's (one for a seed below 2**32, else two),
-    then the run, the cell and the purpose, each below 2**32. The first four
+    then the run, the cell and the purpose, each one word. The first four
     hash into the four pool words, every pool word mixes into the others, the
     words after the fourth mix into each, and eight more hash steps give the
     state, read as four little-endian ``uint64``. Each hash step's constant
     depends only on its place in that order, not on the data.
     """
-    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), RUN_INDEX_BITS)]
     cells, purposes = np.array(keys, np.uint32).T
     entropy = np.empty((len(seed_words) + 3, len(runs), len(keys)), np.uint32)
     entropy[: len(seed_words)] = np.array(seed_words, np.uint32)[:, None, None]
@@ -355,14 +355,14 @@ def _draw(states: np.ndarray, d: _Draw) -> np.ndarray:
 
 
 def _downlink_pr_ticks(
-    tables: _StaticTables, own: np.ndarray, common: np.ndarray, fading: np.ndarray, latent: np.ndarray | None
+    tables: _StaticTables, shadowing: np.ndarray, fading: np.ndarray, latent: np.ndarray | None
 ) -> np.ndarray:
     """Noise-normalised downlink power of every link at the tick snapshots, ``(n_cells, n_ticks)``.
 
     The draws are the link group's views (see ``_views``), read at its
-    ticks: the per-link and common shadowing, the fading pairs and, up to
-    ``los_ticks``, the LOS latent (``None`` when ``los_ticks`` is 0). The
-    rest runs once on the stack.
+    ticks: the shadowing (row 0 the train's common term, then one row per
+    link), the fading pairs and, up to ``los_ticks``, the LOS latent
+    (``None`` when ``los_ticks`` is 0). The rest runs once on the stack.
     """
     m = tables.los_ticks
     buf = np.empty(tables.tick_rx_nlos_dbm.shape)
@@ -377,8 +377,8 @@ def _downlink_pr_ticks(
     # rx = (tx + base) + shadow + 10 log10(h2), summed in place; the shadow
     # mixes the per-link and common terms in the latent's buffer, which the
     # LOS decision has read (the draws may be shared, so not in theirs)
-    shadow = np.multiply(own, tables.tick_site_ind_sqrt, out=buf)
-    shadow += tables.tick_site_corr_sqrt * common
+    shadow = np.multiply(shadowing[1:], tables.tick_site_ind_sqrt, out=buf)
+    shadow += tables.tick_site_corr_sqrt * shadowing[0]
     rx_dbm = np.where(los, tables.tick_rx_los_dbm, tables.tick_rx_nlos_dbm)
     rx_dbm += shadow
     fading_db = np.log10(h2, out=h2)
@@ -392,19 +392,19 @@ def _link(cfg: RunConfig, tables: _StaticTables, run_index: int, views: Sequence
 
     The first four are ``(n_cells, n_ticks)``; the last two, ``link_ranking``
     of ``l3``, depend on no handover setting.
-    ``views`` are the group's five reads of the run's draws (``_views``):
-    ``(own, common, fading, latent, noise)``; ``noise``, the measurement
+    ``views`` are the group's four reads of the run's draws (``_views``):
+    ``(shadowing, fading, latent, noise)``; ``noise``, the measurement
     noise's standard normals, is ``None`` when ``cfg.l1`` adds none.
     """
     p = ici.ici_power(cfg.kinematics.speed_mps, cfg.ici)
     with np.errstate(over="ignore", invalid="ignore"):  # a power out of the float range is rejected below
-        pr_dl = _downlink_pr_ticks(tables, *views[:4])
+        pr_dl = _downlink_pr_ticks(tables, *views[:3])
         pr_ul = pr_dl * cfg.budget.ul_shift()
     # the UL shift is a positive float, so this bounds pr_dl too; NaN fails it
     if not 0.0 < pr_ul.min() <= pr_ul.max() < math.inf:
         raise ConfigError(f"run {run_index}: a link's SNR leaves the float range; check budget, gains, profiles")
     eff_lin_dl = ici.effective_sinr_linear(pr_dl, p)
-    l3 = measure_cell(eff_lin_dl, cfg.l1, cfg.l3, views[4])
+    l3 = measure_cell(eff_lin_dl, cfg.l1, cfg.l3, views[3])
     # ici.rss_with_ici of both links, in place: the DL in the L1 input, which L1 has read
     dl_snr = np.log10(eff_lin_dl, out=eff_lin_dl)
     dl_snr *= 10.0
@@ -421,17 +421,16 @@ def _clip_segments(segments: tuple | None, n: int) -> tuple | None:
 def _draw_plan(reps: Sequence[RunConfig], tables: Sequence[_StaticTables]) -> tuple:
     """``(draws, views)``: the draws of a run, and each link group's ``(draw, rows, step, count)`` per read.
 
-    A group reads its own and the common shadowing, the fading pairs, the
-    LOS latent and the L1 noise; a read it does not make is ``None``. The
-    sharing rule is stated in ``_run_batch``.
+    A group reads the shadowing (the common link's, then its cells'), the
+    fading pairs, the LOS latent and the L1 noise; a read it does not make
+    is ``None``. The sharing rule is stated in ``_run_batch``.
     """
     reads = []
     for rep, t in zip(reps, tables):
         cells, n, stride = tuple(range(t.tick_rx_nlos_dbm.shape[0])), t.n_snapshots, t.tick_stride
         noisy = rep.l1.noise_sigma_db > 0.0
         reads.append((
-            _Draw(_STREAM_SHADOW, cells, n, t.shadow_segments, False, stride),
-            _Draw(_STREAM_SHADOW, (_COMMON_LINK,), n, t.shadow_segments, False, stride),
+            _Draw(_STREAM_SHADOW, (_COMMON_LINK, *cells), n, t.shadow_segments, False, stride),
             _Draw(_STREAM_FADING, cells, n, None, True, stride),
             _Draw(_STREAM_LOS, cells, t.los_segments[-1][1], t.los_segments, False, stride) if t.los_ticks else None,
             _Draw(_STREAM_MEASUREMENT, cells, t.tick_snapshots.size, None, False, 1) if noisy else None,
@@ -460,7 +459,7 @@ def _stream_keys(plan: tuple) -> list[tuple[int, int]]:
 
 
 def _views(states: np.ndarray, plan: tuple) -> list[list]:
-    """One run's draws under ``plan`` (``_draw_plan``), as each link group's five reads of them.
+    """One run's draws under ``plan`` (``_draw_plan``), as each link group's four reads of them.
 
     ``states`` are the run's rows of ``_stream_states`` for ``_stream_keys(plan)``.
     """
@@ -572,26 +571,25 @@ def aggregate_records(records: Sequence[HandoverRecord], cfg: RunConfig) -> Swee
 class SweepGrid:
     """The configs of a sweep, which need one ``master_seed`` and one ``runs``, for ``monte_carlo``.
 
-    The first request runs them all in one ``_run_batch``; each request takes
-    its config's statistics, and a config outside the grid runs alone.
+    The first request runs them all in one ``_run_batch``, whose statistics
+    the grid keeps by config; a config outside the grid runs alone.
     """
 
     def __init__(self, cfgs: Sequence[RunConfig]) -> None:
         self._cfgs = list(cfgs)  # emptied when the batch runs
         if len({(c.master_seed, c.runs) for c in self._cfgs}) > 1:
             raise ValueError("the configs of a SweepGrid need one master_seed and one runs")
-        self._ready: list[tuple[RunConfig, SweepStatistics]] = []
+        self._stats: dict[RunConfig, SweepStatistics] = {}
 
-    def statistics(self, cfg: RunConfig, workers: int) -> SweepStatistics:
+    def batch(self, workers: int) -> dict[RunConfig, SweepStatistics]:
+        """The statistics of every config of the grid, run on the first call."""
         if self._cfgs:
-            self._ready = list(zip(self._cfgs, _run_batch(self._cfgs, workers)))
-            self._cfgs = []
-        i = next((i for i, (c, _) in enumerate(self._ready) if c == cfg), None)
-        return _run_batch([cfg], workers)[0] if i is None else self._ready.pop(i)[1]
+            self._stats, self._cfgs = _run_batch(self._cfgs, workers), []
+        return self._stats
 
 
-def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]:
-    """Statistics of configs with one ``master_seed`` and ``runs``, in the order of ``cfgs``.
+def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> dict[RunConfig, SweepStatistics]:
+    """Statistics of configs with one ``master_seed`` and ``runs``, by config (equal configs are one key).
 
     This is where the configs of a sweep share work, and the sharing is
     exact: every record is the one the config would get alone.
@@ -604,13 +602,13 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
       call these directly, not ``simulate_run``.
     * Every random stream is keyed by (master_seed, run_index, cell, purpose)
       and indexed by sample (snapshot, or tick for the L1 noise), not by
-      speed or LOS profile. One rule shares the draws: a group's five reads
-      (its own and the common shadowing, the fading pairs, the LOS latent
-      and the L1 noise), longest first, each join a draw of their purpose
-      whose cell ids agree with the read's as far as both go (the draw
-      takes the longer) and whose recursion segments, clipped to the read's
-      length (``_clip_segments``), are the read's own (``None`` matches
-      ``None``).
+      speed or LOS profile. One rule shares the draws: a group's four reads
+      (the shadowing of the common link and of its cells, the fading pairs,
+      the LOS latent and the L1 noise), longest first, each join a draw of
+      their purpose whose cell ids agree with the read's as far as both go
+      (the draw takes the longer) and whose recursion segments, clipped to
+      the read's length (``_clip_segments``), are the read's own (``None``
+      matches ``None``).
       A draw is kept at the gcd of its readers' strides, and each group
       reads its leading rows and ticks. A shorter draw is a prefix of a
       longer one bit for bit, because ``standard_normal`` fills its output
@@ -628,27 +626,23 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
     seeds every stream of a block's runs, so the hash's arrays do not grow
     with ``runs``.
     """
-    # link groups by config index, keyed by their config with a one-tick TTT, a handover no link part reads
-    groups: list[tuple[RunConfig, dict[HandoverConfig, list[int]]]] = []
-    for i, c in enumerate(cfgs):
-        key = replace(c, handover=HandoverConfig(ttt_s=c.l1.sample_period_s))
-        group = next((g for g in groups if g[0] == key), None)
-        if group is None:
-            groups.append((key, {c.handover: [i]}))
-        else:
-            group[1].setdefault(c.handover, []).append(i)  # equal grid points drive one machine
-    reps = [rep for rep, _ in groups]
-    tables = [precompute_tables(rep) for rep in reps]
-    plan = _draw_plan(reps, tables)
+    # link groups, keyed by their config with a one-tick TTT, a handover no link part reads; each
+    # maps its handovers to their configs, one state machine each (equal configs drive one)
+    groups: dict[RunConfig, dict[HandoverConfig, RunConfig]] = {}
+    for c in cfgs:
+        groups.setdefault(replace(c, handover=HandoverConfig(ttt_s=c.l1.sample_period_s)), {})[c.handover] = c
+    tables = [precompute_tables(rep) for rep in groups]
+    plan = _draw_plan(list(groups), tables)
     keys = _stream_keys(plan)
     seed, n_runs = cfgs[0].master_seed, cfgs[0].runs
 
-    def run(run_index: int, states: np.ndarray) -> list[list[list[HandoverRecord]]]:
-        per_group = [()] * len(groups)
-        for g, views in enumerate(_views(states, plan)):
-            link = _link(reps[g], tables[g], run_index, views)
-            per_group[g] = [_handover(reps[g], ho, tables[g], run_index, link)[0] for ho in groups[g][1]]
-        return per_group
+    def run(run_index: int, states: np.ndarray) -> list[list[HandoverRecord]]:
+        """The run's records of every config of ``groups``, in their order."""
+        records = []
+        for (rep, machines), t, views in zip(groups.items(), tables, _views(states, plan)):
+            link = _link(rep, t, run_index, views)
+            records += [_handover(rep, ho, t, run_index, link)[0] for ho in machines]
+        return records
 
     def in_blocks(mapper) -> list:
         results = []
@@ -663,12 +657,11 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> list[SweepStatistics]
             results = in_blocks(pool.map)
     else:
         results = in_blocks(map)
-    stats: dict[int, SweepStatistics] = {}
-    for g, (_, members) in enumerate(groups):
-        for k, same in enumerate(members.values()):
-            records = [rec for result in results for rec in result[g][k]]
-            stats |= dict.fromkeys(same, aggregate_records(records, cfgs[same[0]]))
-    return [stats[i] for i in range(len(cfgs))]
+    members = [c for machines in groups.values() for c in machines.values()]
+    return {
+        c: aggregate_records([rec for records in per_run for rec in records], c)
+        for c, per_run in zip(members, zip(*results))
+    }
 
 
 def monte_carlo(cfg: RunConfig, *, workers: int = 1, grid: SweepGrid | None = None) -> SweepStatistics:
@@ -682,4 +675,5 @@ def monte_carlo(cfg: RunConfig, *, workers: int = 1, grid: SweepGrid | None = No
     Aggregation is ordered by run index, so the result is identical for any
     worker count.
     """
-    return _run_batch([cfg], workers)[0] if grid is None else grid.statistics(cfg, workers)
+    batch = {} if grid is None else grid.batch(workers)
+    return batch[cfg] if cfg in batch else _run_batch([cfg], workers)[cfg]

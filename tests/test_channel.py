@@ -405,7 +405,7 @@ class TestMeanRxPower:
         tables = precompute_tables(cfg)
         plan = _draw_plan([cfg], [tables])
         (views,) = _views(_stream_states(cfg.master_seed, [0], _stream_keys(plan))[0], plan)
-        pr = _downlink_pr_ticks(tables, *views[:4])[0]
+        pr = _downlink_pr_ticks(tables, *views[:3])[0]
         rx_dbm = tables.noise_dbm + 10.0 * np.log10(pr)
         np.testing.assert_allclose(rx_dbm, 30.0, rtol=0.0, atol=1e-9)
 

@@ -269,6 +269,86 @@ class TestSweepGrid:
         assert monte_carlo(tiny_cfg, grid=grid) == monte_carlo(tiny_cfg)
         assert monte_carlo(member, grid=grid) == monte_carlo(member)
 
+    @staticmethod
+    def with_urban_sigma(cfg, sigma):
+        urban = dataclasses.replace(cfg.profiles[Environment.URBAN], shadow_sigma_db=sigma)
+        return dataclasses.replace(cfg, profiles={**cfg.profiles, Environment.URBAN: urban})
+
+    def test_equal_configs_hash_equally(self, tiny_cfg):
+        a = apply_overrides(tiny_cfg, offset_db=2.0, environment="urban")
+        b = self.with_urban_sigma(apply_overrides(tiny_cfg, environment="urban", offset_db=2.0), 6.0)
+        assert a == b and a is not b and a.profiles is not b.profiles
+        assert hash(a) == hash(b)
+        assert {a: 1, b: 2} == {a: 2}
+
+    def test_configs_that_differ_only_in_profiles_are_separate_keys_and_groups(self, tiny_cfg, monkeypatch):
+        cfg = apply_overrides(dataclasses.replace(tiny_cfg, runs=3), environment="urban")
+        other = self.with_urban_sigma(cfg, 8.0)
+        assert cfg != other and hash(cfg) == hash(other)  # the profiles are compared, not hashed
+        assert len({cfg: 1, other: 2}) == 2
+        alone = [monte_carlo(c) for c in (cfg, other)]
+        assert alone[0] != alone[1]
+        built = []
+
+        def counted(c, _fn=simulate.precompute_tables):
+            built.append(c)
+            return _fn(c)
+
+        monkeypatch.setattr(simulate, "precompute_tables", counted)
+        grid = SweepGrid([cfg, other])
+        assert [monte_carlo(c, grid=grid) for c in (cfg, other)] == alone
+        assert [c.profiles for c in built] == [cfg.profiles, other.profiles]  # one link group each
+
+
+_BATCH_SEEDS = st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def random_batch(draw):
+    """Configs of one seed and run count over the dimensions the sharing rule reads.
+
+    Speeds and grids give tick strides 1 to 11 and different tick counts,
+    spans and spacings different cell counts and track lengths, and the
+    urban shadowing sigma profiles that are compared but not hashed.
+    Some configs come twice.
+    """
+    seed, runs = draw(_BATCH_SEEDS), draw(st.integers(2, 3))
+    cfgs = []
+    for _ in range(draw(st.integers(1, 4))):
+        layout = default_layout(
+            environment=draw(st.sampled_from(["viaduct", "cutting", "urban", "mixed"])),
+            spans=draw(st.integers(1, 3)),
+            rrh_spacing_m=float(draw(st.integers(300, 400))),
+        )
+        kin = TrainKinematics(
+            speed_kmh=draw(st.sampled_from([100.0, 250.0, 300.0, 500.0])),
+            snapshot_interval_m=draw(st.sampled_from([1.0, 0.5])),
+        )
+        cfg = RunConfig(layout=layout, kinematics=kin, runs=runs, master_seed=seed)
+        cfg = apply_overrides(cfg, offset_db=draw(st.sampled_from([-1.5, 0.0, 2.0])))
+        cfgs.append(TestSweepGrid.with_urban_sigma(cfg, draw(st.sampled_from([6.0, 8.0]))))
+    duplicates = draw(st.lists(st.sampled_from(cfgs), max_size=2))
+    # a twin differs only in the urban sigma: an equal hash, and a config of its own
+    twins = [
+        TestSweepGrid.with_urban_sigma(c, 14.0 - c.profiles[Environment.URBAN].shadow_sigma_db)
+        for c in draw(st.lists(st.sampled_from(cfgs), max_size=1))
+    ]
+    return draw(st.permutations(cfgs + duplicates + twins))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfgs=random_batch())
+def test_random_batch_equals_each_config_alone(cfgs):
+    """Every config of a random batch gets the statistics it gets alone, at 1 and 2 workers.
+
+    Statistics compare by ``repr``, so that every float compares bit for bit
+    and a config without a usable success (a NaN start point) compares too.
+    """
+    alone = [repr(monte_carlo(cfg)) for cfg in cfgs]
+    for workers in (1, 2):
+        grid = SweepGrid(cfgs)
+        assert [repr(monte_carlo(cfg, workers=workers, grid=grid)) for cfg in cfgs] == alone
+
 
 class TestChannelSeriesOracle:
     @staticmethod
@@ -332,15 +412,15 @@ class TestChannelSeriesOracle:
             longer_alone = run_views(cfg.master_seed, run, _draw_plan([longer], [longer_tables]))[0]
             plan = _draw_plan([longer, cfg], [longer_tables, tables])
             shared = run_views(cfg.master_seed, run, plan)
-            assert len(plan[0]) == (5 if tables.los_ticks else 4)  # one draw per read
+            assert len(plan[0]) == (4 if tables.los_ticks else 3)  # one draw per read
             assert longer_tables.tick_stride % tables.tick_stride != 0  # so the shared draws keep their gcd
             for views in (alone, shared[1]):
-                fast = _downlink_pr_ticks(tables, *views[:4])[cell]
+                fast = _downlink_pr_ticks(tables, *views[:3])[cell]
                 np.testing.assert_allclose(fast, expected, rtol=1e-12, atol=0.0)
             # the 2-span track has more ticks than the faster 3-span one, so the noise draw
             # starts with its 3 cells and grows to 4
             for views, own in ((shared[1], alone), (shared[0], longer_alone)):
-                np.testing.assert_array_equal(views[4], own[4])
+                np.testing.assert_array_equal(views[3], own[3])
             # the recursions run over every snapshot, the result is read on ticks
             assert tables.tick_snapshots[1] > 1
 
