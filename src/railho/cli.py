@@ -17,7 +17,7 @@ from pathlib import Path
 from . import csvio, ici
 from .config import RUN_INDEX_BITS, ConfigError, RunConfig, apply_overrides, load_config
 from .geometry import Environment
-from .simulate import SweepGrid, monte_carlo, simulate_run
+from .simulate import monte_carlo, run_batch, simulate_run
 
 _ENV_CHOICES = [env.value for env in Environment] + ["mixed"]
 
@@ -116,9 +116,10 @@ def _run_configs(args: argparse.Namespace, cfgs: list[RunConfig], names: tuple[s
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     _check_out(args.out)  # --out itself is made only once every config has run
     stats_rows, record_groups, hist_rows = [], [], []
-    grid = SweepGrid(cfgs)  # configs that differ only in handover share each run's link
+    batch = run_batch(cfgs, args.workers)  # configs that differ only in handover share each run's link
     for cfg in cfgs:
-        stats = monte_carlo(cfg, workers=args.workers, grid=grid)
+        # one call per config, in sweep order: bench/workloads.py patches it to capture each config's statistics
+        stats = monte_carlo(cfg, grid=batch)
         stats_rows.append(csvio.stats_csv_row(stats, cfg))
         record_groups.append((csvio.config_columns(cfg), stats.records))
         hist_rows.extend(csvio.histogram_csv_rows(stats, cfg))

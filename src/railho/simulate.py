@@ -14,7 +14,7 @@ What runs on snapshots and what on ticks:
 * Snapshots: per cell, the draws of every stream and the shadowing and
   LOS-latent recursions, nothing else. The recursions read segment tables
   that ``precompute_tables`` splits once per config. Only every k-th value
-  is kept (see ``_run_batch``), so no per-snapshot stack of cells is built.
+  is kept (see ``run_batch``), so no per-snapshot stack of cells is built.
 * Ticks: every link table is evaluated only at the tick positions, once per
   config: geometry, antenna gain, both path losses, the LOS thresholds,
   the shadowing shares and the Rician terms. Everything after the
@@ -37,8 +37,9 @@ and worker count. Each stream is a ``PCG64`` seeded with numpy's
 vectorised hash (``_stream_states``), not one ``SeedSequence`` per stream;
 ``simulate_run`` is a block of one. Every run draws through one path,
 ``_views`` under the ``_Draw``s of ``_draw_plan``; a single config is a
-batch of one. What the configs of a sweep share, and why that leaves every
-record unchanged, is stated once, in ``_run_batch``.
+batch of one, and a sweep runs its configs as one ``run_batch``, which
+returns their statistics by config. What the configs of a sweep share, and
+why that leaves every record unchanged, is stated once, in ``run_batch``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -134,7 +135,7 @@ class SweepStatistics:
     records: tuple[HandoverRecord, ...]
 
 
-_STREAM_BLOCK = 64  # runs whose streams ``_run_batch`` seeds in one ``_stream_states`` pass
+_STREAM_BLOCK = 64  # runs whose streams ``run_batch`` seeds in one ``_stream_states`` pass
 _MASK32 = 2**RUN_INDEX_BITS - 1  # one word of a stream's seed key, as SeedSequence hashes it (uint32)
 # the constants of numpy's SeedSequence: the pool hash (A), the state hash (B) and the mix
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -423,7 +424,7 @@ def _draw_plan(reps: Sequence[RunConfig], tables: Sequence[_StaticTables]) -> tu
 
     A group reads the shadowing (the common link's, then its cells'), the
     fading pairs, the LOS latent and the L1 noise; a read it does not make
-    is ``None``. The sharing rule is stated in ``_run_batch``.
+    is ``None``. The sharing rule is stated in ``run_batch``.
     """
     reads = []
     for rep, t in zip(reps, tables):
@@ -439,7 +440,6 @@ def _draw_plan(reps: Sequence[RunConfig], tables: Sequence[_StaticTables]) -> tu
     slot: dict[_Draw, int] = {}
     for r in sorted(dict.fromkeys(r for group in reads for r in group if r), key=lambda r: -r.n):
         k = next((k for k, d in enumerate(draws) if d.purpose == r.purpose
-                  and d.cells[: len(r.cells)] == r.cells[: len(d.cells)]
                   and _clip_segments(d.segments, r.n) == r.segments), len(draws))
         if k == len(draws):
             draws.append(r)
@@ -510,10 +510,10 @@ def simulate_run(cfg: RunConfig, run_index: int, *, want_trace: bool = False) ->
     """Simulate one seeded run; deterministic given (config, master_seed, run_index).
 
     The run is a batch of one: it draws its own streams through ``_views``,
-    as ``_run_batch`` does, runs the link part (``_link``) and drives
+    as ``run_batch`` does, runs the link part (``_link``) and drives
     ``cfg.handover`` over it once (``_handover``); with ``want_trace``,
     ``_run_trace`` builds its trace. The runs of ``monte_carlo`` do not come
-    here: ``_run_batch`` calls the link and handover parts.
+    here: ``run_batch`` calls the link and handover parts.
     """
     tables = precompute_tables(cfg)
     plan = _draw_plan([cfg], [tables])
@@ -568,28 +568,11 @@ def aggregate_records(records: Sequence[HandoverRecord], cfg: RunConfig) -> Swee
     )
 
 
-class SweepGrid:
-    """The configs of a sweep, which need one ``master_seed`` and one ``runs``, for ``monte_carlo``.
+def run_batch(cfgs: Sequence[RunConfig], workers: int = 1) -> dict[RunConfig, SweepStatistics]:
+    """The statistics of ``cfgs``, run as one batch, by config (equal configs are one key).
 
-    The first request runs them all in one ``_run_batch``, whose statistics
-    the grid keeps by config; a config outside the grid runs alone.
-    """
-
-    def __init__(self, cfgs: Sequence[RunConfig]) -> None:
-        self._cfgs = list(cfgs)  # emptied when the batch runs
-        if len({(c.master_seed, c.runs) for c in self._cfgs}) > 1:
-            raise ValueError("the configs of a SweepGrid need one master_seed and one runs")
-        self._stats: dict[RunConfig, SweepStatistics] = {}
-
-    def batch(self, workers: int) -> dict[RunConfig, SweepStatistics]:
-        """The statistics of every config of the grid, run on the first call."""
-        if self._cfgs:
-            self._stats, self._cfgs = _run_batch(self._cfgs, workers), []
-        return self._stats
-
-
-def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> dict[RunConfig, SweepStatistics]:
-    """Statistics of configs with one ``master_seed`` and ``runs``, by config (equal configs are one key).
+    The configs need one ``master_seed`` and one ``runs``; otherwise this is
+    a ``ValueError``, raised before any table is built.
 
     This is where the configs of a sweep share work, and the sharing is
     exact: every record is the one the config would get alone.
@@ -605,16 +588,15 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> dict[RunConfig, Sweep
       speed or LOS profile. One rule shares the draws: a group's four reads
       (the shadowing of the common link and of its cells, the fading pairs,
       the LOS latent and the L1 noise), longest first, each join a draw of
-      their purpose whose cell ids agree with the read's as far as both go
-      (the draw takes the longer) and whose recursion segments, clipped to
-      the read's length (``_clip_segments``), are the read's own (``None``
-      matches ``None``).
-      A draw is kept at the gcd of its readers' strides, and each group
-      reads its leading rows and ticks. A shorter draw is a prefix of a
-      longer one bit for bit, because ``standard_normal`` fills its output
-      in stream order, and scaling and the first-order ``lfilter`` of the
-      recursion run sample by sample; a segment clipped to one sample is
-      ``rho * prev + scale * eps``, the first ``lfilter`` output.
+      their purpose whose recursion segments, clipped to the read's length
+      (``_clip_segments``), are the read's own (``None`` matches ``None``).
+      A draw takes the most cells any of its readers needs and is kept at
+      the gcd of their strides, and each group reads its leading rows and
+      ticks. A shorter draw is a prefix of a longer one bit for bit, because
+      ``standard_normal`` fills its output in stream order, and scaling and
+      the first-order ``lfilter`` of the recursion run sample by sample; a
+      segment clipped to one sample is ``rho * prev + scale * eps``, the
+      first ``lfilter`` output.
       ``_draw_plan`` applies the rule once per batch. With the default
       profiles, a sweep's speeds and environments share one draw per
       purpose.
@@ -626,6 +608,8 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> dict[RunConfig, Sweep
     seeds every stream of a block's runs, so the hash's arrays do not grow
     with ``runs``.
     """
+    if len({(c.master_seed, c.runs) for c in cfgs}) != 1:
+        raise ValueError("the configs of a batch need one master_seed and one runs")
     # link groups, keyed by their config with a one-tick TTT, a handover no link part reads; each
     # maps its handovers to their configs, one state machine each (equal configs drive one)
     groups: dict[RunConfig, dict[HandoverConfig, RunConfig]] = {}
@@ -664,16 +648,16 @@ def _run_batch(cfgs: Sequence[RunConfig], workers: int) -> dict[RunConfig, Sweep
     }
 
 
-def monte_carlo(cfg: RunConfig, *, workers: int = 1, grid: SweepGrid | None = None) -> SweepStatistics:
+def monte_carlo(cfg: RunConfig, *, workers: int = 1,
+                grid: Mapping[RunConfig, SweepStatistics] | None = None) -> SweepStatistics:
     """Run ``cfg.runs`` independent seeded runs and aggregate their records.
 
-    With a grid, ``cfg`` runs in the grid's batch, which shares work among
-    the grid's configs without changing a record (see ``_run_batch``).
-    Without a grid, ``cfg`` is a batch of one, whose runs draw and hold only
+    With a grid, the statistics that ``run_batch`` gave a sweep's configs,
+    this is ``grid[cfg]`` and ``workers`` is not read; a config outside the
+    grid is a ``KeyError``. Without a grid, ``cfg`` is a batch of one, whose runs draw and hold only
     their own streams at its tick stride.
 
     Aggregation is ordered by run index, so the result is identical for any
     worker count.
     """
-    batch = {} if grid is None else grid.batch(workers)
-    return batch[cfg] if cfg in batch else _run_batch([cfg], workers)[cfg]
+    return run_batch([cfg], workers)[cfg] if grid is None else grid[cfg]

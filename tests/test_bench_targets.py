@@ -1,9 +1,12 @@
-"""The benchmark's span tracer patches railho callables by name; each must exist."""
+"""The benchmark patches railho callables by name: its span tracer, and its capture of a sweep's configs."""
 
 import importlib
 import inspect
 import sys
 from pathlib import Path
+
+from railho import cli, simulate
+from railho.config import RunConfig, apply_overrides
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -30,3 +33,31 @@ def test_tracer_finds_every_patch_target(monkeypatch):
     finally:
         tracer.uninstall()
     assert _namespaces() == before
+
+
+def test_sweep_capture_sees_every_config_of_one_batch(monkeypatch, tmp_path):
+    """``sweep_grid`` captures each config's statistics at ``cli.monte_carlo``; the sweep runs one batch."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    batches = []
+
+    def counted(cfgs, workers):
+        batches.append(list(cfgs))
+        return simulate.run_batch(cfgs, workers)
+
+    monkeypatch.setattr(cli, "run_batch", counted)
+    argv = ["sweep", "--speeds", "100,300", "--offsets", "0,2", "--envs", "viaduct,urban", "--runs", "2",
+            "--out", str(tmp_path)]
+    code, captured = workloads.run_cli_capturing(argv)
+    assert code == 0
+    base = apply_overrides(RunConfig(), runs=2)
+    expected = [
+        apply_overrides(base, speed_kmh=speed, environment=env, offset_db=offset)
+        for env in ("viaduct", "urban")
+        for speed in (100.0, 300.0)
+        for offset in (0.0, 2.0)
+    ]
+    assert [cfg for cfg, _ in captured] == expected
+    assert batches == [expected]
+    for cfg, stats in captured:
+        assert stats == simulate.monte_carlo(cfg)

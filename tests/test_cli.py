@@ -393,7 +393,7 @@ def test_flag_the_command_does_not_take_exits_2(tiny_config_path, tmp_path, monk
 @pytest.mark.parametrize("command", ["simulate", "sweep", "trace"])
 def test_out_under_a_file_exits_3_before_any_run(tiny_config_path, tmp_path, monkeypatch, capsys, command):
     calls = []
-    for name in ("monte_carlo", "simulate_run"):
+    for name in ("run_batch", "monte_carlo", "simulate_run"):
         def counting(*args, _fn=getattr(cli, name), **kwargs):
             calls.append(args)
             return _fn(*args, **kwargs)

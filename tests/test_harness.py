@@ -34,8 +34,8 @@ from railho.simulate import (
     SweepStatistics,
     precompute_tables,
     RunTrace,
+    run_batch,
     simulate_run,
-    SweepGrid,
 )
 from test_engine_oracle import link_streams
 
@@ -89,7 +89,7 @@ class TestDeterminism:
 
 
 class TestSweepGrid:
-    """Configs that differ only in ``handover`` share each run's link; nothing else may change."""
+    """Configs that differ only in ``handover`` share each run's link in a ``run_batch``; nothing else may change."""
 
     @staticmethod
     def grid(tiny_cfg):
@@ -161,8 +161,8 @@ class TestSweepGrid:
     def assert_grid_equals_each_config_alone(cfgs, workers):
         alone = [monte_carlo(cfg, workers=workers) for cfg in cfgs]
         assert len({stats.n_records for stats in alone}) > 4  # the configs differ
-        grid = SweepGrid(cfgs)
-        assert [monte_carlo(cfg, workers=workers, grid=grid) for cfg in cfgs] == alone
+        batch = run_batch(cfgs, workers)
+        assert [batch[cfg] for cfg in cfgs] == alone
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_shared_grid_equals_each_config_alone(self, tiny_cfg, workers):
@@ -181,9 +181,7 @@ class TestSweepGrid:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(simulate, name, counted)
-        grid = SweepGrid(cfgs)
-        for cfg in cfgs:
-            monte_carlo(cfg, grid=grid)
+        run_batch(cfgs)
         groups, runs = 4, 3  # two speeds x two environments
         assert calls == {"precompute_tables": groups, "_link": groups * runs, "measure_cell": groups * runs}
 
@@ -203,9 +201,7 @@ class TestSweepGrid:
 
         monkeypatch.setattr(simulate, "link_ranking", counted)
         monkeypatch.setattr(simulate.HandoverFsm, "run", reading)
-        grid = SweepGrid(cfgs)
-        for cfg in cfgs:
-            monte_carlo(cfg, grid=grid)
+        run_batch(cfgs)
         groups, runs, machines = 4, 3, 4  # two speeds x two environments; two offsets x two TTTs
         assert len(built) == groups * runs and len(read) == groups * runs * machines
         assert [tuple(map(id, r)) for r in read] == [tuple(map(id, b)) for b in built for _ in range(machines)]
@@ -216,7 +212,7 @@ class TestSweepGrid:
 
     @staticmethod
     def streams_built(cfgs, monkeypatch) -> Counter:
-        """The streams a ``SweepGrid`` of ``cfgs`` seeds, by (run, purpose)."""
+        """The streams a ``run_batch`` of ``cfgs`` seeds, by (run, purpose)."""
         built = Counter()
 
         def counted(seed, runs, keys):
@@ -224,9 +220,7 @@ class TestSweepGrid:
             return _stream_states(seed, runs, keys)
 
         monkeypatch.setattr(simulate, "_stream_states", counted)
-        grid = SweepGrid(cfgs)
-        for cfg in cfgs:
-            monte_carlo(cfg, grid=grid)
+        run_batch(cfgs)
         return built
 
     # distinct LOS recursions: viaduct and urban tracks read no LOS latent, and
@@ -259,15 +253,23 @@ class TestSweepGrid:
             assert built[run, _STREAM_FADING] == 4
 
     @pytest.mark.parametrize("field, other", [("master_seed", 7), ("runs", 5)])
-    def test_grid_needs_one_seed_and_run_count(self, tiny_cfg, field, other):
+    def test_grid_needs_one_seed_and_run_count(self, tiny_cfg, field, other, monkeypatch):
+        built = []
+        monkeypatch.setattr(simulate, "precompute_tables", built.append)
         with pytest.raises(ValueError, match="one master_seed and one runs"):
-            SweepGrid([tiny_cfg, dataclasses.replace(tiny_cfg, **{field: other})])
+            run_batch([tiny_cfg, dataclasses.replace(tiny_cfg, **{field: other})])
+        assert built == []  # checked before any table is built
 
-    def test_config_outside_the_grid_runs_alone(self, tiny_cfg):
+    def test_empty_batch_has_no_seed(self):
+        with pytest.raises(ValueError, match="one master_seed and one runs"):
+            run_batch([])
+
+    def test_config_outside_the_grid_is_a_key_error(self, tiny_cfg):
         member = apply_overrides(tiny_cfg, offset_db=4.0)
-        grid = SweepGrid([member])
-        assert monte_carlo(tiny_cfg, grid=grid) == monte_carlo(tiny_cfg)
-        assert monte_carlo(member, grid=grid) == monte_carlo(member)
+        batch = run_batch([member])
+        assert monte_carlo(member, grid=batch) == monte_carlo(member)
+        with pytest.raises(KeyError):
+            monte_carlo(tiny_cfg, grid=batch)
 
     @staticmethod
     def with_urban_sigma(cfg, sigma):
@@ -295,8 +297,8 @@ class TestSweepGrid:
             return _fn(c)
 
         monkeypatch.setattr(simulate, "precompute_tables", counted)
-        grid = SweepGrid([cfg, other])
-        assert [monte_carlo(c, grid=grid) for c in (cfg, other)] == alone
+        batch = run_batch([cfg, other])
+        assert [batch[c] for c in (cfg, other)] == alone
         assert [c.profiles for c in built] == [cfg.profiles, other.profiles]  # one link group each
 
 
@@ -346,8 +348,8 @@ def test_random_batch_equals_each_config_alone(cfgs):
     """
     alone = [repr(monte_carlo(cfg)) for cfg in cfgs]
     for workers in (1, 2):
-        grid = SweepGrid(cfgs)
-        assert [repr(monte_carlo(cfg, workers=workers, grid=grid)) for cfg in cfgs] == alone
+        batch = run_batch(cfgs, workers)
+        assert [repr(batch[cfg]) for cfg in cfgs] == alone
 
 
 class TestChannelSeriesOracle:
