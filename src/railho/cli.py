@@ -73,7 +73,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--offset-db", type=float, help="A3 hysteresis margin in dB")
     for p in (p_sim, p_sweep):
         p.add_argument("--runs", type=int, help="Monte Carlo runs per configuration")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers")
+        p.add_argument("--workers", type=int, metavar="N", help="threads for the runs (default: every usable CPU)")
     return parser
 
 
@@ -112,7 +112,7 @@ def _warn_ici(cfgs: list[RunConfig]) -> None:
 
 def _run_configs(args: argparse.Namespace, cfgs: list[RunConfig], names: tuple[str, str, str]) -> int:
     """Run each config, print its summary line and write the records, stats and histogram CSVs."""
-    if args.workers < 1:
+    if args.workers is not None and args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     _check_out(args.out)  # --out itself is made only once every config has run
     stats_rows, record_groups, hist_rows = [], [], []

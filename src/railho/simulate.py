@@ -32,14 +32,15 @@ not at all when ``l1.noise_sigma_db`` is 0.
 
 Runs are reproducible: every random stream is derived from (master_seed,
 run_index, cell, purpose), so results are independent of execution order
-and worker count. Each stream is a ``PCG64`` seeded with numpy's
-``SeedSequence`` of that 4-tuple, computed for a block of runs in one
-vectorised hash (``_stream_states``), not one ``SeedSequence`` per stream;
-``simulate_run`` is a block of one. Every run draws through one path,
-``_views`` under the ``_Draw``s of ``_draw_plan``; a single config is a
-batch of one, and a sweep runs its configs as one ``run_batch``, which
-returns their statistics by config. What the configs of a sweep share, and
-why that leaves every record unchanged, is stated once, in ``run_batch``.
+and of the worker count, by default the CPU count (``run_batch``). Each
+stream is a ``PCG64`` seeded with numpy's ``SeedSequence`` of that 4-tuple,
+computed for a block of runs in one vectorised hash (``_stream_states``),
+not one ``SeedSequence`` per stream; ``simulate_run`` is a block of one.
+Every run draws through one path, ``_views`` under the ``_Draw``s of
+``_draw_plan``; a single config is a batch of one, and a sweep runs its
+configs as one ``run_batch``, which returns their statistics by config.
+What the configs of a sweep share, and why that leaves every record
+unchanged, is stated once, in ``run_batch``.
 """
 
 from __future__ import annotations
@@ -568,11 +569,12 @@ def aggregate_records(records: Sequence[HandoverRecord], cfg: RunConfig) -> Swee
     )
 
 
-def run_batch(cfgs: Sequence[RunConfig], workers: int = 1) -> dict[RunConfig, SweepStatistics]:
+def run_batch(cfgs: Sequence[RunConfig], workers: int | None = None) -> dict[RunConfig, SweepStatistics]:
     """The statistics of ``cfgs``, run as one batch, by config (equal configs are one key).
 
-    The configs need one ``master_seed`` and one ``runs``; otherwise this is
-    a ``ValueError``, raised before any table is built.
+    The configs need one ``master_seed`` and one ``runs``, and ``workers``
+    must be None or at least 1; otherwise this is a ``ValueError``, raised
+    before any table is built.
 
     This is where the configs of a sweep share work, and the sharing is
     exact: every record is the one the config would get alone.
@@ -602,12 +604,16 @@ def run_batch(cfgs: Sequence[RunConfig], workers: int = 1) -> dict[RunConfig, Sw
       purpose.
 
     Each run goes through every link group, so all their table sets are
-    alive while the runs go, on up to ``workers`` threads and never more
-    than the CPU count. Runs keep only their records, never the link arrays.
+    alive while the runs go, on ``min(workers, CPUs, runs)`` threads, where
+    CPUs are those the process may run on and ``workers`` None, the default,
+    is all of them; one thread opens no pool. Runs keep only their records,
+    never the link arrays.
     The runs go ``_STREAM_BLOCK`` at a time: one ``_stream_states`` pass
     seeds every stream of a block's runs, so the hash's arrays do not grow
     with ``runs``.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"a batch needs at least one worker, got {workers}")
     if len({(c.master_seed, c.runs) for c in cfgs}) != 1:
         raise ValueError("the configs of a batch need one master_seed and one runs")
     # link groups, keyed by their config with a one-tick TTT, a handover no link part reads; each
@@ -635,7 +641,8 @@ def run_batch(cfgs: Sequence[RunConfig], workers: int = 1) -> dict[RunConfig, Sw
             results += mapper(run, block, _stream_states(seed, block, keys))
         return results
 
-    workers = min(workers, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus if workers is None else workers, cpus, n_runs)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = in_blocks(pool.map)
@@ -648,14 +655,15 @@ def run_batch(cfgs: Sequence[RunConfig], workers: int = 1) -> dict[RunConfig, Sw
     }
 
 
-def monte_carlo(cfg: RunConfig, *, workers: int = 1,
+def monte_carlo(cfg: RunConfig, *, workers: int | None = None,
                 grid: Mapping[RunConfig, SweepStatistics] | None = None) -> SweepStatistics:
     """Run ``cfg.runs`` independent seeded runs and aggregate their records.
 
     With a grid, the statistics that ``run_batch`` gave a sweep's configs,
     this is ``grid[cfg]`` and ``workers`` is not read; a config outside the
-    grid is a ``KeyError``. Without a grid, ``cfg`` is a batch of one, whose runs draw and hold only
-    their own streams at its tick stride.
+    grid is a ``KeyError``. Without a grid, ``cfg`` is a batch of one on
+    ``workers`` threads (by default the CPU count; ``run_batch``), whose runs
+    draw and hold only their own streams at its tick stride.
 
     Aggregation is ordered by run index, so the result is identical for any
     worker count.

@@ -76,6 +76,12 @@ class TestDeterminism:
         assert monte_carlo(cfg, workers=2) == stats
 
     def test_thread_pool_is_capped_at_the_cpu_count(self, tiny_cfg, monkeypatch):
+        """A batch runs on ``min(workers, CPUs, runs)`` threads, ``workers`` None on every CPU.
+
+        The CPUs are those of the process's affinity mask where the OS keeps
+        one, else the machine's count. One thread opens no pool.
+        """
+        serial = monte_carlo(tiny_cfg, workers=1)
         sizes = []
 
         def recording(max_workers, _pool=simulate.ThreadPoolExecutor):
@@ -83,9 +89,27 @@ class TestDeterminism:
             return _pool(max_workers=max_workers)
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)  # more than the mask allows: never read
+        # the CPUs bind, then the 4 runs, then the workers, and one thread opens no pool
+        for workers, cpus in [(64, 2), (None, 2), (64, 8), (None, 8), (3, 8), (1, 8), (None, 1)]:
+            monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            sizes.clear()
+            assert monte_carlo(tiny_cfg, workers=workers) == serial
+            size = min(cpus if workers is None else workers, cpus, tiny_cfg.runs)
+            assert sizes == ([size] if size > 1 else [])
+        monkeypatch.delattr(simulate.os, "sched_getaffinity")  # no mask: the machine's count
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-        assert monte_carlo(tiny_cfg, workers=64) == monte_carlo(tiny_cfg)
+        sizes.clear()
+        assert monte_carlo(tiny_cfg) == serial
         assert sizes == [2]
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_one_is_a_value_error(self, tiny_cfg, workers, monkeypatch):
+        built = []
+        monkeypatch.setattr(simulate, "precompute_tables", built.append)
+        with pytest.raises(ValueError, match="at least one worker"):
+            monte_carlo(tiny_cfg, workers=workers)
+        assert built == []  # checked before any table is built
 
 
 class TestSweepGrid:
@@ -201,7 +225,7 @@ class TestSweepGrid:
 
         monkeypatch.setattr(simulate, "link_ranking", counted)
         monkeypatch.setattr(simulate.HandoverFsm, "run", reading)
-        run_batch(cfgs)
+        run_batch(cfgs, workers=1)  # one thread, so that each ranking's reads follow it
         groups, runs, machines = 4, 3, 4  # two speeds x two environments; two offsets x two TTTs
         assert len(built) == groups * runs and len(read) == groups * runs * machines
         assert [tuple(map(id, r)) for r in read] == [tuple(map(id, b)) for b in built for _ in range(machines)]
@@ -341,7 +365,7 @@ def random_batch(draw):
 @settings(max_examples=100, deadline=None)
 @given(cfgs=random_batch())
 def test_random_batch_equals_each_config_alone(cfgs):
-    """Every config of a random batch gets the statistics it gets alone, at 1 and 2 workers.
+    """Every config of a random batch gets the statistics it gets alone (every CPU), at 1 and 2 workers.
 
     Statistics compare by ``repr``, so that every float compares bit for bit
     and a config without a usable success (a NaN start point) compares too.
