@@ -73,7 +73,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--offset-db", type=float, help="A3 hysteresis margin in dB")
     for p in (p_sim, p_sweep):
         p.add_argument("--runs", type=int, help="Monte Carlo runs per configuration")
-        p.add_argument("--workers", type=int, metavar="N", help="threads for the runs (default: every usable CPU)")
+        p.add_argument("--workers", type=int, metavar="N",
+                       help="threads that draw the runs' random streams (default: every usable CPU)")
     return parser
 
 

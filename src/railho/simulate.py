@@ -32,7 +32,8 @@ not at all when ``l1.noise_sigma_db`` is 0.
 
 Runs are reproducible: every random stream is derived from (master_seed,
 run_index, cell, purpose), so results are independent of execution order
-and of the worker count, by default the CPU count (``run_batch``). Each
+and of the worker count. Only the draws go on threads, ahead of the runs;
+the link and handover parts run on the calling thread (``run_batch``). Each
 stream is a ``PCG64`` seeded with numpy's ``SeedSequence`` of that 4-tuple,
 computed for a block of runs in one vectorised hash (``_stream_states``),
 not one ``SeedSequence`` per stream; ``simulate_run`` is a block of one.
@@ -47,9 +48,11 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -604,13 +607,15 @@ def run_batch(cfgs: Sequence[RunConfig], workers: int | None = None) -> dict[Run
       purpose.
 
     Each run goes through every link group, so all their table sets are
-    alive while the runs go, on ``min(workers, CPUs, runs)`` threads, where
-    CPUs are those the process may run on and ``workers`` None, the default,
-    is all of them; one thread opens no pool. Runs keep only their records,
-    never the link arrays.
-    The runs go ``_STREAM_BLOCK`` at a time: one ``_stream_states`` pass
-    seeds every stream of a block's runs, so the hash's arrays do not grow
-    with ``runs``.
+    alive while the runs go. The runs' link parts and state machines run on
+    the calling thread, in run order. Their draws (``_views``) run on
+    ``min(workers, CPUs, runs)`` threads, where CPUs are those the process
+    may run on and ``workers`` None, the default, is all of them. The
+    threads draw at most ``workers + 1`` runs ahead of the run taken, so
+    that few runs' draws are alive at once; one thread opens no pool and
+    draws each run as it is taken. Runs keep only their records, never the
+    link arrays. One ``_stream_states`` pass seeds every stream of
+    ``_STREAM_BLOCK`` runs, so the hash's arrays do not grow with ``runs``.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"a batch needs at least one worker, got {workers}")
@@ -625,29 +630,30 @@ def run_batch(cfgs: Sequence[RunConfig], workers: int | None = None) -> dict[Run
     plan = _draw_plan(list(groups), tables)
     keys = _stream_keys(plan)
     seed, n_runs = cfgs[0].master_seed, cfgs[0].runs
-
-    def run(run_index: int, states: np.ndarray) -> list[list[HandoverRecord]]:
-        """The run's records of every config of ``groups``, in their order."""
-        records = []
-        for (rep, machines), t, views in zip(groups.items(), tables, _views(states, plan)):
-            link = _link(rep, t, run_index, views)
-            records += [_handover(rep, ho, t, run_index, link)[0] for ho in machines]
-        return records
-
-    def in_blocks(mapper) -> list:
-        results = []
-        for lo in range(0, n_runs, _STREAM_BLOCK):
-            block = range(lo, min(lo + _STREAM_BLOCK, n_runs))
-            results += mapper(run, block, _stream_states(seed, block, keys))
-        return results
-
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus if workers is None else workers, cpus, n_runs)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = in_blocks(pool.map)
-    else:
-        results = in_blocks(map)
+    states = (s for lo in range(0, n_runs, _STREAM_BLOCK)
+              for s in _stream_states(seed, range(lo, min(lo + _STREAM_BLOCK, n_runs)), keys))
+
+    def drawn(pool: ThreadPoolExecutor | None):
+        """Each run's views in run order, drawn on ``pool`` up to ``workers + 1`` runs ahead of the one taken."""
+        if pool is None:
+            yield from (_views(s, plan) for s in states)
+            return
+        ahead = deque(pool.submit(_views, s, plan) for s in islice(states, workers + 1))
+        while ahead:
+            taken = ahead.popleft()
+            ahead.extend(pool.submit(_views, s, plan) for s in islice(states, 1))
+            yield taken.result()
+
+    results = []
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for run_index, views in enumerate(drawn(pool)):
+            records = []  # the run's records of every config of ``groups``, in their order
+            for (rep, machines), t, v in zip(groups.items(), tables, views):
+                link = _link(rep, t, run_index, v)
+                records += [_handover(rep, ho, t, run_index, link)[0] for ho in machines]
+            results.append(records)
     members = [c for machines in groups.values() for c in machines.values()]
     return {
         c: aggregate_records([rec for records in per_run for rec in records], c)
@@ -661,9 +667,11 @@ def monte_carlo(cfg: RunConfig, *, workers: int | None = None,
 
     With a grid, the statistics that ``run_batch`` gave a sweep's configs,
     this is ``grid[cfg]`` and ``workers`` is not read; a config outside the
-    grid is a ``KeyError``. Without a grid, ``cfg`` is a batch of one on
-    ``workers`` threads (by default the CPU count; ``run_batch``), whose runs
-    draw and hold only their own streams at its tick stride.
+    grid is a ``KeyError``. Without a grid, ``cfg`` is a batch of one whose
+    runs draw and hold only their own streams at its tick stride, on
+    ``workers`` threads (by default every usable CPU) that draw ahead of the
+    calling thread, which runs each run's link part and state machine
+    (``run_batch``).
 
     Aggregation is ordered by run index, so the result is identical for any
     worker count.

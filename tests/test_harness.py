@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import sys
+import threading
+import time
 from collections import Counter
 from statistics import NormalDist
 
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from railho import cli, csvio
 from railho.channel import shadowing_series_db
-from railho.config import RunConfig, apply_overrides
+from railho.config import ConfigError, RunConfig, apply_overrides
 from railho.geometry import Environment, TrainKinematics, default_layout, environment_at, sample_stride
 from railho.handover import HandoverRecord, Outcome
 from railho.ici import IciParams
@@ -76,7 +79,7 @@ class TestDeterminism:
         assert monte_carlo(cfg, workers=2) == stats
 
     def test_thread_pool_is_capped_at_the_cpu_count(self, tiny_cfg, monkeypatch):
-        """A batch runs on ``min(workers, CPUs, runs)`` threads, ``workers`` None on every CPU.
+        """A batch draws on ``min(workers, CPUs, runs)`` threads, ``workers`` None on every CPU.
 
         The CPUs are those of the process's affinity mask where the OS keeps
         one, else the machine's count. One thread opens no pool.
@@ -102,6 +105,56 @@ class TestDeterminism:
         sizes.clear()
         assert monte_carlo(tiny_cfg) == serial
         assert sizes == [2]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_draws_run_a_bounded_window_ahead_of_the_links(self, tiny_cfg, monkeypatch, threads):
+        """The pool draws at most ``workers + 1`` runs beyond the one taken, across two seed-block edges.
+
+        A run counts from the start of its draws to the start of its link
+        part, which runs on the calling thread, so the run taken counts too.
+        """
+        cfg = dataclasses.replace(tiny_cfg, runs=2 * _STREAM_BLOCK + 3)
+        serial = monte_carlo(cfg, workers=1)
+        views, link = simulate._views, simulate._link
+        lock = threading.Lock()
+        ahead, most = 0, 0  # runs drawn or being drawn, not yet linked
+
+        def drawing(*args):
+            nonlocal ahead, most
+            with lock:
+                ahead += 1
+                most = max(most, ahead)
+            return views(*args)
+
+        def linking(*args):
+            nonlocal ahead
+            assert threading.current_thread() is threading.main_thread()
+            time.sleep(0.001)  # so that the pool gets as far ahead as it may
+            with lock:
+                ahead -= 1
+            return link(*args)
+
+        monkeypatch.setattr(simulate, "_views", drawing)
+        monkeypatch.setattr(simulate, "_link", linking)
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(threads)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the threads trade the interpreter lock often
+        try:
+            assert monte_carlo(cfg) == serial
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 < most <= threads + 2
+
+    def test_a_link_error_stops_the_batch_and_its_threads(self, monkeypatch):
+        """A ``ConfigError`` of a run's link part reaches the caller, and no pool thread outlives the batch."""
+        cfg = RunConfig(layout=default_layout(environment="urban", spans=2, rrh_spacing_m=400.0), runs=6)
+        urban = dataclasses.replace(cfg.profiles[Environment.URBAN], pathloss_intercept_db=-4000.0)
+        cfg = dataclasses.replace(cfg, profiles={**cfg.profiles, Environment.URBAN: urban})
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        before = threading.active_count()
+        with pytest.raises(ConfigError, match="run 0: a link's SNR leaves the float range"):
+            monte_carlo(cfg, workers=2)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("workers", [0, -5])
     def test_workers_below_one_is_a_value_error(self, tiny_cfg, workers, monkeypatch):
@@ -225,7 +278,7 @@ class TestSweepGrid:
 
         monkeypatch.setattr(simulate, "link_ranking", counted)
         monkeypatch.setattr(simulate.HandoverFsm, "run", reading)
-        run_batch(cfgs, workers=1)  # one thread, so that each ranking's reads follow it
+        run_batch(cfgs)  # the link parts and the machines run on the calling thread, in run order
         groups, runs, machines = 4, 3, 4  # two speeds x two environments; two offsets x two TTTs
         assert len(built) == groups * runs and len(read) == groups * runs * machines
         assert [tuple(map(id, r)) for r in read] == [tuple(map(id, b)) for b in built for _ in range(machines)]
