@@ -77,17 +77,12 @@ def _fmt(value):
     return format(value, ".6g") if isinstance(value, float) else value
 
 
-def _write_rows(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write ``columns`` and then ``rows`` as they are."""
+def _write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``columns`` and then ``rows``, each cell passed through ``_fmt``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(rows)
-
-
-def _write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write ``columns`` and then ``rows``, each cell passed through ``_fmt``."""
-    _write_rows(path, columns, ([_fmt(v) for v in row] for row in rows))
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def config_columns(cfg: RunConfig) -> tuple[float, str, float]:

@@ -213,17 +213,20 @@ class HandoverFsm:
     ticks; re-establishment ends its own delay after a failed RACH check.
 
     ``run`` is the attempt loop: it drives a whole trace one attempt per
-    iteration, inline, and calls neither ``step`` nor its transition
-    methods. Every transition is due on a tick known in advance: TTT starts
-    on the next A3 entering tick ``e`` (from the entering runs of the serving
-    cell, found once per cell from its ``link_ranking`` margins) and resets on the
-    first tick after ``e`` that is not entering; the report is due on
-    ``e + n_ttt - 1``, the command and the RACH check at their offsets from
-    the report, and the reconnection at the end of re-establishment. ``run``
-    reads the gates there and nowhere else. ``step`` is the per-tick literal
-    form, and the two must agree on every record, every event and the final
-    state. Both pick cells by one tie rule, the lowest cell id wins: ``step``
-    by ``_best_other`` and ``_strongest``, ``run`` by ``link_ranking``.
+    iteration, inline, and never calls ``step``. ``step`` is one straight
+    method in ``run``'s order (re-establishment, A3/TTT, report gate,
+    command gate, RACH check), so a transition that the two drives share
+    sits at the same place in both. Every transition is due on a tick known
+    in advance: TTT starts on the next A3 entering tick ``e`` (from the
+    entering runs of the serving cell, found once per cell from its
+    ``link_ranking`` margins) and resets on the first tick after ``e`` that
+    is not entering; the report is due on ``e + n_ttt - 1``, the command and
+    the RACH check at their offsets from the report, and the reconnection at
+    the end of re-establishment. ``run`` reads the gates there and nowhere
+    else. ``step`` is the per-tick literal form, and the two must agree on
+    every record, every event and the final state. Both pick cells by one
+    tie rule, the lowest cell id wins: ``step`` by ``_best_other`` and
+    ``_strongest``, ``run`` by ``link_ranking``.
     """
 
     def __init__(
@@ -387,7 +390,7 @@ class HandoverFsm:
             interrupted[self._command_tick :] = True
         return serving, interrupted
 
-    # The transitions of ``step``; records are appended to ``out``.
+    # The state that ``step`` resets and the records it builds.
 
     def _reset_monitoring(self) -> None:
         self.phase = Phase.MONITORING
@@ -404,62 +407,6 @@ class HandoverFsm:
             self._report_tick, command_tick, completion_tick, until_tick, None, delay_s,
         )
 
-    def _start_ttt(self, tick: int) -> None:
-        self.phase = Phase.TTT_RUNNING
-        self._trigger_tick = tick
-        self.events.append(("ttt_start", tick))
-
-    def _reset_ttt(self, tick: int) -> None:
-        self.events.append(("ttt_reset", tick))
-        self._reset_monitoring()
-
-    def _report(self, tick: int, ul_serving_db: float, out: list[HandoverRecord]) -> None:
-        """Send the measurement report, gated on the serving cell's uplink SNR."""
-        self._report_tick = tick
-        if ul_serving_db < self.cfg.snr_gate_db:
-            out.append(self._record(Outcome.FAIL_UPLINK_REPORT))
-            self.events.append(("report_blocked", tick))
-            self._reset_monitoring()
-        else:
-            self.phase = Phase.PREPARING
-            self.events.append(("report", tick))
-
-    def _command(self, tick: int, dl_serving_db: float, out: list[HandoverRecord]) -> None:
-        """Receive the handover command, gated on the serving cell's downlink SNR."""
-        if dl_serving_db < self.cfg.snr_gate_db:
-            out.append(self._record(Outcome.FAIL_DOWNLINK_COMMAND, tick))
-            self.events.append(("command_blocked", tick))
-            self._reset_monitoring()
-        else:
-            self._command_tick = tick
-            self.phase = Phase.RACH_IN_PROGRESS
-            self.events.append(("command", tick))
-
-    def _complete(
-        self, tick: int, ul_target_db: float, dl_target_db: float, out: list[HandoverRecord]
-    ) -> None:
-        """Check SIB reading and RACH toward the target: connect, or start re-establishment."""
-        target = self.target_cell
-        connected = ul_target_db >= self.cfg.snr_gate_db and dl_target_db >= self.cfg.snr_gate_db
-        until = None if connected else tick + self._reestablish_ticks
-        outcome = Outcome.SUCCESS if connected else Outcome.FAIL_RACH
-        delay_s = (tick - self._report_tick) * self.sample_period_s
-        out.append(self._record(outcome, self._command_tick, tick, until, delay_s))
-        if connected:
-            self.serving_cell = target
-            self.events.append(("connected", tick))
-            self._reset_monitoring()
-        else:
-            self.events.append(("rach_failed", tick))
-            self._reestablish_until = until
-            self.serving_cell = None
-            self.phase = Phase.REESTABLISHING
-
-    def _reconnect(self, tick: int, l3_db: Sequence[float]) -> None:
-        self.serving_cell = _strongest(l3_db)
-        self.events.append(("reestablished", tick))
-        self._reset_monitoring()
-
     def step(
         self,
         tick: int,
@@ -470,33 +417,61 @@ class HandoverFsm:
         if tick != self._next_tick:
             raise ValueError(f"ticks must advance by exactly 1 (expected {self._next_tick}, got {tick})")
         self._next_tick = tick + 1
-        out: list[HandoverRecord] = []
+        gate, add = self.cfg.snr_gate_db, self.events.append
 
         if self.phase is Phase.REESTABLISHING:
             if tick < self._reestablish_until:
-                return out
-            self._reconnect(tick, l3_db)
+                return []
+            self.serving_cell = _strongest(l3_db)
+            add(("reestablished", tick))
+            self._reset_monitoring()
+        s = self.serving_cell
 
         if self.phase in (Phase.MONITORING, Phase.TTT_RUNNING):
-            target = _best_other(l3_db, self.serving_cell)
-            entered = target is not None and a3_condition(
-                l3_db[target], l3_db[self.serving_cell], self.cfg.hysteresis_db
-            )
-            if entered:
+            target = _best_other(l3_db, s)
+            if target is not None and a3_condition(l3_db[target], l3_db[s], self.cfg.hysteresis_db):
                 if self.phase is Phase.MONITORING:
-                    self._start_ttt(tick)
+                    self.phase, self._trigger_tick = Phase.TTT_RUNNING, tick
+                    add(("ttt_start", tick))
                 self.target_cell = target
             elif self.phase is Phase.TTT_RUNNING:
-                self._reset_ttt(tick)
+                add(("ttt_reset", tick))
+                self._reset_monitoring()
 
             # Ticks advance by exactly 1 and TTT resets on the first tick
             # without entering, so the trigger tick counts the TTT.
             if self.phase is Phase.TTT_RUNNING and tick - self._trigger_tick + 1 >= self._n_ttt:
-                self._report(tick, ul_snr_db[self.serving_cell], out)
+                self._report_tick = tick
+                if ul_snr_db[s] < gate:  # the report, gated on the serving cell's uplink
+                    record = self._record(Outcome.FAIL_UPLINK_REPORT)
+                    add(("report_blocked", tick))
+                    self._reset_monitoring()
+                    return [record]
+                self.phase = Phase.PREPARING
+                add(("report", tick))
 
         if self.phase is Phase.PREPARING and tick - self._report_tick >= self._command_ticks:
-            self._command(tick, dl_snr_db[self.serving_cell], out)
+            if dl_snr_db[s] < gate:  # the command, gated on the serving cell's downlink
+                record = self._record(Outcome.FAIL_DOWNLINK_COMMAND, tick)
+                add(("command_blocked", tick))
+                self._reset_monitoring()
+                return [record]
+            self.phase, self._command_tick = Phase.RACH_IN_PROGRESS, tick
+            add(("command", tick))
 
         if self.phase is Phase.RACH_IN_PROGRESS and tick - self._report_tick >= self._completion_ticks:
-            self._complete(tick, ul_snr_db[self.target_cell], dl_snr_db[self.target_cell], out)
-        return out
+            # SIB reading and RACH, gated on both links toward the target: connect, or re-establish
+            target = self.target_cell
+            delay_s = (tick - self._report_tick) * self.sample_period_s
+            if ul_snr_db[target] >= gate and dl_snr_db[target] >= gate:
+                record = self._record(Outcome.SUCCESS, self._command_tick, tick, None, delay_s)
+                self.serving_cell = target
+                add(("connected", tick))
+                self._reset_monitoring()
+            else:
+                self._reestablish_until = tick + self._reestablish_ticks
+                record = self._record(Outcome.FAIL_RACH, self._command_tick, tick, self._reestablish_until, delay_s)
+                add(("rach_failed", tick))
+                self.serving_cell, self.phase = None, Phase.REESTABLISHING
+            return [record]
+        return []

@@ -402,18 +402,20 @@ def _link(cfg: RunConfig, tables: _StaticTables, run_index: int, views: Sequence
     noise's standard normals, is ``None`` when ``cfg.l1`` adds none.
     """
     p = ici.ici_power(cfg.kinematics.speed_mps, cfg.ici)
-    with np.errstate(over="ignore", invalid="ignore"):  # a power out of the float range is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # a value out of the float range is rejected below
         pr_dl = _downlink_pr_ticks(tables, *views[:3])
-        pr_ul = pr_dl * cfg.budget.ul_shift()
-    # the UL shift is a positive float, so this bounds pr_dl too; NaN fails it
-    if not 0.0 < pr_ul.min() <= pr_ul.max() < math.inf:
-        raise ConfigError(f"run {run_index}: a link's SNR leaves the float range; check budget, gains, profiles")
-    eff_lin_dl = ici.effective_sinr_linear(pr_dl, p)
-    l3 = measure_cell(eff_lin_dl, cfg.l1, cfg.l3, views[3])
+        eff_lin_dl = ici.effective_sinr_linear(pr_dl, p)
+        eff_lin_ul = ici.effective_sinr_linear(pr_dl * cfg.budget.ul_shift(), p)
+        # an overflow of a power or of pr * p_ici leaves an effective SINR 0, inf or NaN (which fails
+        # every comparison), and L1, which needs them positive, may still overflow its whole-run sums
+        in_range = all(0.0 < x.min() <= x.max() < math.inf for x in (eff_lin_dl, eff_lin_ul))
+        l3 = measure_cell(eff_lin_dl, cfg.l1, cfg.l3, views[3]) if in_range else None
+    if l3 is None or not np.isfinite(l3).all():
+        raise ConfigError(f"run {run_index}: a link's SNR leaves the float range; check budget, gains, profiles, ici")
     # ici.rss_with_ici of both links, in place: the DL in the L1 input, which L1 has read
     dl_snr = np.log10(eff_lin_dl, out=eff_lin_dl)
     dl_snr *= 10.0
-    ul_snr = np.log10(ici.effective_sinr_linear(pr_ul, p, out=pr_ul), out=pr_ul)
+    ul_snr = np.log10(eff_lin_ul, out=eff_lin_ul)
     ul_snr *= 10.0
     return pr_dl, l3, ul_snr, dl_snr, *link_ranking(l3)
 
@@ -646,19 +648,14 @@ def run_batch(cfgs: Sequence[RunConfig], workers: int | None = None) -> dict[Run
             ahead.extend(pool.submit(_views, s, plan) for s in islice(states, 1))
             yield taken.result()
 
-    results = []
+    records = {c: [] for machines in groups.values() for c in machines.values()}  # by config, in run order
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for run_index, views in enumerate(drawn(pool)):
-            records = []  # the run's records of every config of ``groups``, in their order
             for (rep, machines), t, v in zip(groups.items(), tables, views):
                 link = _link(rep, t, run_index, v)
-                records += [_handover(rep, ho, t, run_index, link)[0] for ho in machines]
-            results.append(records)
-    members = [c for machines in groups.values() for c in machines.values()]
-    return {
-        c: aggregate_records([rec for records in per_run for rec in records], c)
-        for c, per_run in zip(members, zip(*results))
-    }
+                for ho, c in machines.items():
+                    records[c] += _handover(rep, ho, t, run_index, link)[0]
+    return {c: aggregate_records(recs, c) for c, recs in records.items()}
 
 
 def monte_carlo(cfg: RunConfig, *, workers: int | None = None,

@@ -96,6 +96,10 @@ class TestSimulateCommand:
             '{"profiles": {"viaduct": {"shadow_sigma_db": 1e300}}}',
             '{"profiles": {"viaduct": {"pathloss_intercept_db": -1e300}}}',
             '{"layout": {"max_gain_db": 1e300}}',
+            '{"ici": {"alpha1": 1e306}}',  # pr * p_ici overflows, so the effective SINR is 0
+            # L1's whole-run sums overflow, with no ICI to saturate the SINR
+            '{"ici": {"alpha1": 0}, "budget": {"rrh_tx_power_dbm": 3060, "ue_tx_power_dbm": 3060}}',
+            '{"ici": {"alpha1": 1e304}, "budget": {"ue_tx_power_dbm": 40}}',  # only the uplink overflows
             # sampling grids that cannot be indexed
             '{"kinematics": {"snapshot_interval_m": 5e-324}}',
             '{"kinematics": {"snapshot_interval_m": 1e-300}}',
